@@ -32,7 +32,7 @@ class PrivacyBudget:
     rho: float
 
     def __post_init__(self):
-        if self.rho < 0:
+        if math.isnan(self.rho) or self.rho < 0:
             raise ValueError(f"rho must be nonnegative, got {self.rho}")
 
     @property
@@ -116,9 +116,7 @@ def pai_rho(schedule: Schedule, lipschitz: float) -> PrivacyBudget:
     """
     if lipschitz < 0:
         raise ValueError("lipschitz must be nonnegative")
-    eta = np.asarray(schedule.step_sizes, dtype=np.float64)
-    sigma = np.asarray(schedule.noise_scales, dtype=np.float64)
-    batches = np.asarray(schedule.batch_sizes, dtype=np.float64)
+    eta, sigma, batches = schedule.step_sizes, schedule.noise_scales, schedule.batch_sizes
     suffix = np.cumsum((eta * sigma)[::-1] ** 2)[::-1]
     active = eta > 0.0  # a zero step leaks nothing regardless of later noise
     if not np.any(active):

@@ -93,11 +93,8 @@ def _run_snowball(multiplier: float, steps_builder):
         L = dist.loss.lipschitz
         T = _largest_feasible_steps(n, d, rho, multiplier)
         batches = snowball_batches(T, d, rho, multiplier)
-        schedule = Schedule(
-            tuple(batches),
-            tuple(steps_builder(T, D, L)),
-            (sigma_scale * L / math.sqrt(d),) * T,
-        )
+        schedule = Schedule(batches, steps_builder(T, D, L),
+                            np.full(T, sigma_scale * L / math.sqrt(d)))
         data = dist.sample_dataset(schedule.total_samples(), data_seed)
         return pnsgd(data, dist.loss, dist.domain, default_start(dist.domain),
                      schedule, NoiseStream(noise_seed))

@@ -64,11 +64,12 @@ class NoiseStream:
             ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(dim, block))
             gen = np.random.Generator(np.random.Philox(seed=ss))
             self._block = gen.standard_normal((_NOISE_BLOCK, dim))
+            self._block.flags.writeable = False  # draws are views; callers must not edit the cache
             self._block_id = (dim, block)
         return self._block
 
     def gaussian(self, dim: int) -> np.ndarray:
-        """Next standard-normal vector of the given dimension."""
+        """Next standard-normal vector of the given dimension (a read-only view)."""
         block, offset = divmod(self.index, _NOISE_BLOCK)
         self.index += 1
         return self._load_block(dim, block)[offset]
@@ -140,7 +141,7 @@ def pnsgd(
     if len(data) != total:
         raise DataSizeError(f"dataset has {len(data)} examples, schedule consumes {total}")
     beta = loss.smoothness
-    if math.isfinite(beta) and max(schedule.step_sizes) > 2.0 / beta + 1e-12:
+    if math.isfinite(beta) and schedule.step_sizes.max() > 2.0 / beta + 1e-12:
         warnings.warn(
             "a step size exceeds 2/beta; the declared privacy budget relies on "
             "per-step contractivity and does not apply",
@@ -149,10 +150,8 @@ def pnsgd(
     w = _start_point(domain, w0)
     d = domain.dimension
     offset = 0
-    for t in range(schedule.num_steps):
-        b = schedule.batch_sizes[t]
-        eta = schedule.step_sizes[t]
-        sigma = schedule.noise_scales[t]
+    for b, eta, sigma in zip(schedule.batch_sizes.tolist(), schedule.step_sizes.tolist(),
+                             schedule.noise_scales.tolist()):
         g = loss.batch_grad(w, data.subset(offset, offset + b))
         offset += b
         if sigma > 0.0:
@@ -164,7 +163,7 @@ def pnsgd(
         final_iterate=w,
         weighted_average=None,
         gradient_evaluations=total,
-        phase_log=(PhaseRecord(1, total, max(schedule.noise_scales), w),),
+        phase_log=(PhaseRecord(1, total, float(schedule.noise_scales.max()), w),),
         rng_seed=noise.seed,
         declared_budget=pai_rho(schedule, loss.lipschitz),
     )
@@ -591,7 +590,7 @@ def sc_weighted_sgd(
         w = project(domain, w - eta * g)
         weighted += gamma[t] * w
     weighted /= float(np.sum(gamma))
-    schedule = Schedule((1,) * T, (eta,) * T, (noise_scale,) * T)
+    schedule = Schedule.constant(T, 1, eta, noise_scale)
     return RunRecord(
         final_iterate=w,
         weighted_average=weighted,
@@ -635,9 +634,7 @@ def sc_snowball(
     beta = loss.smoothness
     if math.isfinite(beta) and eta > 2.0 / beta:
         raise StepSizeError(f"eta = {eta} > 2/beta = {2.0 / beta}")
-    schedule = Schedule(
-        tuple(snowball_batches(T, d, rho)), (eta,) * T, (sigma,) * T
-    )
+    schedule = Schedule(snowball_batches(T, d, rho), np.full(T, eta), np.full(T, sigma))
     return pnsgd(data, loss, domain, w0, schedule, noise)
 
 

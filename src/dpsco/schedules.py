@@ -22,58 +22,92 @@ class InvalidScheduleError(ValueError):
     """A schedule violates its structural invariants."""
 
 
-@dataclass(frozen=True)
+def _float_vector(values, name: str) -> np.ndarray:
+    """A fresh, finite float64 vector holding ``values`` (any sequence or array)."""
+    try:
+        if isinstance(values, np.ndarray):
+            arr = values.astype(np.float64)
+        else:
+            arr = np.fromiter(values, dtype=np.float64, count=len(values))
+    except (TypeError, ValueError) as exc:
+        raise InvalidScheduleError(f"{name} must be a sequence of numbers: {exc}") from exc
+    if arr.ndim != 1:
+        raise InvalidScheduleError(f"{name} must be one-dimensional")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidScheduleError(f"{name} must be finite")
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """Per-step batch sizes, step sizes, and noise scales for T steps.
 
-    Invariants: equal lengths, batch sizes >= 1, step sizes >= 0, noise
-    scales >= 0. (Zero step sizes are permitted so that ablation runs that
-    freeze the iterate remain expressible.)
+    Any sequences (or arrays) are accepted; they are copied once into
+    read-only arrays: ``batch_sizes`` as int64, ``step_sizes`` and
+    ``noise_scales`` as float64. Invariants: equal lengths, finite entries,
+    integral batch sizes >= 1, step sizes >= 0, noise scales >= 0. (Zero step
+    sizes are permitted so that ablation runs that freeze the iterate remain
+    expressible.) Equality compares the arrays; schedules are unhashable.
     """
 
-    batch_sizes: tuple[int, ...]
-    step_sizes: tuple[float, ...]
-    noise_scales: tuple[float, ...]
+    batch_sizes: np.ndarray
+    step_sizes: np.ndarray
+    noise_scales: np.ndarray
 
     def __post_init__(self):
-        T = len(self.batch_sizes)
+        batches = _float_vector(self.batch_sizes, "batch sizes")
+        eta = _float_vector(self.step_sizes, "step sizes")
+        sigma = _float_vector(self.noise_scales, "noise scales")
+        T = batches.shape[0]
         if T == 0:
             raise InvalidScheduleError("schedule must have at least one step")
-        if len(self.step_sizes) != T or len(self.noise_scales) != T:
+        if eta.shape[0] != T or sigma.shape[0] != T:
             raise InvalidScheduleError("schedule lists must have equal length")
-        if any(b < 1 for b in self.batch_sizes):
+        if np.any(batches != np.floor(batches)):
+            raise InvalidScheduleError("batch sizes must be integers")
+        if np.any(batches < 1):
             raise InvalidScheduleError("batch sizes must be >= 1")
-        if any(e < 0 for e in self.step_sizes):
+        if np.any(eta < 0):
             raise InvalidScheduleError("step sizes must be nonnegative")
-        if any(s < 0 for s in self.noise_scales):
+        if np.any(sigma < 0):
             raise InvalidScheduleError("noise scales must be nonnegative")
+        fields = (("batch_sizes", batches.astype(np.int64)), ("step_sizes", eta),
+                  ("noise_scales", sigma))
+        for name, arr in fields:
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return (np.array_equal(self.batch_sizes, other.batch_sizes)
+                and np.array_equal(self.step_sizes, other.step_sizes)
+                and np.array_equal(self.noise_scales, other.noise_scales))
 
     @property
     def num_steps(self) -> int:
-        return len(self.batch_sizes)
+        return self.batch_sizes.shape[0]
 
     def total_samples(self) -> int:
-        return int(sum(self.batch_sizes))
+        return int(self.batch_sizes.sum())
 
     @classmethod
     def constant(cls, T: int, batch_size: int, eta: float, sigma: float) -> "Schedule":
-        return cls((batch_size,) * T, (eta,) * T, (sigma,) * T)
+        return cls(np.full(T, batch_size), np.full(T, eta), np.full(T, sigma))
 
     def to_json(self) -> str:
         return json.dumps(
-            {"B": list(self.batch_sizes), "eta": list(self.step_sizes),
-             "sigma": list(self.noise_scales)}
+            {"B": self.batch_sizes.tolist(), "eta": self.step_sizes.tolist(),
+             "sigma": self.noise_scales.tolist()}
         )
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise InvalidScheduleError("schedule JSON must be an object")
         try:
-            return cls(
-                tuple(int(b) for b in obj["B"]),
-                tuple(float(e) for e in obj["eta"]),
-                tuple(float(s) for s in obj["sigma"]),
-            )
+            return cls(obj["B"], obj["eta"], obj["sigma"])
         except KeyError as exc:
             raise InvalidScheduleError(f"schedule JSON missing key {exc}") from exc
 
@@ -134,14 +168,8 @@ def jnn_steps(T: int, c: float) -> list[float]:
         raise ValueError("T must be >= 1")
     ell = max(0, math.ceil(math.log2(T)))
     bounds = [T - math.ceil(T * 2.0 ** (-i)) for i in range(ell + 1)] + [T]
-    steps = [0.0] * T
-    filled = [False] * T
-    for i in range(ell + 1):
-        for t in range(bounds[i] + 1, bounds[i + 1] + 1):
-            steps[t - 1] = c * 2.0 ** (-i) / math.sqrt(T)
-            filled[t - 1] = True
-    assert all(filled), "step-size bands must cover every step"
-    return steps
+    band_steps = c * 2.0 ** -np.arange(ell + 1) / math.sqrt(T)
+    return np.repeat(band_steps, np.diff(bounds)).tolist()
 
 
 def sc_weights(T: int, eta: float, lam: float) -> AveragingWeights:

@@ -112,6 +112,16 @@ class TestPaiRho:
             want = brute_force_pai_rho(sched, L)
             assert got == pytest.approx(want, rel=1e-12)
 
+    def test_array_schedules_match_brute_force(self):
+        rng = np.random.default_rng(101)
+        for _ in range(100):
+            T = int(rng.integers(1, 60))
+            eta = rng.uniform(0.01, 2.0, size=T)
+            eta[rng.random(T) < 0.2] = 0.0  # inactive steps
+            sched = Schedule(rng.integers(1, 6, size=T), eta, rng.uniform(0.1, 3.0, size=T))
+            L = float(rng.uniform(0.1, 4.0))
+            assert pai_rho(sched, L).rho == pytest.approx(brute_force_pai_rho(sched, L), rel=1e-12)
+
     def test_snowball_self_consistency(self):
         # the growing-batch schedule with sigma = L / sqrt(d) meets its target
         L = 1.3
@@ -224,6 +234,16 @@ class TestCompose:
 
     def test_infinite_absorbs(self):
         assert compose([PrivacyBudget(1.0), PrivacyBudget(math.inf)]).is_infinite
+
+
+class TestPrivacyBudget:
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            PrivacyBudget(math.nan)
+
+    def test_infinite_allowed(self):
+        assert PrivacyBudget(math.inf).is_infinite
+        assert rdp_to_dp(PrivacyBudget(math.inf), 1e-6) == math.inf
 
 
 class TestRdpToDp:

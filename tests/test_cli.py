@@ -177,6 +177,18 @@ class TestAccount:
         assert run_cli(["account", "--schedule", path, "--lipschitz", 1.0,
                         "--delta", 1e-5]) == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"B": [1.9], "eta": [0.1], "sigma": [1.0]}',
+        '{"B": [1], "eta": [NaN], "sigma": [1.0]}',
+        '{"B": [1], "eta": [0.1], "sigma": [Infinity]}',
+    ])
+    def test_fractional_or_non_finite_schedule_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run_cli(["account", "--schedule", path, "--lipschitz", 1.0,
+                        "--delta", 1e-5]) == 2
+        assert "schedule error" in capsys.readouterr().err
+
     def test_missing_delta_exits_2(self, tmp_path):
         sched = tmp_path / "s.json"
         sched.write_text(json.dumps({"B": [1], "eta": [1.0], "sigma": [1.0]}))

@@ -47,6 +47,18 @@ class TestNoiseStream:
         b.skip(599)
         np.testing.assert_array_equal(b.gaussian(3), first[599])
 
+    def test_draws_are_read_only(self):
+        s = NoiseStream(5)
+        draw = s.gaussian(3)
+        with pytest.raises(ValueError):
+            draw[0] = 0.0
+        with pytest.raises(ValueError):
+            draw *= 0.0
+        s.index = 0
+        fresh = NoiseStream(5)
+        for _ in range(300):
+            np.testing.assert_array_equal(s.gaussian(3), fresh.gaussian(3))
+
     def test_different_seeds_differ(self):
         assert not np.allclose(NoiseStream(1).gaussian(4), NoiseStream(2).gaussian(4))
 

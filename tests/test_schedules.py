@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from dpsco.schedules import (
@@ -41,6 +42,62 @@ class TestSchedule:
         with pytest.raises(InvalidScheduleError):
             Schedule.from_json('{"B": [1], "eta": [0.1]}')
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_non_finite_entries_rejected(self, field, bad):
+        lists = [[1, 2], [0.1, 0.1], [1.0, 1.0]]
+        lists[field][1] = bad
+        with pytest.raises(InvalidScheduleError, match="finite"):
+            Schedule(*lists)
+
+    def test_fractional_batch_sizes_rejected(self):
+        with pytest.raises(InvalidScheduleError, match="integers"):
+            Schedule((1, 2.5), (0.1, 0.1), (1.0, 1.0))
+        with pytest.raises(InvalidScheduleError, match="integers"):
+            Schedule.from_json('{"B": [1.9], "eta": [0.1], "sigma": [1.0]}')
+        # integral floats are batch sizes
+        assert Schedule((2.0,), (0.1,), (1.0,)).batch_sizes.tolist() == [2]
+
+    def test_non_numeric_input_rejected(self):
+        with pytest.raises(InvalidScheduleError):
+            Schedule((1, "x"), (0.1, 0.1), (1.0, 1.0))
+        with pytest.raises(InvalidScheduleError):
+            Schedule(np.ones((2, 2)), (0.1, 0.1), (1.0, 1.0))
+        with pytest.raises(InvalidScheduleError):
+            Schedule.from_json("[1, 2]")
+
+    def test_any_sequence_gives_equal_schedules(self):
+        want = Schedule((1, 2, 3), (0.5, 0.25, 0.125), (1.0, 1.0, 0.0))
+        assert Schedule([1, 2, 3], [0.5, 0.25, 0.125], [1.0, 1.0, 0.0]) == want
+        assert Schedule(range(1, 4), np.array([0.5, 0.25, 0.125]),
+                        np.array([1, 1, 0])) == want
+        assert want != Schedule((1, 2, 4), (0.5, 0.25, 0.125), (1.0, 1.0, 0.0))
+        assert want != Schedule((1, 2, 3), (0.5, 0.25, 0.125), (1.0, 1.0, 0.5))
+
+    def test_arrays_are_read_only_copies(self):
+        batches = np.array([1, 2, 3])
+        steps = np.array([0.1, 0.2, 0.3])
+        sched = Schedule(batches, steps, [1.0, 1.0, 1.0])
+        assert sched.batch_sizes.dtype == np.int64
+        assert sched.step_sizes.dtype == np.float64
+        assert sched.noise_scales.dtype == np.float64
+        for arr in (sched.batch_sizes, sched.step_sizes, sched.noise_scales):
+            with pytest.raises(ValueError):
+                arr[0] = 5
+        batches[0] = 7
+        steps[0] = 9.0
+        assert sched.batch_sizes.tolist() == [1, 2, 3]
+        assert sched.step_sizes.tolist() == [0.1, 0.2, 0.3]
+        assert batches.flags.writeable
+        with pytest.raises(TypeError):
+            hash(sched)
+
+    def test_constant(self):
+        sched = Schedule.constant(4, 3, 0.5, 2.0)
+        assert sched == Schedule((3,) * 4, (0.5,) * 4, (2.0,) * 4)
+        with pytest.raises(InvalidScheduleError):
+            Schedule.constant(4, 1.5, 0.5, 2.0)
+
 
 class TestSnowballBatches:
     def test_single_step_hand_value(self):
@@ -78,7 +135,33 @@ class TestConstantStep:
         assert len(constant_step(17, 1.0, 2.0)) == 17
 
 
+def jnn_steps_loop(T: int, c: float) -> list[float]:
+    """Reference band loop: fill each band T_i < t <= T_{i+1} one step at a time."""
+    ell = max(0, math.ceil(math.log2(T)))
+    bounds = [T - math.ceil(T * 2.0 ** (-i)) for i in range(ell + 1)] + [T]
+    steps = [0.0] * T
+    filled = [False] * T
+    for i in range(ell + 1):
+        for t in range(bounds[i] + 1, bounds[i + 1] + 1):
+            steps[t - 1] = c * 2.0 ** (-i) / math.sqrt(T)
+            filled[t - 1] = True
+    assert all(filled), "step-size bands must cover every step"
+    return steps
+
+
 class TestJnnSteps:
+    def test_equals_band_loop_exactly(self):
+        for T in range(1, 3001):
+            assert jnn_steps(T, 1.7) == jnn_steps_loop(T, 1.7)
+
+    def test_equals_band_loop_exactly_large_T(self):
+        rng = np.random.default_rng(11)
+        for T in [2**20, 2**20 + 1, 10**6] + [int(t) for t in rng.integers(3001, 10**6, size=4)]:
+            c = float(rng.uniform(0.1, 5.0))
+            got = jnn_steps(T, c)
+            assert type(got) is list and type(got[0]) is float
+            assert got == jnn_steps_loop(T, c)
+
     def test_hand_evaluation_T4(self):
         # bands: T_0 = 0, T_1 = 2, T_2 = 3, T_3 = 4
         assert jnn_steps(4, 1.0) == [0.5, 0.5, 0.25, 0.125]
