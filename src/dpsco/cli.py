@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 usage or config error, 3 runtime invariant violation
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import sys
@@ -144,24 +143,13 @@ def cmd_run(args) -> int:
     }
     results = []
     try:
-        def one_point(gi_point):
-            gi, point = gi_point
-            n, d, rho = point
-            domain = _build_domain(cfg["domain"], d)
+        for gi, point in enumerate(cfg["grid"]):
+            domain = _build_domain(cfg["domain"], point[1])
             dist = _build_distribution(cfg["loss"], domain)
-            return excess_loss_sweep(
+            results += excess_loss_sweep(
                 dist, cfg["algorithm"], [point], cfg["trials"],
                 cfg["seed"], sigma_scale=cfg["sigma_scale"], grid_index_base=gi,
-            )[0]
-
-        points = list(enumerate(cfg["grid"]))
-        if args.jobs > 1:
-            # Grid points are seeded independently, so results are identical
-            # regardless of scheduling; only the merge order matters.
-            with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(one_point, points))
-        else:
-            results = [one_point(p) for p in points]
+            )
     except Exception as exc:  # noqa: BLE001 - flush partial results, then report
         manifest["partial"] = True
         manifest["error"] = f"{type(exc).__name__}: {exc}"
@@ -255,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a JSON-configured excess-loss sweep")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.set_defaults(func=cmd_run)
 
     p_acc = sub.add_parser("account", help="privacy of a schedule file")

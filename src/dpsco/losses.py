@@ -106,15 +106,19 @@ class LossFamily:
             )
         if self.kind == QUADRATIC:
             return w - feats.mean(axis=0)
-        margins = feats @ w
+        return feats.T @ self.margin_slope(feats @ w, batch.targets) / len(batch)
+
+    def margin_slope(self, margins, targets):
+        """Derivative of an (a, b) family's loss in the margin a.w, so one
+        example's gradient is ``margin_slope(a.w, b) * a`` (sign(0) = 0 for the
+        non-smooth family). Takes scalars or arrays."""
         if self.kind == LINEAR_REGRESSION:
-            return feats.T @ (margins - batch.targets) / len(batch)
+            return margins - targets
         if self.kind == LOGISTIC:
-            z = -batch.targets * margins
-            sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                           np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
-            return feats.T @ (-batch.targets * sig) / len(batch)
-        return feats.T @ np.sign(margins - batch.targets) / len(batch)
+            z = -targets * margins
+            e = np.exp(-np.abs(z))
+            return -targets * np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return np.sign(margins - targets)
 
     def batch_value(self, w: np.ndarray, batch: "Dataset") -> float:
         if len(batch) == 0:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .accountant import ApproxDP, PrivacyBudget, pai_rho
-from .geometry import ConvexDomain, project
+from .geometry import ConvexDomain, DimensionMismatchError, project
 from .losses import ABSOLUTE_DEVIATION, QUADRATIC, Dataset, LossFamily
 from .schedules import Schedule, phase_plan, sc_weights, snowball_batches
 
@@ -74,6 +74,23 @@ class NoiseStream:
         self.index += 1
         return self._load_block(dim, block)[offset]
 
+    def gaussians(self, dim: int, count: int) -> np.ndarray:
+        """The next ``count`` draws as the rows of a read-only (count, dim)
+        array, equal to ``count`` successive :meth:`gaussian` calls; a view of
+        the cached block when they all fall in one block."""
+        block, offset = divmod(self.index, _NOISE_BLOCK)
+        self.index += int(count)
+        rows = []
+        while count > 0:
+            take = min(count, _NOISE_BLOCK - offset)
+            rows.append(self._load_block(dim, block)[offset:offset + take])
+            block, offset, count = block + 1, 0, count - take
+        if len(rows) == 1:
+            return rows[0]
+        out = np.concatenate(rows) if rows else np.empty((0, dim))
+        out.flags.writeable = False
+        return out
+
     def skip(self, count: int) -> None:
         self.index += int(count)
 
@@ -121,6 +138,63 @@ def _start_point(domain: ConvexDomain, w0) -> np.ndarray:
     return w
 
 
+def _sgd_pass(data, loss, domain, w, steps, batches=None, sigmas=None, noise=None,
+              weights=None):
+    """The one-pass loop of pnsgd, psgd, phased_sgd and sc_weighted_sgd: step t
+    takes the next ``batches[t]`` examples (default 1) and sets
+    w <- proj(w - eta_t * (mean gradient + sigma_t * xi_t)). Each step consumes
+    one draw of ``noise``, also at sigma_t = 0. Chunks end on the stream's block
+    boundaries, so a chunk's noise is one view of a cached block. Returns the
+    last iterate and sum_t weights_t * w_t (None without weights)."""
+    X, Y = data.features, data.targets
+    if X.shape[1] != w.shape[0]:
+        raise DimensionMismatchError(f"data dimension {X.shape[1]} != iterate {w.shape[0]}")
+    T, quadratic, slope = len(steps), loss.kind == QUADRATIC, loss.margin_slope
+    batches = np.ones(T, dtype=np.int64) if batches is None else batches
+    ball = domain.kind == "ball"
+    center = domain.center if ball and domain.center.any() else None
+    total = None if weights is None else np.zeros_like(w)
+    t = start = 0
+    while t < T:
+        k = min(T - t, _NOISE_BLOCK - (0 if noise is None else noise.index % _NOISE_BLOCK))
+        sizes, eta, kick = batches[t:t + k], steps[t:t + k], None  # rows eta sigma xi
+        if noise is not None and sigmas[t:t + k].any():
+            kick = (eta * sigmas[t:t + k])[:, None] * noise.gaussians(w.shape[0], k)
+        elif noise is not None:
+            noise.skip(k)
+        if quadratic:  # w - eta (w - mean + sigma xi) = (1 - eta) w + pull
+            ends = np.cumsum(sizes)
+            sums = np.add.reduceat(X[start:start + ends[-1]], ends - sizes, axis=0)
+            pull = eta[:, None] * (sums / sizes[:, None]) - (0.0 if kick is None else kick)
+        iterates = None if total is None else np.empty((k, w.shape[0]))
+        for j, (b, e) in enumerate(zip(sizes.tolist(), eta.tolist())):
+            if quadratic:
+                w = (1.0 - e) * w + pull[j]
+            elif b == 1:
+                a = X[start]
+                w = w - (e * slope(a.dot(w), Y[start])) * a
+            else:
+                A = X[start:start + b]
+                w = w - (e / b) * (slope(A @ w, Y[start:start + b]) @ A)
+            if kick is not None and not quadratic:
+                w = w - kick[j]
+            start += b
+            if ball:  # geometry.project, inline
+                off = w if center is None else w - center
+                dist = math.sqrt(off.dot(off))
+                if dist > domain.radius:
+                    off = off * (domain.radius / dist)
+                    w = off if center is None else center + off
+            else:
+                w = np.clip(w, domain.lower, domain.upper)
+            if iterates is not None:
+                iterates[j] = w
+        if iterates is not None:
+            total += weights[t:t + k] @ iterates
+        t += k
+    return w, total
+
+
 def pnsgd(
     data: Dataset,
     loss: LossFamily,
@@ -136,36 +210,25 @@ def pnsgd(
     xi_t ~ N(0, sigma_t^2 I). The dataset size must equal the schedule's total
     exactly: silent truncation or padding would invalidate the declared
     budget, which is the amplification-by-iteration value for this schedule.
+    A step size above 2/beta voids that value: the run warns and declares none.
     """
     total = schedule.total_samples()
     if len(data) != total:
         raise DataSizeError(f"dataset has {len(data)} examples, schedule consumes {total}")
     beta = loss.smoothness
-    if math.isfinite(beta) and schedule.step_sizes.max() > 2.0 / beta + 1e-12:
-        warnings.warn(
-            "a step size exceeds 2/beta; the declared privacy budget relies on "
-            "per-step contractivity and does not apply",
-            stacklevel=2,
-        )
-    w = _start_point(domain, w0)
-    d = domain.dimension
-    offset = 0
-    for b, eta, sigma in zip(schedule.batch_sizes.tolist(), schedule.step_sizes.tolist(),
-                             schedule.noise_scales.tolist()):
-        g = loss.batch_grad(w, data.subset(offset, offset + b))
-        offset += b
-        if sigma > 0.0:
-            g = g + sigma * noise.gaussian(d)
-        else:
-            noise.skip(1)
-        w = project(domain, w - eta * g)
+    contractive = not (math.isfinite(beta) and schedule.step_sizes.max() > 2.0 / beta + 1e-12)
+    if not contractive:
+        warnings.warn("a step size exceeds 2/beta; the privacy budget relies on per-step "
+                      "contractivity, so none is declared", stacklevel=2)
+    w, _ = _sgd_pass(data, loss, domain, _start_point(domain, w0), schedule.step_sizes,
+                     schedule.batch_sizes, schedule.noise_scales, noise)
     return RunRecord(
         final_iterate=w,
         weighted_average=None,
         gradient_evaluations=total,
         phase_log=(PhaseRecord(1, total, float(schedule.noise_scales.max()), w),),
         rng_seed=noise.seed,
-        declared_budget=pai_rho(schedule, loss.lipschitz),
+        declared_budget=pai_rho(schedule, loss.lipschitz) if contractive else None,
     )
 
 
@@ -178,32 +241,19 @@ def psgd(
 ) -> RunRecord:
     """Noiseless projected SGD, one example per step; returns the last iterate
     and the uniform average of iterates w_1..w_T (the start excluded)."""
-    steps = [float(e) for e in step_sizes]
+    steps = np.array([float(e) for e in step_sizes], dtype=np.float64)
     if len(data) != len(steps):
         raise DataSizeError(f"dataset has {len(data)} examples, need {len(steps)}")
-    w = _start_point(domain, w0)
-    total = np.zeros_like(w)
-    for t, eta in enumerate(steps):
-        w = project(domain, w - eta * loss.grad(w, data.example(t)))
-        total += w
-    avg = total / len(steps)
+    w, total = _sgd_pass(data, loss, domain, _start_point(domain, w0), steps,
+                         weights=np.ones(len(steps)))
     return RunRecord(
         final_iterate=w,
-        weighted_average=avg,
+        weighted_average=total / len(steps),
         gradient_evaluations=len(steps),
         phase_log=(PhaseRecord(1, len(steps), 0.0, w),),
         rng_seed=None,
         declared_budget=None,
     )
-
-
-def _psgd_average(loss, domain, data, w, eta):
-    """One-pass constant-step PSGD from w; returns (average iterate, last iterate)."""
-    total = np.zeros_like(w)
-    for t in range(len(data)):
-        w = project(domain, w - eta * loss.grad(w, data.example(t)))
-        total += w
-    return total / len(data), w
 
 
 def phased_sgd(
@@ -227,7 +277,8 @@ def phased_sgd(
     run satisfies the declared curve at rho.
 
     ``sigma_scale`` scales every sigma_i (0 disables noise) for ablations;
-    the declared budget is only meaningful at scale 1.
+    below 1 the noise no longer covers the sensitivity and no budget is
+    declared (``declared_budget`` is None).
     """
     n = len(data)
     if n < 2:
@@ -239,31 +290,26 @@ def phased_sgd(
         raise StepSizeError(f"eta = {eta} > 2/beta = {2.0 / beta}: sensitivity bound inapplicable")
     L = loss.lipschitz
     w = _start_point(domain, w0)
-    d = domain.dimension
     plan = phase_plan(n, eta, mode="geometric")
     log = []
     offset = 0
-    evals = 0
     for i, (ni, eta_i) in enumerate(plan, start=1):
-        avg, _ = _psgd_average(loss, domain, data.subset(offset, offset + ni), w, eta_i)
+        avg = _sgd_pass(data.subset(offset, offset + ni), loss, domain, w, np.full(ni, eta_i),
+                        weights=np.ones(ni))[1] / ni
         offset += ni
-        evals += ni
         sigma_i = sigma_scale * 4.0 * L * eta_i / rho
-        if sigma_i > 0.0:
-            avg = avg + sigma_i * noise.gaussian(d)
-        else:
-            noise.skip(1)
+        xi = noise.gaussian(domain.dimension)  # drawn also at sigma_i = 0
         # Projection is privacy-free post-processing and only moves the
         # iterate closer to any feasible comparator.
-        w = project(domain, avg)
+        w = project(domain, avg + sigma_i * xi if sigma_i > 0.0 else avg)
         log.append(PhaseRecord(i, ni, sigma_i, w))
     return RunRecord(
         final_iterate=w,
         weighted_average=None,
-        gradient_evaluations=evals,
+        gradient_evaluations=offset,
         phase_log=tuple(log),
         rng_seed=noise.seed,
-        declared_budget=PrivacyBudget(rho),
+        declared_budget=PrivacyBudget(rho) if sigma_scale >= 1.0 else None,
     )
 
 
@@ -291,7 +337,8 @@ def phased_erm(
     suboptimality L^2 eta_i / n_i, then releases the result perturbed by
     N(0, sigma_i^2 I) with sigma_i = 4 L (eta_i / epsilon) sqrt(ln(1/delta)).
     Consecutive disjoint blocks follow the same geometric plan as
-    :func:`phased_sgd`. The declared guarantee is (epsilon, 2 delta)-DP.
+    :func:`phased_sgd`. The declared guarantee is (epsilon, 2 delta)-DP; with
+    ``sigma_scale`` below 1 (a reduced-noise ablation) none is declared.
 
     inner:
         "sgd" runs strongly convex SGD (step 1/(lam_i s), suffix averaging)
@@ -313,7 +360,6 @@ def phased_erm(
         raise ValueError(f"unknown inner solver {inner!r}")
     L = loss.lipschitz
     w = _start_point(domain, w0)
-    d = domain.dimension
     plan = phase_plan(n, eta, mode="geometric")
     log = []
     offset = 0
@@ -332,11 +378,8 @@ def phased_erm(
             )
             evals += used
         sigma_i = sigma_scale * 4.0 * L * (eta_i / epsilon) * math.sqrt(math.log(1.0 / delta))
-        if sigma_i > 0.0:
-            cand = cand + sigma_i * noise.gaussian(d)
-        else:
-            noise.skip(1)
-        w = project(domain, cand)
+        xi = noise.gaussian(domain.dimension)  # drawn also at sigma_i = 0
+        w = project(domain, cand + sigma_i * xi if sigma_i > 0.0 else cand)
         log.append(PhaseRecord(i, ni, sigma_i, w))
     return RunRecord(
         final_iterate=w,
@@ -344,12 +387,8 @@ def phased_erm(
         gradient_evaluations=evals,
         phase_log=tuple(log),
         rng_seed=noise.seed,
-        declared_budget=ApproxDP(epsilon, 2.0 * delta),
+        declared_budget=ApproxDP(epsilon, 2.0 * delta) if sigma_scale >= 1.0 else None,
     )
-
-
-def _regularized_subgrad(loss, block, w, w_prev, lam):
-    return loss.batch_grad(w, block) + lam * (w - w_prev)
 
 
 def _exact_regularized_erm(loss, domain, block, w_prev, lam):
@@ -423,7 +462,7 @@ def _certified_sgd_erm(loss, domain, block, w_prev, lam, gap, budget, rng_stream
         )
         cand = _sgd_attempt(loss, domain, block, w_prev, lam, attempt_steps, rng)
         used += attempt_steps
-        g = _regularized_subgrad(loss, block, cand, w_prev, lam)
+        g = loss.batch_grad(cand, block) + lam * (cand - w_prev)
         used += ni
         gnorm = float(np.linalg.norm(g))
         if gnorm <= threshold:
@@ -579,16 +618,9 @@ def sc_weighted_sgd(
         raise StepSizeError(f"eta = {eta} > 2/beta = {2.0 / beta}")
     if noise_scale > 0 and noise is None:
         raise ValueError("noisy run requires a NoiseStream")
-    w = _start_point(domain, w0)
-    d = domain.dimension
     gamma = sc_weights(T, eta, lam).as_array()
-    weighted = np.zeros_like(w)
-    for t in range(T):
-        g = loss.grad(w, data.example(t))
-        if noise_scale > 0.0:
-            g = g + noise_scale * noise.gaussian(d)
-        w = project(domain, w - eta * g)
-        weighted += gamma[t] * w
+    w, weighted = _sgd_pass(data, loss, domain, _start_point(domain, w0), np.full(T, eta),
+                            sigmas=np.full(T, noise_scale), noise=noise, weights=gamma)
     weighted /= float(np.sum(gamma))
     schedule = Schedule.constant(T, 1, eta, noise_scale)
     return RunRecord(

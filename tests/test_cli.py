@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -32,9 +33,9 @@ class TestRun:
     def test_minimal_config_produces_csv(self, sweep_config):
         cfg, path = sweep_config
         assert run_cli(["run", "--config", path]) == 0
-        lines = open(cfg["output"]).read().strip().splitlines()
+        lines = Path(cfg["output"]).read_text().strip().splitlines()
         assert len(lines) == 2  # header + one grid point
-        manifest = json.load(open(cfg["output"] + ".manifest.json"))
+        manifest = json.loads(Path(cfg["output"] + ".manifest.json").read_text())
         assert manifest["partial"] is False
         assert manifest["config"]["seed"] == 7
         assert manifest["config_sha256"] == hashlib.sha256(
@@ -44,19 +45,17 @@ class TestRun:
     def test_rerun_is_byte_identical(self, sweep_config):
         cfg, path = sweep_config
         assert run_cli(["run", "--config", path]) == 0
-        first = open(cfg["output"], "rb").read()
+        first = Path(cfg["output"]).read_bytes()
         assert run_cli(["run", "--config", path]) == 0
-        assert open(cfg["output"], "rb").read() == first
+        assert Path(cfg["output"]).read_bytes() == first
 
-    def test_jobs_do_not_change_output(self, tmp_path, sweep_config):
-        cfg, path = sweep_config
-        cfg["grid"] = [{"n": 64, "d": 2, "rho": 1.0}, {"n": 128, "d": 2, "rho": 0.5}]
-        multi = tmp_path / "multi.json"
-        multi.write_text(json.dumps(cfg))
-        assert run_cli(["run", "--config", multi]) == 0
-        serial = open(cfg["output"], "rb").read()
-        assert run_cli(["run", "--config", multi, "--jobs", "4"]) == 0
-        assert open(cfg["output"], "rb").read() == serial
+    def test_jobs_flag_is_rejected(self, sweep_config, capsys):
+        # sweeps run serially: threads gave GIL-bound loops no speed-up
+        _, path = sweep_config
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--config", path, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_cli_reproduces_library_sweep(self, tmp_path, sweep_config):
         # the CLI dispatches grid points one at a time; its rows must still be
@@ -70,7 +69,7 @@ class TestRun:
         multi = tmp_path / "multi2.json"
         multi.write_text(json.dumps(cfg))
         assert run_cli(["run", "--config", multi]) == 0
-        cli_rows = open(cfg["output"]).read().strip().splitlines()[1:]
+        cli_rows = Path(cfg["output"]).read_text().strip().splitlines()[1:]
         domain = ConvexDomain.ball([0.0, 0.0], 1.0)
         dist = quadratic_sphere(domain, [0.0, 0.0], 1.0)
         lib = excess_loss_sweep(dist, "phased_sgd", [(64, 2, 1.0), (128, 2, 0.5)],
@@ -81,14 +80,14 @@ class TestRun:
     def test_csv_regenerates_from_manifest_alone(self, tmp_path, sweep_config):
         cfg, path = sweep_config
         assert run_cli(["run", "--config", path]) == 0
-        original = open(cfg["output"], "rb").read()
-        manifest = json.load(open(cfg["output"] + ".manifest.json"))
+        original = Path(cfg["output"]).read_bytes()
+        manifest = json.loads(Path(cfg["output"] + ".manifest.json").read_text())
         replay_cfg = dict(manifest["config"])
         replay_cfg["output"] = str(tmp_path / "replayed.csv")
         replay = tmp_path / "replay.json"
         replay.write_text(json.dumps(replay_cfg))
         assert run_cli(["run", "--config", replay]) == 0
-        assert open(replay_cfg["output"], "rb").read() == original
+        assert Path(replay_cfg["output"]).read_bytes() == original
 
     def test_empty_grid_exits_2(self, tmp_path, sweep_config):
         cfg, _ = sweep_config
@@ -116,8 +115,11 @@ class TestRun:
         bad = tmp_path / "bad3.json"
         bad.write_text(json.dumps(cfg))
         assert run_cli(["run", "--config", bad]) == 3
-        manifest = json.load(open(cfg["output"] + ".manifest.json"))
+        manifest = json.loads(Path(cfg["output"] + ".manifest.json").read_text())
         assert manifest["partial"] is True
+        # the row finished before the failure is flushed
+        rows = Path(cfg["output"]).read_text().strip().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["64"]
 
 
 class TestAccount:

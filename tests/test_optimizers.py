@@ -117,6 +117,15 @@ class TestPnsgd:
         assert rec.declared_budget == pai_rho(sched, dist.loss.lipschitz)
         assert rec.gradient_evaluations == 6
 
+    def test_step_above_two_over_beta_declares_no_budget(self):
+        # the amplification-by-iteration value needs eta <= 2/beta at every step
+        dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)  # beta = 1
+        sched = Schedule((2, 2, 2), (0.1, 2.5, 0.1), (0.5, 0.5, 0.5))
+        data = dist.sample_dataset(6, rng_seed=1)
+        with pytest.warns(UserWarning, match="2/beta"):
+            rec = pnsgd(data, dist.loss, BALL2, [0.0, 0.0], sched, NoiseStream(3))
+        assert rec.declared_budget is None
+
     def test_cni_view_is_contractive(self):
         # projection-then-gradient-step composition, eta <= 2/beta
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
@@ -219,6 +228,15 @@ class TestPhasedSgd:
         L = dist.loss.lipschitz
         assert rec.phase_log[0].noise_scale == pytest.approx(L * eta / rho, rel=1e-15)
         assert rec.declared_budget == PrivacyBudget(rho)
+
+    @pytest.mark.parametrize("scale, declared", [(0.0, False), (0.5, False), (1.0, True),
+                                                 (2.0, True)])
+    def test_reduced_noise_declares_no_budget(self, scale, declared):
+        dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
+        data = dist.sample_dataset(16, rng_seed=1)
+        rec = phased_sgd(data, dist.loss, BALL2, [0.0, 0.0], 0.5, 2.0, NoiseStream(4),
+                         sigma_scale=scale)
+        assert rec.declared_budget == (PrivacyBudget(2.0) if declared else None)
 
     def test_phase_noise_calibration(self):
         # per-phase sigma_i = 4 L eta_i / rho, so the mechanism budget of each
@@ -367,6 +385,14 @@ class TestPhasedErm:
         rec = phased_erm(data, dist.loss, BALL2, [0.0, 0.0], 0.25, epsilon=0.7,
                          delta=1e-5, noise=NoiseStream(3), inner="exact")
         assert rec.declared_budget == ApproxDP(0.7, 2e-5)
+
+    @pytest.mark.parametrize("scale, declared", [(0.0, False), (0.5, False), (1.0, True)])
+    def test_reduced_noise_declares_no_budget(self, scale, declared):
+        dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
+        data = dist.sample_dataset(8, rng_seed=8)
+        rec = phased_erm(data, dist.loss, BALL2, [0.0, 0.0], 0.25, epsilon=0.7, delta=1e-5,
+                         noise=NoiseStream(3), inner="exact", sigma_scale=scale)
+        assert rec.declared_budget == (ApproxDP(0.7, 2e-5) if declared else None)
 
     def test_delta_range_enforced(self):
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
