@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -113,6 +114,8 @@ def _parse_run_config(obj: dict) -> dict:
         raise ConfigError("trials must be >= 2")
     overrides = obj.get("overrides", {})
     sigma_scale = float(overrides.get("sigma_scale", 1.0))
+    if not (math.isfinite(sigma_scale) and sigma_scale >= 0.0):
+        raise ConfigError(f"overrides.sigma_scale must be finite and >= 0, got {sigma_scale}")
     return {
         "algorithm": obj["algorithm"],
         "loss": obj["loss"],
@@ -167,6 +170,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_account(args) -> int:
+    if not (math.isfinite(args.lipschitz) and args.lipschitz >= 0.0):
+        print(f"--lipschitz must be finite and >= 0, got {args.lipschitz}", file=sys.stderr)
+        return EXIT_CONFIG
+    for delta in args.delta:
+        if not 0.0 < delta < 1.0:
+            print(f"--delta must lie in (0, 1), got {delta}", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         with open(args.schedule) as fh:
             schedule = Schedule.from_json(fh.read())

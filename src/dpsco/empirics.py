@@ -24,7 +24,6 @@ from .schedules import (
     Schedule,
     constant_step,
     jnn_steps,
-    snowball_batches,
 )
 
 SWEEP_CSV_COLUMNS = ("n", "d", "rho", "algorithm", "trials", "mean", "std_err", "bound", "ratio")
@@ -60,22 +59,24 @@ def _derive_seeds(master: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _largest_feasible_steps(n: int, d: int, rho: float, multiplier: float) -> int:
-    """Largest T whose growing-batch schedule consumes at most n samples."""
+def _snowball_plan(n: int, d: int, rho: float, multiplier: float) -> np.ndarray:
+    """Batch sizes of the longest growing-batch schedule that consumes at most
+    n samples, equal to ``snowball_batches(T, d, rho, multiplier)`` for that T.
 
-    def total(T: int) -> int:
-        return int(sum(snowball_batches(T, d, rho, multiplier)))
-
-    if total(1) > n:
+    B_t depends only on r = T - t + 1, so a schedule's total is a prefix sum of
+    c_r = ceil(multiplier * sqrt(d / r) / rho), computed here with the same
+    float expression as ``snowball_batches``; T is where that sum passes n.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if not rho > 0:
+        raise ValueError("rho must be positive")
+    r = np.arange(1, n + 1, dtype=np.float64)
+    c = np.ceil(multiplier * np.sqrt(d / r) / rho).astype(np.int64)
+    T = int(np.searchsorted(np.cumsum(c), n, side="right"))
+    if T == 0:
         raise ValueError(f"n = {n} cannot fund even one step at d = {d}, rho = {rho}")
-    lo, hi = 1, n
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if total(mid) <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    return c[T - 1::-1]
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,8 @@ def _run_snowball(multiplier: float, steps_builder):
     def run(dist, n, d, rho, data_seed, noise_seed, sigma_scale):
         D = dist.domain.diameter
         L = dist.loss.lipschitz
-        T = _largest_feasible_steps(n, d, rho, multiplier)
-        batches = snowball_batches(T, d, rho, multiplier)
+        batches = _snowball_plan(n, d, rho, multiplier)
+        T = len(batches)
         schedule = Schedule(batches, steps_builder(T, D, L),
                             np.full(T, sigma_scale * L / math.sqrt(d)))
         data = dist.sample_dataset(schedule.total_samples(), data_seed)
@@ -131,12 +132,10 @@ def _bound_phased_sgd(dist, n, d, rho):
 
 def _run_sc_snowball(dist, n, d, rho, data_seed, noise_seed, sigma_scale):
     L = dist.loss.lipschitz
-    T = _largest_feasible_steps(n, d, rho, MULTIPLIER_SZ)
-    data = dist.sample_dataset(
-        int(sum(snowball_batches(T, d, rho, MULTIPLIER_SZ))), data_seed
-    )
+    batches = _snowball_plan(n, d, rho, MULTIPLIER_SZ)
+    data = dist.sample_dataset(int(batches.sum()), data_seed)
     return sc_snowball(data, dist.loss, dist.domain, default_start(dist.domain),
-                       T, d, rho, NoiseStream(noise_seed),
+                       len(batches), d, rho, NoiseStream(noise_seed),
                        sigma=sigma_scale * L / math.sqrt(d))
 
 
@@ -250,10 +249,13 @@ def sensitivity_probe(
     Generates ``num_pairs`` neighboring dataset pairs (one uniformly chosen
     example replaced by a fresh draw), executes the algorithm on both, and
     reports the largest final-iterate or average-iterate distance next to the
-    analytic bound 2 L eta. Refuses step sizes beyond the contractive range.
+    analytic bound 2 L eta. Refuses step sizes beyond the contractive range
+    and losses that are not smooth, where that bound does not hold.
     """
     beta = dist.loss.smoothness
-    if math.isfinite(beta) and eta > 2.0 / beta:
+    if not math.isfinite(beta):
+        raise ValueError(f"beta = {beta}: the loss is not smooth, bound inapplicable")
+    if eta > 2.0 / beta:
         raise ValueError(f"eta = {eta} > 2/beta = {2.0 / beta}: bound inapplicable")
     if algorithm is None:
         def algorithm(data, loss, domain, start):

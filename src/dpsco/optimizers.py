@@ -138,14 +138,59 @@ def _start_point(domain: ConvexDomain, w0) -> np.ndarray:
     return w
 
 
+# Lower bound on P_j = prod_{i<=j} (1 - eta_i) within one chunk for the closed
+# form (log P_j >= -600), so that P_j and pull_i / P_i stay normal floats.
+_PRODUCT_FLOOR = math.exp(-600.0)
+
+
+def _inside(rows, domain, center):
+    """Whether each row lies in the domain (NaN rows do not); ``center`` is
+    None for a ball centred at the origin."""
+    if domain.kind == "ball":
+        off = rows if center is None else rows - center
+        return np.sqrt(np.einsum("ij,ij->i", off, off)) <= domain.radius
+    return ((rows >= domain.lower) & (rows <= domain.upper)).all(axis=1)
+
+
+def _quadratic_chunk(w, eta, pull, domain, center):
+    """The unprojected iterates of w_j = (1 - eta_j) w_{j-1} + pull_j (w_0 = w)
+    in closed form, w_j = P_j (w + sum_{i<=j} pull_i / P_i) with
+    P_j = prod_{i<=j} (1 - eta_i), as rows cut before the first iterate
+    outside the domain: up to there projection is the identity. P is the
+    cumulative product of the loop's own factors 1 - eta_i (relative error
+    below k ulp however small P gets). Empty when some eta_j lies outside
+    (0, 1), when P_k falls below ``_PRODUCT_FLOOR``, or when the first step
+    already leaves the domain (checked alone first: from an iterate on the
+    boundary it often does)."""
+    if not (eta.min() > 0.0 and eta.max() < 1.0):
+        return pull[:0]
+    if not _inside(((1.0 - eta[0]) * w + pull[0])[None], domain, center)[0]:
+        return pull[:0]
+    p = np.cumprod(1.0 - eta)[:, None]
+    if p[-1, 0] < _PRODUCT_FLOOR:
+        return pull[:0]
+    rows = pull / p
+    rows[0] += w
+    np.cumsum(rows, axis=0, out=rows)
+    rows *= p
+    inside = _inside(rows, domain, center)
+    return rows if inside.all() else rows[:inside.argmin()]
+
+
 def _sgd_pass(data, loss, domain, w, steps, batches=None, sigmas=None, noise=None,
               weights=None):
     """The one-pass loop of pnsgd, psgd, phased_sgd and sc_weighted_sgd: step t
     takes the next ``batches[t]`` examples (default 1) and sets
     w <- proj(w - eta_t * (mean gradient + sigma_t * xi_t)). Each step consumes
     one draw of ``noise``, also at sigma_t = 0. Chunks end on the stream's block
-    boundaries, so a chunk's noise is one view of a cached block. Returns the
-    last iterate and sum_t weights_t * w_t (None without weights)."""
+    boundaries, so a chunk's noise is one view of a cached block.
+
+    For the quadratic family a step is w <- proj((1 - eta_t) w + pull_t), and a
+    chunk first takes its iterates in closed form (:func:`_quadratic_chunk`) up
+    to the first one outside the domain; the per-step loop, which projects,
+    runs the rest of that chunk. The loop runs whole chunks for the other
+    families and for the quadratic chunks the closed form declines. Returns
+    the last iterate and sum_t weights_t * w_t (None without weights)."""
     X, Y = data.features, data.targets
     if X.shape[1] != w.shape[0]:
         raise DimensionMismatchError(f"data dimension {X.shape[1]} != iterate {w.shape[0]}")
@@ -162,12 +207,24 @@ def _sgd_pass(data, loss, domain, w, steps, batches=None, sigmas=None, noise=Non
             kick = (eta * sigmas[t:t + k])[:, None] * noise.gaussians(w.shape[0], k)
         elif noise is not None:
             noise.skip(k)
+        iterates = None if total is None else np.empty((k, w.shape[0]))
+        done = 0
         if quadratic:  # w - eta (w - mean + sigma xi) = (1 - eta) w + pull
             ends = np.cumsum(sizes)
-            sums = np.add.reduceat(X[start:start + ends[-1]], ends - sizes, axis=0)
-            pull = eta[:, None] * (sums / sizes[:, None]) - (0.0 if kick is None else kick)
-        iterates = None if total is None else np.empty((k, w.shape[0]))
-        for j, (b, e) in enumerate(zip(sizes.tolist(), eta.tolist())):
+            if ends[-1] == k:  # one example per step: the means are the rows
+                means = X[start:start + k]
+            else:
+                means = np.add.reduceat(X[start:start + ends[-1]], ends - sizes, axis=0)
+                means /= sizes[:, None]
+            pull = eta[:, None] * means - (0.0 if kick is None else kick)
+            rows = _quadratic_chunk(w, eta, pull, domain, center)
+            done = len(rows)
+            if done:
+                w = rows[-1].copy()
+                start += int(ends[done - 1])
+                if iterates is not None:
+                    iterates[:done] = rows
+        for j, (b, e) in enumerate(zip(sizes[done:].tolist(), eta[done:].tolist()), done):
             if quadratic:
                 w = (1.0 - e) * w + pull[j]
             elif b == 1:
@@ -210,16 +267,18 @@ def pnsgd(
     xi_t ~ N(0, sigma_t^2 I). The dataset size must equal the schedule's total
     exactly: silent truncation or padding would invalidate the declared
     budget, which is the amplification-by-iteration value for this schedule.
-    A step size above 2/beta voids that value: the run warns and declares none.
+    A step size above 2/beta, or a loss that is not smooth (beta not finite),
+    voids that value: the run warns and declares none.
     """
     total = schedule.total_samples()
     if len(data) != total:
         raise DataSizeError(f"dataset has {len(data)} examples, schedule consumes {total}")
     beta = loss.smoothness
-    contractive = not (math.isfinite(beta) and schedule.step_sizes.max() > 2.0 / beta + 1e-12)
+    contractive = math.isfinite(beta) and schedule.step_sizes.max() <= 2.0 / beta + 1e-12
     if not contractive:
-        warnings.warn("a step size exceeds 2/beta; the privacy budget relies on per-step "
-                      "contractivity, so none is declared", stacklevel=2)
+        reason = "a step size exceeds 2/beta" if math.isfinite(beta) else "the loss is not smooth"
+        warnings.warn(f"{reason}; the privacy budget relies on per-step contractivity, "
+                      "so none is declared", stacklevel=2)
     w, _ = _sgd_pass(data, loss, domain, _start_point(domain, w0), schedule.step_sizes,
                      schedule.batch_sizes, schedule.noise_scales, noise)
     return RunRecord(
@@ -278,7 +337,8 @@ def phased_sgd(
 
     ``sigma_scale`` scales every sigma_i (0 disables noise) for ablations;
     below 1 the noise no longer covers the sensitivity and no budget is
-    declared (``declared_budget`` is None).
+    declared (``declared_budget`` is None). The 2 L eta_i bound needs a smooth
+    loss: for one whose beta is not finite the run warns and declares none.
     """
     n = len(data)
     if n < 2:
@@ -286,7 +346,11 @@ def phased_sgd(
     if eta <= 0 or rho <= 0:
         raise ValueError("eta and rho must be positive")
     beta = loss.smoothness
-    if math.isfinite(beta) and eta > 2.0 / beta:
+    smooth = math.isfinite(beta)
+    if not smooth:
+        warnings.warn("the loss is not smooth; the 2 L eta sensitivity bound does not hold, "
+                      "so no privacy budget is declared", stacklevel=2)
+    elif eta > 2.0 / beta:
         raise StepSizeError(f"eta = {eta} > 2/beta = {2.0 / beta}: sensitivity bound inapplicable")
     L = loss.lipschitz
     w = _start_point(domain, w0)
@@ -309,7 +373,7 @@ def phased_sgd(
         gradient_evaluations=offset,
         phase_log=tuple(log),
         rng_seed=noise.seed,
-        declared_budget=PrivacyBudget(rho) if sigma_scale >= 1.0 else None,
+        declared_budget=PrivacyBudget(rho) if smooth and sigma_scale >= 1.0 else None,
     )
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,21 @@ class TestRun:
         rows = Path(cfg["output"]).read_text().strip().splitlines()
         assert [row.split(",")[0] for row in rows[1:]] == ["64"]
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_bad_sigma_scale_exits_2(self, tmp_path, sweep_config, capsys, value):
+        # NaN would switch the noise off while the row still reads rho = 1.0
+        cfg, _ = sweep_config
+        bad = tmp_path / "bad4.json"
+        bad.write_text(json.dumps({**cfg, "overrides": {"sigma_scale": value}}))
+        assert run_cli(["run", "--config", bad]) == 2
+        assert "sigma_scale" in capsys.readouterr().err
+        assert not Path(cfg["output"]).exists()
+
+    def test_zero_sigma_scale_still_runs(self, sweep_config):
+        cfg, path = sweep_config
+        path.write_text(json.dumps({**cfg, "overrides": {"sigma_scale": 0.0}}))
+        assert run_cli(["run", "--config", path]) == 0
+
 
 class TestAccount:
     def test_constant_schedule(self, tmp_path, capsys):
@@ -190,6 +206,23 @@ class TestAccount:
         assert run_cli(["account", "--schedule", path, "--lipschitz", 1.0,
                         "--delta", 1e-5]) == 2
         assert "schedule error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--lipschitz", "nan", "--delta", 1e-5],
+        ["--lipschitz", -1.0, "--delta", 1e-5],
+        ["--lipschitz", "inf", "--delta", 1e-5],
+        ["--lipschitz", 1.0, "--delta", 0.0],
+        ["--lipschitz", 1.0, "--delta", 1.0],
+        ["--lipschitz", 1.0, "--delta", -0.1],
+        ["--lipschitz", 1.0, "--delta", 1e-5, "--delta", "nan"],
+    ])
+    def test_bad_numbers_exit_2(self, tmp_path, capsys, flags):
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps({"B": [1], "eta": [1.0], "sigma": [1.0]}))
+        assert run_cli(["account", "--schedule", sched, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_missing_delta_exits_2(self, tmp_path):
         sched = tmp_path / "s.json"

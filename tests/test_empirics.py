@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpsco.accountant import gaussian_renyi
 from dpsco.empirics import (
     ALGORITHMS,
-    _largest_feasible_steps,
+    _snowball_plan,
     counterexample_empirical,
     counterexample_exact,
     counterexample_to_csv,
@@ -18,20 +20,69 @@ from dpsco.empirics import (
     sweep_to_csv,
 )
 from dpsco.geometry import ConvexDomain
-from dpsco.losses import Dataset, LossFamily, quadratic_point_mass, quadratic_sphere
+from dpsco.losses import (
+    Dataset,
+    LossFamily,
+    absolute_deviation_uniform,
+    quadratic_point_mass,
+    quadratic_sphere,
+)
 from dpsco.optimizers import psgd
-from dpsco.schedules import MULTIPLIER_SZ, snowball_batches
+from dpsco.schedules import MULTIPLIER_JNN, MULTIPLIER_SZ, snowball_batches
 
 BALL2 = ConvexDomain.ball([0.0, 0.0], 1.0)
 
 
+def oracle_largest_feasible_steps(n, d, rho, multiplier):
+    """The binary search over T that sized snowball runs before the prefix-sum
+    plan: every probe rebuilds a whole schedule."""
+
+    def total(T):
+        return int(sum(snowball_batches(T, d, rho, multiplier)))
+
+    if total(1) > n:
+        raise ValueError(f"n = {n} cannot fund even one step at d = {d}, rho = {rho}")
+    lo, hi = 1, n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if total(mid) <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 class TestSweepPlumbing:
-    def test_largest_feasible_steps_is_tight(self):
+    def test_snowball_plan_is_tight(self):
         for n in (16, 100, 1000):
             for d in (1, 4):
-                T = _largest_feasible_steps(n, d, 1.0, MULTIPLIER_SZ)
+                batches = _snowball_plan(n, d, 1.0, MULTIPLIER_SZ)
+                T = len(batches)
+                assert batches.tolist() == snowball_batches(T, d, 1.0)
                 assert sum(snowball_batches(T, d, 1.0)) <= n
                 assert sum(snowball_batches(T + 1, d, 1.0)) > n
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 5000), d=st.integers(1, 256),
+           rho=st.floats(0.05, 20.0, allow_nan=False),
+           multiplier=st.sampled_from((MULTIPLIER_SZ, MULTIPLIER_JNN)))
+    def test_snowball_plan_equals_binary_search(self, n, d, rho, multiplier):
+        try:
+            T = oracle_largest_feasible_steps(n, d, rho, multiplier)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match="cannot fund") as got:
+                _snowball_plan(n, d, rho, multiplier)
+            assert str(got.value) == str(exc)
+            return
+        batches = _snowball_plan(n, d, rho, multiplier)
+        assert batches.dtype == np.int64
+        np.testing.assert_array_equal(batches, snowball_batches(T, d, rho, multiplier))
+
+    def test_snowball_plan_at_scale(self):
+        # n = 2^20 at d = 16: the binary search's largest case, T = 1 048 484
+        T = oracle_largest_feasible_steps(2**20, 16, 1.0, MULTIPLIER_SZ)
+        batches = _snowball_plan(2**20, 16, 1.0, MULTIPLIER_SZ)
+        np.testing.assert_array_equal(batches, snowball_batches(T, 16, 1.0))
 
     def test_refuses_numeric_optimum(self):
         from dpsco.losses import logistic_sphere
@@ -129,6 +180,13 @@ class TestSensitivityProbe:
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
         with pytest.raises(ValueError):
             sensitivity_probe(dist, n=10, eta=3.0, num_pairs=5, seed=0)
+
+    def test_rejects_nonsmooth_loss(self):
+        # for a non-smooth loss one-pass SGD's sensitivity is not bounded by
+        # 2 L eta, so there is no bound to report against
+        dist = absolute_deviation_uniform(ConvexDomain.ball([0.0], 1.0), 0.0, 1.0)
+        with pytest.raises(ValueError, match="not smooth"):
+            sensitivity_probe(dist, n=64, eta=0.05, num_pairs=5, seed=0)
 
 
 class TestCounterexampleExact:

@@ -5,9 +5,13 @@ The four oracle loops below are the loops of dpsco 0.1.0's ``pnsgd``,
 ``sc_weighted_sgd``, kept verbatim. Every public algorithm must match them to
 1e-12 per coordinate for all four loss families, ball and box domains, mixed
 sigma = 0 steps, noise streams that start off a block boundary, and schedules
-whose steps and batches straddle the kernel's 256-step chunks.
+whose steps and batches straddle the kernel's 256-step chunks. The quadratic
+cases below also drive the closed-form chunk: projection firing mid-chunk,
+box domains, chunks with eta = 0 and eta >= 1 steps, products of (1 - eta)
+below the floor exp(-600), and the weighted passes.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -24,7 +28,14 @@ from dpsco.losses import (
     logistic_sphere,
     quadratic_sphere,
 )
-from dpsco.optimizers import NoiseStream, phased_sgd, pnsgd, psgd, sc_weighted_sgd
+from dpsco.optimizers import (
+    NoiseStream,
+    _quadratic_chunk,
+    phased_sgd,
+    pnsgd,
+    psgd,
+    sc_weighted_sgd,
+)
 from dpsco.schedules import Schedule, phase_plan, sc_weights
 
 TOL = 1e-12
@@ -122,6 +133,13 @@ DOMAINS = ("ball", "shifted_ball", "box")
 W0 = np.array([0.1, -0.2, 0.05, 0.3, -0.1])
 
 
+def _nonsmooth_warning(family):
+    """Runs on the absolute-deviation loss warn that they declare no budget."""
+    if family == "absolute_deviation":
+        return pytest.warns(UserWarning, match="not smooth")
+    return contextlib.nullcontext()
+
+
 def _mixed_schedule(T, beta, seed):
     """Batches of 1..6, steps below 2/beta, and every fourth step noiseless."""
     rng = np.random.default_rng(seed)
@@ -142,7 +160,8 @@ def test_pnsgd_matches_oracle(family, domain_name):
         fast, slow = NoiseStream(9), NoiseStream(9)
         fast.skip(skipped)
         slow.skip(skipped)
-        rec = pnsgd(data, loss, domain, W0, sched, fast)
+        with _nonsmooth_warning(family):
+            rec = pnsgd(data, loss, domain, W0, sched, fast)
         want = oracle_pnsgd(data, loss, domain, W0.copy(), sched, slow)
         np.testing.assert_allclose(rec.final_iterate, want, rtol=0, atol=TOL)
         assert fast.index == slow.index == skipped + 700
@@ -170,7 +189,8 @@ def test_phased_sgd_matches_oracle(family, domain_name):
     loss, sample = _family(family, domain)
     eta = 0.5 if not math.isfinite(loss.smoothness) else min(0.5, 1.9 / loss.smoothness)
     data = sample(1000, 13)  # phases of 500, 250, ...: the first crosses two chunks
-    rec = phased_sgd(data, loss, domain, W0, eta, 1.0, NoiseStream(4))
+    with _nonsmooth_warning(family):
+        rec = phased_sgd(data, loss, domain, W0, eta, 1.0, NoiseStream(4))
     want = oracle_phased_sgd(data, loss, domain, W0.copy(), eta, 1.0, NoiseStream(4))
     np.testing.assert_allclose(rec.final_iterate, want, rtol=0, atol=TOL)
 
@@ -217,6 +237,184 @@ def test_noiseless_pass_advances_the_stream_by_T():
     noise.skip(5)
     pnsgd(sample(300, 1), loss, domain, W0, sched, noise)
     assert noise.index == 305
+
+
+# Quadratic data well inside each domain, so that with small steps and noise
+# the closed form carries whole chunks; "outside" puts the data centre outside
+# the domain, so projection starts firing partway through a chunk.
+INSIDE = {"ball": (0.0, 0.3), "shifted_ball": (0.2, 0.3), "box": (0.05, 0.1),
+          "outside": (0.6, 0.1)}
+
+
+def _quadratic_case(domain_name):
+    domain = _domains()["ball" if domain_name == "outside" else domain_name]
+    centre, radius = INSIDE[domain_name]
+    dist = quadratic_sphere(domain, np.full(D, centre), radius)
+    start = project(domain, np.full(D, 0.05))
+    return domain, dist.loss, dist.sample_dataset, start
+
+
+def _chunk_reference(w, eta, pull):
+    rows = []
+    for e, p in zip(eta, pull):
+        w = (1.0 - e) * w + p
+        rows.append(w)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("domain_name", ("ball", "shifted_ball", "box", "outside"))
+@pytest.mark.parametrize("skipped", (0, 100))
+def test_pnsgd_quadratic_closed_form_matches_oracle(domain_name, skipped):
+    domain, loss, sample, start = _quadratic_case(domain_name)
+    rng = np.random.default_rng(21)
+    T = 900
+    sched = Schedule(rng.integers(1, 4, T), rng.uniform(0.005, 0.05, T),
+                     rng.uniform(0.0, 0.2, T))
+    data = sample(sched.total_samples(), 22)
+    fast, slow = NoiseStream(8), NoiseStream(8)
+    fast.skip(skipped)
+    slow.skip(skipped)
+    rec = pnsgd(data, loss, domain, start, sched, fast)
+    want = oracle_pnsgd(data, loss, domain, start.copy(), sched, slow)
+    np.testing.assert_allclose(rec.final_iterate, want, rtol=0, atol=TOL)
+    assert fast.index == slow.index == skipped + T
+    if domain_name == "outside":  # the run ends on the boundary, projected
+        assert np.linalg.norm(rec.final_iterate) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_projection_fires_mid_chunk():
+    # the data centre lies outside the ball: the iterates walk out of it
+    # partway through the first chunk, and the loop takes over from there
+    domain, loss, sample, start = _quadratic_case("outside")
+    T = 256
+    sched = Schedule(np.ones(T, dtype=int), np.full(T, 0.02), np.full(T, 0.05))
+    data = sample(T, 23)
+    noise = NoiseStream(3)
+    pull = 0.02 * (data.features - 0.05 * noise.gaussians(D, T))
+    rows = _quadratic_chunk(start, sched.step_sizes, pull, domain, None)
+    assert 0 < len(rows) < T
+    np.testing.assert_allclose(rows, _chunk_reference(start, sched.step_sizes, pull)[:len(rows)],
+                               rtol=0, atol=TOL)
+    assert np.all(np.linalg.norm(rows, axis=1) <= 1.0)
+    rec = pnsgd(data, loss, domain, start, sched, NoiseStream(3))
+    want = oracle_pnsgd(data, loss, domain, start.copy(), sched, NoiseStream(3))
+    np.testing.assert_allclose(rec.final_iterate, want, rtol=0, atol=TOL)
+
+
+def test_closed_form_takes_whole_chunks_inside_the_domain():
+    domain, loss, sample, start = _quadratic_case("box")
+    eta = np.full(256, 0.03)
+    pull = eta[:, None] * sample(256, 24).features
+    rows = _quadratic_chunk(start, eta, pull, domain, None)
+    np.testing.assert_allclose(rows, _chunk_reference(start, eta, pull), rtol=0, atol=TOL)
+
+
+def test_closed_form_declines_steps_outside_the_unit_interval_and_tiny_products():
+    domain, _, sample, start = _quadratic_case("ball")
+    pull = 0.01 * sample(256, 25).features
+    for bad in (0.0, 1.0, 1.5):
+        eta = np.full(256, 0.01)
+        eta[100] = bad
+        assert len(_quadratic_chunk(start, eta, pull, domain, None)) == 0
+    # (1 - 0.95)^256 = exp(-767) is below the floor exp(-600); 0.1^256 = exp(-589) is not
+    assert len(_quadratic_chunk(start, np.full(256, 0.95), pull, domain, None)) == 0
+    assert len(_quadratic_chunk(start, np.full(256, 0.9), 0.9 * pull / 0.01, domain, None)) == 256
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 256), dim=st.integers(1, 8),
+       eta_exponent=st.floats(-8.0, -0.01), scale_exponent=st.floats(-3.0, 2.0))
+def test_closed_form_equals_the_recurrence(seed, k, dim, eta_exponent, scale_exponent):
+    # inside a ball too large to bind, the closed form is the whole recurrence
+    rng = np.random.default_rng(seed)
+    if seed % 2:  # steps anywhere in (0, 1), or log-uniform small ones
+        eta = rng.uniform(10.0 ** eta_exponent, 1.0 - 1e-9, k)
+    else:
+        eta = 10.0 ** rng.uniform(eta_exponent, -0.01, k)
+    scale = 10.0 ** scale_exponent
+    pull = eta[:, None] * scale * rng.standard_normal((k, dim))
+    w = scale * rng.standard_normal(dim)
+    domain = ConvexDomain.ball(np.zeros(dim), 1e9)
+    rows = _quadratic_chunk(w, eta, pull, domain, None)
+    want = _chunk_reference(w, eta, pull)
+    if np.cumprod(1.0 - eta)[-1] < math.exp(-600.0):
+        assert len(rows) == 0
+    else:
+        np.testing.assert_allclose(rows, want, rtol=0, atol=TOL * max(1.0, scale))
+
+
+def test_closed_form_counts_nan_as_outside():
+    domain, _, _, start = _quadratic_case("ball")
+    pull = np.zeros((8, D))
+    pull[3] = np.nan
+    assert len(_quadratic_chunk(start, np.full(8, 0.1), pull, domain, None)) == 3
+
+
+def test_pnsgd_quadratic_one_wider_batch_in_a_chunk():
+    # snowball-shaped: single-example steps, then one batch of two at the end
+    # of the first chunk and one inside the second, so a chunk holds k + 1 rows
+    domain, loss, sample, start = _quadratic_case("ball")
+    T = 600
+    batches = np.ones(T, dtype=int)
+    batches[[255, 300]] = 2
+    sched = Schedule(batches, np.full(T, 0.02), np.full(T, 0.1))
+    data = sample(sched.total_samples(), 30)
+    rec = pnsgd(data, loss, domain, start, sched, NoiseStream(7))
+    want = oracle_pnsgd(data, loss, domain, start.copy(), sched, NoiseStream(7))
+    np.testing.assert_allclose(rec.final_iterate, want, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("domain_name", ("ball", "box"))
+def test_pnsgd_quadratic_chunks_with_extreme_steps(domain_name):
+    # eta = 0 and eta >= 1 steps (beta = 1 allows up to 2) inside chunks the
+    # closed form would otherwise take, and a stretch of eta = 0.95 steps
+    # whose product falls below the floor exp(-600)
+    domain, loss, sample, start = _quadratic_case(domain_name)
+    rng = np.random.default_rng(26)
+    T = 1200
+    eta = rng.uniform(0.005, 0.05, T)
+    eta[[10, 300, 301]] = 0.0
+    eta[[50, 520]] = 1.0
+    eta[[700, 710]] = (1.5, 1.99)
+    eta[768:1024] = 0.95
+    sched = Schedule(np.ones(T, dtype=int), eta, np.full(T, 0.1))
+    data = sample(T, 27)
+    noise = NoiseStream(5)
+    noise.skip(3)
+    rec = pnsgd(data, loss, domain, start, sched, noise)
+    slow = NoiseStream(5)
+    slow.skip(3)
+    want = oracle_pnsgd(data, loss, domain, start.copy(), sched, slow)
+    np.testing.assert_allclose(rec.final_iterate, want, rtol=0, atol=TOL)
+    assert noise.index == 3 + T
+
+
+@pytest.mark.parametrize("domain_name", ("ball", "shifted_ball", "box", "outside"))
+def test_weighted_quadratic_passes_match_oracles(domain_name):
+    domain, loss, sample, start = _quadratic_case(domain_name)
+    data = sample(1000, 28)
+    steps = np.random.default_rng(29).uniform(0.001, 0.05, 1000).tolist()
+    rec = psgd(data, loss, domain, start, steps)
+    last, avg = oracle_psgd(data, loss, domain, start.copy(), steps)
+    np.testing.assert_allclose(rec.final_iterate, last, rtol=0, atol=TOL)
+    np.testing.assert_allclose(rec.weighted_average, avg, rtol=0, atol=TOL)
+
+    rec = phased_sgd(data, loss, domain, start, 0.05, 1.0, NoiseStream(4))
+    want = oracle_phased_sgd(data, loss, domain, start.copy(), 0.05, 1.0, NoiseStream(4))
+    np.testing.assert_allclose(rec.final_iterate, want, rtol=0, atol=TOL)
+
+    T = 1000
+    eta = 2.0 * math.log(T) / (loss.strong_convexity * T)
+    gamma = sc_weights(T, eta, loss.strong_convexity).as_array()
+    fast, slow = NoiseStream(6), NoiseStream(6)
+    fast.skip(37)
+    slow.skip(37)
+    rec = sc_weighted_sgd(data, loss, domain, start, T, 0.05, fast)
+    last, weighted = oracle_sc_weighted(data, loss, domain, start.copy(), T, eta, 0.05, slow,
+                                        gamma)
+    np.testing.assert_allclose(rec.final_iterate, last, rtol=0, atol=TOL)
+    np.testing.assert_allclose(rec.weighted_average, weighted, rtol=0, atol=TOL)
+    assert fast.index == slow.index == 37 + T
 
 
 @settings(max_examples=60, deadline=None)

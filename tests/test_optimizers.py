@@ -126,6 +126,18 @@ class TestPnsgd:
             rec = pnsgd(data, dist.loss, BALL2, [0.0, 0.0], sched, NoiseStream(3))
         assert rec.declared_budget is None
 
+    def test_nonsmooth_loss_declares_no_budget(self):
+        # beta = inf: no step is contractive, so amplification by iteration
+        # says nothing; the run still happens
+        domain = ConvexDomain.ball([0.0], 1.0)
+        dist = absolute_deviation_uniform(domain, median=0.0, half_width=1.0)
+        sched = Schedule.constant(64, 1, 0.1, 0.5)
+        data = dist.sample_dataset(64, rng_seed=1)
+        with pytest.warns(UserWarning, match="not smooth"):
+            rec = pnsgd(data, dist.loss, domain, [0.0], sched, NoiseStream(3))
+        assert rec.declared_budget is None
+        assert rec.gradient_evaluations == 64
+
     def test_cni_view_is_contractive(self):
         # projection-then-gradient-step composition, eta <= 2/beta
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
@@ -285,6 +297,17 @@ class TestPhasedSgd:
             assert d * sigma_i**2 <= (4.0 * 4.0 ** (-i) * D) ** 2 * (1 + 1e-12)
             # the tighter display with the proof's noise convention
             assert d * (4.0 ** (-i) * L * eta / rho) ** 2 <= (4.0 ** (-i) * D) ** 2 * (1 + 1e-12)
+
+    def test_nonsmooth_loss_declares_no_budget(self):
+        # the 2 L eta_i sensitivity of a phase needs a smooth loss
+        domain = ConvexDomain.ball([0.0], 1.0)
+        dist = absolute_deviation_uniform(domain, median=0.0, half_width=1.0)
+        data = dist.sample_dataset(64, rng_seed=2)
+        with pytest.warns(UserWarning, match="not smooth"):
+            rec = phased_sgd(data, dist.loss, domain, [0.0], eta=0.5, rho=1.0,
+                             noise=NoiseStream(0))
+        assert rec.declared_budget is None
+        assert len(rec.phase_log) == 6
 
     def test_refuses_nonsmooth_step(self):
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
