@@ -249,8 +249,9 @@ def sensitivity_probe(
     Generates ``num_pairs`` neighboring dataset pairs (one uniformly chosen
     example replaced by a fresh draw), executes the algorithm on both, and
     reports the largest final-iterate or average-iterate distance next to the
-    analytic bound 2 L eta. Refuses step sizes beyond the contractive range
-    and losses that are not smooth, where that bound does not hold.
+    analytic bound 2 L eta. Refuses step sizes beyond the contractive range,
+    losses that are not smooth, and sampled data on which the declared beta
+    does not hold, where that bound does not hold.
     """
     beta = dist.loss.smoothness
     if not math.isfinite(beta):
@@ -270,6 +271,10 @@ def sensitivity_probe(
         j = int(rng.integers(0, n))
         fresh = dist.sample_dataset(1, _derive_seeds(seed, pair, 2)).example(0)
         neighbor = data.replace(j, fresh)
+        for sample in (data, neighbor):
+            defect = dist.loss.smoothness_defect(sample)
+            if defect is not None:
+                raise ValueError(f"{defect}: bound inapplicable")
         rec_a = algorithm(data, dist.loss, dist.domain, start)
         rec_b = algorithm(neighbor, dist.loss, dist.domain, start)
         worst = max(worst, float(np.linalg.norm(rec_a.final_iterate - rec_b.final_iterate)))

@@ -120,6 +120,23 @@ class LossFamily:
             return -targets * np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         return np.sign(margins - targets)
 
+    def smoothness_defect(self, data: "Dataset") -> str | None:
+        """Why the declared ``smoothness`` does not hold on ``data``, or None
+        when it does. An (a, b) family's beta depends on the features: the
+        data give max |a|^2 for linear regression and max |a|^2 / 4 for
+        logistic, and one above the declared beta by more than a relative
+        1e-12 (or NaN) is a defect. The other families' beta does not depend
+        on the data."""
+        if self.kind not in (LINEAR_REGRESSION, LOGISTIC) or len(data) == 0:
+            return None
+        feats = data.features
+        beta = float(np.einsum("ij,ij->i", feats, feats).max())
+        if self.kind == LOGISTIC:
+            beta /= 4.0
+        if beta <= self.smoothness * (1.0 + 1e-12):
+            return None
+        return f"the data give beta = {beta:.6g} > declared beta = {self.smoothness:.6g}"
+
     def batch_value(self, w: np.ndarray, batch: "Dataset") -> float:
         if len(batch) == 0:
             raise ValueError("batch must be nonempty")
@@ -221,6 +238,13 @@ def dataset_from_csv(path) -> Dataset:
     return Dataset(arr)
 
 
+def _unit_rows(raw: np.ndarray) -> np.ndarray:
+    """Scale each row of ``raw`` to unit norm in place, without an (n, d)
+    temporary."""
+    raw /= np.sqrt(np.einsum("ij,ij->i", raw, raw))[:, None]
+    return raw
+
+
 @dataclass(frozen=True)
 class SyntheticDistribution:
     """A loss family plus a data sampler with known population structure.
@@ -257,9 +281,10 @@ class SyntheticDistribution:
         if self.sampler == "point_mass":
             return Dataset(np.tile(p["center"], (n, 1)))
         if self.sampler == "sphere":
-            raw = rng.standard_normal((n, d))
-            raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-            return Dataset(p["center"] + p["radius"] * raw)
+            raw = _unit_rows(rng.standard_normal((n, d)))
+            raw *= p["radius"]
+            raw += p["center"]
+            return Dataset(raw)
         if self.sampler == "gaussian":
             return Dataset(p["mean"] + p["sigma"] * rng.standard_normal((n, d)))
         if self.sampler == "uniform_targets":
@@ -268,14 +293,12 @@ class SyntheticDistribution:
             b = rng.uniform(p["median"] - p["half_width"], p["median"] + p["half_width"], size=n)
             return Dataset(feats, b)
         if self.sampler == "sphere_regression":
-            a = rng.standard_normal((n, d))
-            a /= np.linalg.norm(a, axis=1, keepdims=True)
+            a = _unit_rows(rng.standard_normal((n, d)))
             a *= p["feature_radius"]
             noise = rng.uniform(-p["noise_half_width"], p["noise_half_width"], size=n)
             return Dataset(a, a @ p["w_true"] + noise)
         if self.sampler == "sphere_logistic":
-            a = rng.standard_normal((n, d))
-            a /= np.linalg.norm(a, axis=1, keepdims=True)
+            a = _unit_rows(rng.standard_normal((n, d)))
             a *= p["feature_radius"]
             prob = 1.0 / (1.0 + np.exp(-(a @ p["w_ref"])))
             b = np.where(rng.uniform(size=n) < prob, 1.0, -1.0)

@@ -1,5 +1,6 @@
 """Sweeps, sensitivity probes, and the averaged-iterate counterexample."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from dpsco.losses import (
     Dataset,
     LossFamily,
     absolute_deviation_uniform,
+    linear_regression_sphere,
     quadratic_point_mass,
     quadratic_sphere,
 )
@@ -180,6 +182,14 @@ class TestSensitivityProbe:
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
         with pytest.raises(ValueError):
             sensitivity_probe(dist, n=10, eta=3.0, num_pairs=5, seed=0)
+
+    def test_rejects_data_beyond_declared_smoothness(self):
+        # the sampler draws features of norm 3 (beta = 9) for a loss declaring
+        # beta = 1, so eta = 1.5 passes the 2/beta check but is not contractive
+        dist = linear_regression_sphere(BALL2, 3.0, [0.0, 0.0], 1.0)
+        dist = dataclasses.replace(dist, loss=dataclasses.replace(dist.loss, smoothness=1.0))
+        with pytest.raises(ValueError, match="declared beta"):
+            sensitivity_probe(dist, n=16, eta=1.5, num_pairs=3, seed=0)
 
     def test_rejects_nonsmooth_loss(self):
         # for a non-smooth loss one-pass SGD's sensitivity is not bounded by

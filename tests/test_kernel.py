@@ -8,7 +8,11 @@ sigma = 0 steps, noise streams that start off a block boundary, and schedules
 whose steps and batches straddle the kernel's 256-step chunks. The quadratic
 cases below also drive the closed-form chunk: projection firing mid-chunk,
 box domains, chunks with eta = 0 and eta >= 1 steps, products of (1 - eta)
-below the floor exp(-600), and the weighted passes.
+below the floor exp(-600), and the weighted passes. The linear-regression
+cases drive the closed-form least-squares sub-chunks the same way: projection
+firing mid-sub-chunk, a start on the boundary, noise kicks, the weighted
+passes, the declines (eta |a|^2 outside [0, 2], a batch of two), and a
+non-finite residual.
 """
 
 import contextlib
@@ -28,8 +32,10 @@ from dpsco.losses import (
     logistic_sphere,
     quadratic_sphere,
 )
+import dpsco.optimizers
 from dpsco.optimizers import (
     NoiseStream,
+    _linear_chunk,
     _quadratic_chunk,
     phased_sgd,
     pnsgd,
@@ -415,6 +421,196 @@ def test_weighted_quadratic_passes_match_oracles(domain_name):
     np.testing.assert_allclose(rec.final_iterate, last, rtol=0, atol=TOL)
     np.testing.assert_allclose(rec.weighted_average, weighted, rtol=0, atol=TOL)
     assert fast.index == slow.index == 37 + T
+
+
+# Least-squares data with the labels' centre w_true inside each domain, or
+# outside the ball or the shifted ball, so that the iterates walk out of it
+# partway through a sub-chunk and projection takes over.
+W_TRUE = {"ball": 0.1, "shifted_ball": 0.2, "box": 0.05, "outside": 0.6,
+          "shifted_outside": -0.3}
+LINEAR_CASES = tuple(W_TRUE)
+
+
+def _linear_case(domain_name):
+    domain = _domains()[{"outside": "ball", "shifted_outside": "shifted_ball"}.get(
+        domain_name, domain_name)]
+    dist = linear_regression_sphere(domain, 1.0, np.full(D, W_TRUE[domain_name]), 0.1)
+    start = project(domain, np.full(D, 0.05))
+    return domain, dist.loss, dist.sample_dataset, start
+
+
+def _linear_reference(w, eta, A, b, kick):
+    rows = []
+    for j, (e, a) in enumerate(zip(eta, A)):
+        w = w - e * (a.dot(w) - b[j]) * a
+        if kick is not None:
+            w = w - kick[j]
+        rows.append(w)
+    return np.array(rows)
+
+
+@pytest.fixture
+def taken(monkeypatch):
+    """The row counts the closed-form least-squares sub-chunks returned."""
+    counts = []
+
+    def spy(*args):
+        rows = _linear_chunk(*args)
+        counts.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(dpsco.optimizers, "_linear_chunk", spy)
+    return counts
+
+
+@pytest.mark.parametrize("domain_name", LINEAR_CASES)
+@pytest.mark.parametrize("skipped", (0, 100))
+def test_pnsgd_linear_closed_form_matches_oracle(domain_name, skipped, taken):
+    domain, loss, sample, start = _linear_case(domain_name)
+    T = 900
+    sched = Schedule.constant(T, 1, 0.1, 0.05)
+    data = sample(T, 31)
+    fast, slow = NoiseStream(8), NoiseStream(8)
+    fast.skip(skipped)
+    slow.skip(skipped)
+    rec = pnsgd(data, loss, domain, start, sched, fast)
+    want = oracle_pnsgd(data, loss, domain, start.copy(), sched, slow)
+    np.testing.assert_allclose(rec.final_iterate, want, rtol=0, atol=TOL)
+    assert fast.index == slow.index == skipped + T
+    if domain_name.endswith("outside"):  # the iterates reach the boundary and ride it
+        assert sum(taken) > 0 and 0 in taken
+        assert np.linalg.norm(rec.final_iterate - domain.center) == pytest.approx(
+            domain.radius, abs=1e-12)
+    else:
+        assert sum(taken) > T // 2
+
+
+def test_linear_projection_fires_mid_subchunk():
+    domain, loss, sample, start = _linear_case("outside")
+    T = 64
+    sched = Schedule.constant(T, 1, 0.1, 0.05)
+    data = sample(T, 20)
+    kick = 0.1 * 0.05 * NoiseStream(3).gaussians(D, T)
+    eta = sched.step_sizes
+    rows = _linear_chunk(start, eta, data.features, data.targets, kick, domain, None)
+    assert 0 < len(rows) < T
+    want = _linear_reference(start, eta, data.features, data.targets, kick)
+    np.testing.assert_allclose(rows, want[:len(rows)], rtol=0, atol=TOL)
+    assert np.all(np.linalg.norm(rows, axis=1) <= 1.0)
+    assert np.linalg.norm(want[len(rows)]) > 1.0  # the cut is at the first one outside
+    rec = pnsgd(data, loss, domain, start, sched, NoiseStream(3))
+    want = oracle_pnsgd(data, loss, domain, start.copy(), sched, NoiseStream(3))
+    np.testing.assert_allclose(rec.final_iterate, want, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("domain_name", ("outside", "box"))
+def test_linear_start_on_the_boundary(domain_name, taken):
+    # from a boundary point whose first step leaves the domain the closed form
+    # declines at once; the loop projects and later sub-chunks try again
+    domain, loss, sample, _ = _linear_case(domain_name)
+    start = project(domain, np.full(D, 5.0))
+    data = sample(300, 32)
+    eta = np.full(300, 0.2)
+    assert len(_linear_chunk(start, eta[:64], data.features[:64], data.targets[:64], None,
+                             domain, None)) == 0
+    rec = psgd(data, loss, domain, start, eta.tolist())
+    last, avg = oracle_psgd(data, loss, domain, start.copy(), eta)
+    np.testing.assert_allclose(rec.final_iterate, last, rtol=0, atol=TOL)
+    np.testing.assert_allclose(rec.weighted_average, avg, rtol=0, atol=TOL)
+    assert taken[0] == 0 and sum(taken) > 0
+
+
+@pytest.mark.parametrize("domain_name", LINEAR_CASES)
+def test_weighted_linear_passes_match_oracles(domain_name, taken):
+    domain, loss, sample, start = _linear_case(domain_name)
+    data = sample(1000, 33)
+    steps = np.random.default_rng(34).uniform(0.001, 0.3, 1000).tolist()
+    rec = psgd(data, loss, domain, start, steps)
+    last, avg = oracle_psgd(data, loss, domain, start.copy(), steps)
+    np.testing.assert_allclose(rec.final_iterate, last, rtol=0, atol=TOL)
+    np.testing.assert_allclose(rec.weighted_average, avg, rtol=0, atol=TOL)
+
+    rec = phased_sgd(data, loss, domain, start, 0.5, 1.0, NoiseStream(4))
+    want = oracle_phased_sgd(data, loss, domain, start.copy(), 0.5, 1.0, NoiseStream(4))
+    np.testing.assert_allclose(rec.final_iterate, want, rtol=0, atol=TOL)
+    assert sum(taken) > (0 if domain_name.endswith("outside") else 1000)
+
+
+def test_linear_closed_form_declines_non_contractive_steps():
+    # |a| = 1: eta |a|^2 = 1.99 is still contractive, 2.5 is not
+    domain, _, sample, start = _linear_case("ball")
+    data = sample(64, 35)
+    A, b = data.features, data.targets
+    eta = np.full(64, 0.05)
+    eta[30] = 1.99
+    rows = _linear_chunk(start, eta, A, b, None, domain, None)
+    np.testing.assert_allclose(rows, _linear_reference(start, eta, A, b, None)[:len(rows)],
+                               rtol=0, atol=TOL)
+    assert len(rows) > 30
+    eta[30] = 2.5
+    assert len(_linear_chunk(start, eta, A, b, None, domain, None)) == 0
+    b = b.copy()
+    b[3] = np.nan  # a residual that is not finite ends the rows before it
+    eta[30] = 0.05
+    rows = _linear_chunk(start, eta, A, b, None, domain, None)
+    assert len(rows) <= 3 and np.isfinite(rows).all()
+
+
+@pytest.mark.parametrize("domain_name", ("ball", "box"))
+def test_linear_passes_with_declined_steps_match_oracles(domain_name):
+    domain, loss, sample, start = _linear_case(domain_name)
+    T = 600
+    steps = np.random.default_rng(36).uniform(0.005, 0.2, T)
+    steps[[10, 200]] = 1.99
+    steps[[70, 400]] = 2.5
+    steps[[130, 131]] = 0.0
+    data = sample(T, 37)
+    rec = psgd(data, loss, domain, start, steps.tolist())
+    last, avg = oracle_psgd(data, loss, domain, start.copy(), steps)
+    np.testing.assert_allclose(rec.final_iterate, last, rtol=0, atol=TOL)
+    np.testing.assert_allclose(rec.weighted_average, avg, rtol=0, atol=TOL)
+
+
+def test_pnsgd_linear_one_wider_batch_among_single_steps(taken):
+    # a sub-chunk holding a batch of two is left to the loop; the others are not
+    domain, loss, sample, start = _linear_case("ball")
+    T = 600
+    batches = np.ones(T, dtype=int)
+    batches[[40, 300]] = 2
+    sched = Schedule(batches, np.full(T, 0.1), np.full(T, 0.05))
+    data = sample(sched.total_samples(), 38)
+    noise = NoiseStream(7)
+    noise.skip(20)
+    rec = pnsgd(data, loss, domain, start, sched, noise)
+    slow = NoiseStream(7)
+    slow.skip(20)
+    want = oracle_pnsgd(data, loss, domain, start.copy(), sched, slow)
+    np.testing.assert_allclose(rec.final_iterate, want, rtol=0, atol=TOL)
+    assert noise.index == 20 + T
+    assert 0 < sum(taken) <= T - 2 * 64
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 64), dim=st.integers(1, 8),
+       scale_exponent=st.floats(-3.0, 2.0), feature_exponent=st.floats(-2.0, 1.0),
+       kicked=st.booleans())
+def test_linear_closed_form_equals_the_recurrence(seed, k, dim, scale_exponent,
+                                                  feature_exponent, kicked):
+    # inside a ball too large to bind, the closed form is the whole recurrence
+    # for any contractive steps, eta_j |a_j|^2 in [0, 1.99]
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** scale_exponent
+    A = 10.0 ** feature_exponent * rng.standard_normal((k, dim))
+    eta = rng.uniform(0.0, 1.99, k) / np.maximum(np.einsum("ij,ij->i", A, A), 1e-300)
+    b = scale * rng.standard_normal(k) * 10.0 ** feature_exponent
+    kick = scale * rng.standard_normal((k, dim)) if kicked else None
+    w = scale * rng.standard_normal(dim)
+    domain = ConvexDomain.ball(np.zeros(dim), 1e9)
+    rows = _linear_chunk(w, eta, A, b, kick, domain, None)
+    want = _linear_reference(w, eta, A, b, kick)
+    assert len(rows) == k
+    # a short feature with a long step moves the iterate by about b / |a|
+    np.testing.assert_allclose(rows, want, rtol=0, atol=TOL * max(1.0, np.abs(want).max()))
 
 
 @settings(max_examples=60, deadline=None)

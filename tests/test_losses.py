@@ -129,6 +129,34 @@ class TestSampling:
         data = dist.sample_dataset(8, rng_seed=0)
         np.testing.assert_array_equal(data.features, np.tile([0.25, -0.25], (8, 1)))
 
+    def test_sphere_samplers_equal_the_norm_based_draw(self):
+        # the samplers scale rows in place; the form they replaced is the oracle
+        domain = ConvexDomain.ball(np.full(16, 0.2), 1.5)
+        for dist in (
+            quadratic_sphere(domain, np.full(16, 0.4), 2.5),
+            linear_regression_sphere(domain, 1.7, np.full(16, 0.1), 0.3),
+            logistic_sphere(domain, 2.0, np.full(16, 0.3)),
+        ):
+            data = dist.sample_dataset(500, rng_seed=7)
+            rng = np.random.default_rng(7)
+            raw = rng.standard_normal((500, 16))
+            raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+            p = dist.params
+            if dist.sampler == "sphere":
+                np.testing.assert_allclose(data.features, p["center"] + p["radius"] * raw,
+                                           rtol=1e-15, atol=1e-15)
+                continue
+            raw *= p["feature_radius"]
+            np.testing.assert_allclose(data.features, raw, rtol=1e-15, atol=1e-15)
+            if dist.sampler == "sphere_regression":
+                noise = rng.uniform(-p["noise_half_width"], p["noise_half_width"], size=500)
+                np.testing.assert_allclose(data.targets, raw @ p["w_true"] + noise,
+                                           rtol=1e-15, atol=1e-15)
+            else:
+                prob = 1.0 / (1.0 + np.exp(-(raw @ p["w_ref"])))
+                labels = np.where(rng.uniform(size=500) < prob, 1.0, -1.0)
+                np.testing.assert_array_equal(data.targets, labels)
+
     def test_csv_round_trip(self, tmp_path):
         for dist in (
             quadratic_sphere(BALL2, [0.0, 0.0], 1.0),
@@ -208,6 +236,28 @@ def families():
 
 class TestDeclaredConstants:
     """Sampled audits of the declared (L, beta, lambda) constants."""
+
+    def test_sampled_data_meet_the_declared_smoothness(self, families):
+        for dist in families:
+            assert dist.loss.smoothness_defect(dist.sample_dataset(200, rng_seed=18)) is None
+
+    def test_smoothness_defect_reads_the_features(self):
+        # beta = |a|^2 (linear regression) or |a|^2 / 4 (logistic), with a
+        # relative tolerance of 1e-12 above the declared value
+        for dist, declared in ((linear_regression_sphere(BALL2, 1.0, [0.0, 0.0], 0.5), 1.0),
+                               (logistic_sphere(BALL2, 2.0, [0.0, 0.0]), 1.0)):
+            scale = 2.0 if dist.loss.kind == "logistic" else 1.0
+            for stretch, ok in ((1.0 + 1e-13, True), (1.0 + 1e-11, False), (3.0, False)):
+                data = Dataset(np.array([[0.0, 0.5], [scale * math.sqrt(stretch), 0.0]]),
+                               np.array([1.0, -1.0]))
+                defect = dist.loss.smoothness_defect(data)
+                assert (defect is None) == ok
+            assert "declared beta = 1" in defect
+            nan = Dataset(np.array([[np.nan, 0.0]]), np.array([1.0]))
+            assert dist.loss.smoothness_defect(nan) is not None
+        # the other families' beta does not depend on the data
+        far = Dataset(np.array([[30.0, 0.0]]), np.array([1.0]))
+        assert quadratic_sphere(BALL2, [0.0, 0.0], 1.0).loss.smoothness_defect(far) is None
 
     def _domain_points(self, dist, rng, count):
         d = dist.dimension

@@ -11,6 +11,7 @@ from dpsco.geometry import ConvexDomain, check_contraction, project
 from dpsco.losses import (
     Dataset,
     absolute_deviation_uniform,
+    linear_regression_sphere,
     quadratic_point_mass,
     quadratic_sphere,
 )
@@ -125,6 +126,20 @@ class TestPnsgd:
         with pytest.warns(UserWarning, match="2/beta"):
             rec = pnsgd(data, dist.loss, BALL2, [0.0, 0.0], sched, NoiseStream(3))
         assert rec.declared_budget is None
+
+    def test_data_beyond_declared_smoothness_declares_no_budget(self):
+        # features of norm 3 give beta = 9 against the declared beta = 1, so
+        # eta = 1.5 <= 2/1 scales the a-direction by |1 - 1.5 * 9| per step
+        dist = linear_regression_sphere(BALL2, 1.0, [0.0, 0.0], 10.0)
+        data = Dataset(np.tile([3.0, 0.0], (64, 1)), np.zeros(64))
+        sched = Schedule.constant(64, 1, 1.5, 1.0)
+        with pytest.warns(UserWarning, match="the data give beta = 9 > declared beta = 1"):
+            rec = pnsgd(data, dist.loss, BALL2, [0.5, 0.0], sched, NoiseStream(3))
+        assert rec.declared_budget is None
+        # the declared features (norm 1) keep the budget
+        rec = pnsgd(dist.sample_dataset(64, rng_seed=1), dist.loss, BALL2, [0.5, 0.0], sched,
+                    NoiseStream(3))
+        assert rec.declared_budget == pai_rho(sched, dist.loss.lipschitz)
 
     def test_nonsmooth_loss_declares_no_budget(self):
         # beta = inf: no step is contractive, so amplification by iteration
@@ -308,6 +323,14 @@ class TestPhasedSgd:
                              noise=NoiseStream(0))
         assert rec.declared_budget is None
         assert len(rec.phase_log) == 6
+
+    def test_refuses_data_beyond_declared_smoothness(self):
+        # the 2 L eta_i bound needs eta_i <= 2/beta for the beta the data give
+        dist = linear_regression_sphere(BALL2, 1.0, [0.0, 0.0], 10.0)
+        data = Dataset(np.tile([3.0, 0.0], (64, 1)), np.zeros(64))
+        with pytest.raises(StepSizeError, match="declared beta"):
+            phased_sgd(data, dist.loss, BALL2, [0.5, 0.0], eta=0.5, rho=1.0,
+                       noise=NoiseStream(0))
 
     def test_refuses_nonsmooth_step(self):
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
