@@ -111,20 +111,25 @@ def pai_rho(schedule: Schedule, lipschitz: float) -> PrivacyBudget:
         rho = 2 L * max_t { eta_t / (B_t * sqrt(sum_{s >= t} eta_s^2 sigma_s^2)) },
 
     provided every eta_t <= 2 / beta (the optimizer's responsibility, checked
-    there). Suffix sums are accumulated back-to-front in one pass. Any zero
-    noise scale under a nonzero step makes the budget infinite.
+    there). One pass: the suffix sums are accumulated back-to-front, and each
+    step's term is taken in place. A zero step contributes nothing, whatever
+    the later noise; a zero noise suffix under a nonzero step makes the budget
+    infinite.
     """
     if lipschitz < 0:
         raise ValueError("lipschitz must be nonnegative")
     eta, sigma, batches = schedule.step_sizes, schedule.noise_scales, schedule.batch_sizes
-    suffix = np.cumsum((eta * sigma)[::-1] ** 2)[::-1]
-    active = eta > 0.0  # a zero step leaks nothing regardless of later noise
-    if not np.any(active):
-        return PrivacyBudget(0.0)
-    if np.any(suffix[active] == 0.0):
-        return PrivacyBudget(math.inf)
-    terms = eta[active] / (batches[active] * np.sqrt(suffix[active]))
-    return PrivacyBudget(2.0 * lipschitz * float(np.max(terms)))
+    terms = np.cumsum(((eta * sigma) ** 2)[::-1])[::-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.sqrt(terms, out=terms)
+        terms *= batches
+        # eta_t > 0 over a zero suffix gives inf; a zero step gives 0, or NaN
+        # (0 / 0), which fmax skips
+        np.divide(eta, terms, out=terms)
+    worst = float(np.fmax.reduce(terms, initial=0.0))
+    if worst == 0.0 or worst == math.inf:  # L does not enter; abs turns -0.0 into 0.0
+        return PrivacyBudget(abs(worst))
+    return PrivacyBudget(2.0 * lipschitz * worst)
 
 
 def pai_divergence_general(

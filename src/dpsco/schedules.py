@@ -6,6 +6,7 @@ optimizers consume schedules without modifying them.
 
 from __future__ import annotations
 
+import array
 import json
 import math
 from dataclasses import dataclass
@@ -22,20 +23,62 @@ class InvalidScheduleError(ValueError):
     """A schedule violates its structural invariants."""
 
 
-def _float_vector(values, name: str) -> np.ndarray:
-    """A fresh, finite float64 vector holding ``values`` (any sequence or array)."""
+# Batch sizes are stored as int64; this is the largest one, and the largest total.
+_INT64_MAX = 2**63 - 1
+
+
+def _float_vector(values, name: str) -> tuple[np.ndarray, float]:
+    """A fresh, finite float64 vector holding ``values`` (any sequence or
+    array), with its smallest entry (0.0 when empty)."""
     try:
         if isinstance(values, np.ndarray):
             arr = values.astype(np.float64)
         else:
             arr = np.fromiter(values, dtype=np.float64, count=len(values))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidScheduleError(f"{name} must be a sequence of numbers: {exc}") from exc
     if arr.ndim != 1:
         raise InvalidScheduleError(f"{name} must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
+    if arr.size == 0:
+        return arr, 0.0
+    lo, hi = arr.min(), arr.max()  # NaN propagates through both
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidScheduleError(f"{name} must be finite")
-    return arr
+    return arr, float(lo)
+
+
+def _batch_vector(values) -> np.ndarray:
+    """A fresh one-dimensional int64 vector of integral batch sizes.
+
+    Integers (Python or numpy, in a list, tuple, range or integer array)
+    convert exactly; a sequence with a float entry, or a float array, goes
+    through float64 and must hold integral values. Entries int64 cannot hold
+    are refused.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biu":
+        if values.dtype.kind == "u" and values.size and values.max() > _INT64_MAX:
+            raise InvalidScheduleError("batch sizes must fit in int64")
+        arr = values.astype(np.int64)
+        if arr.ndim != 1:
+            raise InvalidScheduleError("batch sizes must be one-dimensional")
+        return arr
+    if isinstance(values, (list, tuple, range)):
+        try:
+            return np.array(array.array("q", values))
+        except (TypeError, OverflowError):
+            pass  # a float, non-numeric or out-of-range entry: float64 decides
+    arr, lo = _float_vector(values, "batch sizes")
+    if np.any(arr != np.floor(arr)):
+        raise InvalidScheduleError("batch sizes must be integers")
+    if lo < 1:
+        raise InvalidScheduleError("batch sizes must be >= 1")
+    hi = arr.max() if arr.size else 0.0
+    if hi >= 2.0**63:
+        raise InvalidScheduleError("batch sizes must fit in int64")
+    if hi >= 2.0**53 and not isinstance(values, np.ndarray):
+        # float64 rounds integers above 2^53: take the integer entries exactly
+        return np.array(array.array("q", map(int, values)))
+    return arr.astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,10 +86,11 @@ class Schedule:
     """Per-step batch sizes, step sizes, and noise scales for T steps.
 
     Any sequences (or arrays) are accepted; they are copied once into
-    read-only arrays: ``batch_sizes`` as int64, ``step_sizes`` and
-    ``noise_scales`` as float64. Invariants: equal lengths, finite entries,
-    integral batch sizes >= 1, step sizes >= 0, noise scales >= 0. (Zero step
-    sizes are permitted so that ablation runs that freeze the iterate remain
+    read-only arrays that own their memory: ``batch_sizes`` as int64 (exact
+    for integer input), ``step_sizes`` and ``noise_scales`` as float64.
+    Invariants: equal lengths, finite entries, integral batch sizes >= 1 whose
+    total fits in int64, step sizes >= 0, noise scales >= 0. (Zero step sizes
+    are permitted so that ablation runs that freeze the iterate remain
     expressible.) Equality compares the arrays; schedules are unhashable.
     """
 
@@ -55,25 +99,25 @@ class Schedule:
     noise_scales: np.ndarray
 
     def __post_init__(self):
-        batches = _float_vector(self.batch_sizes, "batch sizes")
-        eta = _float_vector(self.step_sizes, "step sizes")
-        sigma = _float_vector(self.noise_scales, "noise scales")
+        batches = _batch_vector(self.batch_sizes)
+        eta, eta_lo = _float_vector(self.step_sizes, "step sizes")
+        sigma, sigma_lo = _float_vector(self.noise_scales, "noise scales")
         T = batches.shape[0]
         if T == 0:
             raise InvalidScheduleError("schedule must have at least one step")
         if eta.shape[0] != T or sigma.shape[0] != T:
             raise InvalidScheduleError("schedule lists must have equal length")
-        if np.any(batches != np.floor(batches)):
-            raise InvalidScheduleError("batch sizes must be integers")
-        if np.any(batches < 1):
+        if batches.min() < 1:
             raise InvalidScheduleError("batch sizes must be >= 1")
-        if np.any(eta < 0):
+        if eta_lo < 0:
             raise InvalidScheduleError("step sizes must be nonnegative")
-        if np.any(sigma < 0):
+        if sigma_lo < 0:
             raise InvalidScheduleError("noise scales must be nonnegative")
-        fields = (("batch_sizes", batches.astype(np.int64)), ("step_sizes", eta),
-                  ("noise_scales", sigma))
-        for name, arr in fields:
+        # T * max bounds the total; only a bound past int64 needs the exact sum
+        if int(batches.max()) * T > _INT64_MAX and sum(batches.tolist()) > _INT64_MAX:
+            raise InvalidScheduleError("total batch size must fit in int64")
+        for name, arr in (("batch_sizes", batches), ("step_sizes", eta),
+                          ("noise_scales", sigma)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -168,8 +212,11 @@ def jnn_steps(T: int, c: float) -> list[float]:
         raise ValueError("T must be >= 1")
     ell = max(0, math.ceil(math.log2(T)))
     bounds = [T - math.ceil(T * 2.0 ** (-i)) for i in range(ell + 1)] + [T]
-    band_steps = c * 2.0 ** -np.arange(ell + 1) / math.sqrt(T)
-    return np.repeat(band_steps, np.diff(bounds)).tolist()
+    band_steps = (c * 2.0 ** -np.arange(ell + 1) / math.sqrt(T)).tolist()
+    steps: list[float] = []
+    for step, start, stop in zip(band_steps, bounds, bounds[1:]):
+        steps += [step] * (stop - start)
+    return steps
 
 
 def sc_weights(T: int, eta: float, lam: float) -> AveragingWeights:

@@ -207,6 +207,17 @@ class TestAccount:
                         "--delta", 1e-5]) == 2
         assert "schedule error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("batches", [[2**70, 3], [2**63 - 1, 3], [2**62] * 3])
+    def test_batch_sizes_beyond_int64_exit_2(self, tmp_path, capsys, batches):
+        path = tmp_path / "big.json"
+        T = len(batches)
+        path.write_text(json.dumps({"B": batches, "eta": [0.1] * T, "sigma": [1.0] * T}))
+        assert run_cli(["account", "--schedule", path, "--lipschitz", 1.0,
+                        "--delta", 1e-5]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "int64" in captured.err
+
     @pytest.mark.parametrize("flags", [
         ["--lipschitz", "nan", "--delta", 1e-5],
         ["--lipschitz", -1.0, "--delta", 1e-5],

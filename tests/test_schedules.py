@@ -92,6 +92,27 @@ class TestSchedule:
         with pytest.raises(TypeError):
             hash(sched)
 
+    @pytest.mark.parametrize("batches", [
+        [2**70, 3], [2**63, 3], [2.0**63, 3.0], [3.0, 1e30],
+        np.array([2**64 - 1, 3], dtype=np.uint64), np.array([1e19, 3.0]),
+    ])
+    def test_batch_sizes_beyond_int64_rejected(self, batches):
+        with pytest.raises(InvalidScheduleError, match="fit in int64"):
+            Schedule(batches, (0.1, 0.1), (1.0, 1.0))
+
+    @pytest.mark.parametrize("batches", [[2**62] * 3, [2**63 - 1, 3]])
+    def test_total_beyond_int64_rejected(self, batches):
+        T = len(batches)
+        with pytest.raises(InvalidScheduleError, match="total batch size"):
+            Schedule(batches, (0.1,) * T, (1.0,) * T)
+
+    def test_large_batch_sizes_stay_exact(self):
+        for batches in ([2**53 + 1, 3], [2**53 + 1, 3.0], (2**63 - 4, 3),
+                        np.array([2**62 + 1, 3], dtype=np.uint64)):
+            sched = Schedule(batches, (0.1, 0.1), (1.0, 1.0))
+            assert sched.batch_sizes.tolist() == [int(b) for b in batches]
+            assert sched.total_samples() == sum(int(b) for b in batches)
+
     def test_constant(self):
         sched = Schedule.constant(4, 3, 0.5, 2.0)
         assert sched == Schedule((3,) * 4, (0.5,) * 4, (2.0,) * 4)
