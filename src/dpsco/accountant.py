@@ -102,6 +102,23 @@ def gaussian_renyi(shift: float, sigma: float, alpha: float) -> float:
     return alpha * shift * shift / (2.0 * sigma * sigma)
 
 
+def _worst_term(eta: np.ndarray, products: np.ndarray, batches: np.ndarray) -> float | None:
+    """max_t eta_t / (B_t * sqrt(sum_{s >= t} products_s^2)), in the buffer
+    ``products``: the suffix sums are accumulated back-to-front in place, then
+    each step's term is taken in place. None if the sums overflow."""
+    np.square(products, out=products)
+    backward = products[::-1]
+    np.cumsum(backward, out=backward)
+    if not math.isfinite(products[0]):  # the largest suffix sum
+        return None
+    np.sqrt(products, out=products)
+    products *= batches
+    # eta_t > 0 over a zero suffix gives inf; a zero step gives 0, or NaN
+    # (0 / 0), which fmax skips
+    np.divide(eta, products, out=products)
+    return float(np.fmax.reduce(products, initial=0.0))
+
+
 def pai_rho(schedule: Schedule, lipschitz: float) -> PrivacyBudget:
     """Privacy of projected noisy SGD under amplification by iteration.
 
@@ -111,22 +128,26 @@ def pai_rho(schedule: Schedule, lipschitz: float) -> PrivacyBudget:
         rho = 2 L * max_t { eta_t / (B_t * sqrt(sum_{s >= t} eta_s^2 sigma_s^2)) },
 
     provided every eta_t <= 2 / beta (the optimizer's responsibility, checked
-    there). One pass: the suffix sums are accumulated back-to-front, and each
-    step's term is taken in place. A zero step contributes nothing, whatever
-    the later noise; a zero noise suffix under a nonzero step makes the budget
-    infinite.
+    there). A zero step contributes nothing, whatever the later noise; a zero
+    noise suffix under a nonzero step makes the budget infinite.
+
+    If the sums overflow float64, they are taken again over
+    eta_t sigma_t / (max eta * m), where m makes the largest 1, and the
+    terms are divided back. A product that underflows there only shrinks a
+    denominator, so the budget can only grow.
     """
     if lipschitz < 0:
         raise ValueError("lipschitz must be nonnegative")
     eta, sigma, batches = schedule.step_sizes, schedule.noise_scales, schedule.batch_sizes
-    terms = np.cumsum(((eta * sigma) ** 2)[::-1])[::-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.sqrt(terms, out=terms)
-        terms *= batches
-        # eta_t > 0 over a zero suffix gives inf; a zero step gives 0, or NaN
-        # (0 / 0), which fmax skips
-        np.divide(eta, terms, out=terms)
-    worst = float(np.fmax.reduce(terms, initial=0.0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        worst = _worst_term(eta, np.multiply(eta, sigma), batches)
+        if worst is None:
+            eta_max = float(eta.max())
+            products = eta / eta_max
+            products *= sigma
+            top = float(products.max())
+            products /= top
+            worst = _worst_term(eta, products, batches) / eta_max / top
     if worst == 0.0 or worst == math.inf:  # L does not enter; abs turns -0.0 into 0.0
         return PrivacyBudget(abs(worst))
     return PrivacyBudget(2.0 * lipschitz * worst)

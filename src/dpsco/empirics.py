@@ -24,6 +24,7 @@ from .schedules import (
     Schedule,
     constant_step,
     jnn_steps,
+    snowball_runs,
 )
 
 SWEEP_CSV_COLUMNS = ("n", "d", "rho", "algorithm", "trials", "mean", "std_err", "bound", "ratio")
@@ -64,19 +65,30 @@ def _snowball_plan(n: int, d: int, rho: float, multiplier: float) -> np.ndarray:
     n samples, equal to ``snowball_batches(T, d, rho, multiplier)`` for that T.
 
     B_t depends only on r = T - t + 1, so a schedule's total is a prefix sum of
-    c_r = ceil(multiplier * sqrt(d / r) / rho), computed here with the same
-    float expression as ``snowball_batches``; T is where that sum passes n.
+    c_r, which ``snowball_runs`` gives as a head and runs of equal values;
+    T is where that sum passes n.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if not rho > 0:
         raise ValueError("rho must be positive")
-    r = np.arange(1, n + 1, dtype=np.float64)
-    c = np.ceil(multiplier * np.sqrt(d / r) / rho).astype(np.int64)
-    T = int(np.searchsorted(np.cumsum(c), n, side="right"))
+    head, values, ends = snowball_runs(n, d, rho, multiplier)
+    h = len(head)
+    starts = np.concatenate(([h], ends[:-1]))
+    # the total after each head entry, then after each whole run
+    totals = np.cumsum(np.concatenate((head, values * (ends - starts))))
+    whole = int(np.searchsorted(totals, n, side="right"))
+    if whole < h:
+        T = whole
+    elif whole == totals.size:
+        T = n
+    else:  # run j is funded in part: as many steps as its value divides the rest
+        j = whole - h
+        T = int(starts[j]) + (n - int(totals[whole - 1])) // int(values[j])
     if T == 0:
         raise ValueError(f"n = {n} cannot fund even one step at d = {d}, rho = {rho}")
-    return c[T - 1::-1]
+    counts = np.clip(np.minimum(ends, T) - starts, 0, None)
+    return np.concatenate((head[:T], np.repeat(values, counts)))[::-1]
 
 
 @dataclass(frozen=True)

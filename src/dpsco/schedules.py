@@ -27,9 +27,35 @@ class InvalidScheduleError(ValueError):
 _INT64_MAX = 2**63 - 1
 
 
+def _constant_entry(values, kind: type):
+    """The first entry of a list or tuple whose entries all equal it, when
+    that entry has exactly type ``kind``; otherwise None.
+
+    Equality alone also admits 1 == 1.0 == True == 1+0j and a one-element
+    array; the sum keeps type ``kind`` only if every entry is an int or float
+    (a bool counts as an int), so anything else takes the general conversion.
+    """
+    if type(values) not in (list, tuple) or not values or type(values[0]) is not kind:
+        return None
+    first = values[0]
+    try:
+        if (values[-1] != first or values.count(first) != len(values)
+                or type(sum(values)) is not kind):
+            return None
+    except (TypeError, ValueError, ArithmeticError):  # e.g. an ndarray entry
+        return None
+    return first
+
+
 def _float_vector(values, name: str) -> tuple[np.ndarray, float]:
     """A fresh, finite float64 vector holding ``values`` (any sequence or
-    array), with its smallest entry (0.0 when empty)."""
+    array), with its smallest entry (0.0 when empty). A list or tuple of one
+    repeated float is filled without reading every entry's value."""
+    first = _constant_entry(values, float)
+    if first is not None:
+        if not math.isfinite(first):
+            raise InvalidScheduleError(f"{name} must be finite")
+        return np.full(len(values), first), first
     try:
         if isinstance(values, np.ndarray):
             arr = values.astype(np.float64)
@@ -62,6 +88,9 @@ def _batch_vector(values) -> np.ndarray:
         if arr.ndim != 1:
             raise InvalidScheduleError("batch sizes must be one-dimensional")
         return arr
+    first = _constant_entry(values, int)
+    if first is not None and 1 <= first <= _INT64_MAX:
+        return np.full(len(values), first, dtype=np.int64)
     if isinstance(values, (list, tuple, range)):
         try:
             return np.array(array.array("q", values))
@@ -150,10 +179,16 @@ class Schedule:
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise InvalidScheduleError("schedule JSON must be an object")
-        try:
-            return cls(obj["B"], obj["eta"], obj["sigma"])
-        except KeyError as exc:
-            raise InvalidScheduleError(f"schedule JSON missing key {exc}") from exc
+        fields = []
+        for key in ("B", "eta", "sigma"):
+            if key not in obj:
+                raise InvalidScheduleError(f"schedule JSON missing key {key!r}")
+            field = obj[key]
+            # numpy would parse "3" and array.array would take true as 1
+            if not (isinstance(field, list) and set(map(type, field)) <= {int, float}):
+                raise InvalidScheduleError(f"schedule JSON {key!r} must be a list of numbers")
+            fields.append(field)
+        return cls(*fields)
 
 
 @dataclass(frozen=True)
@@ -176,19 +211,78 @@ class AveragingWeights:
         return np.asarray(self.weights, dtype=np.float64)
 
 
+# snowball_runs computes every c_r while n is at most _DIRECT_MAX, and past
+# it every c_r before the runs of equal values reach _RUN_MIN steps.
+_DIRECT_MAX = 16384
+_RUN_MIN = 64
+
+
+def snowball_runs(n: int, d: int, rho: float,
+                  multiplier: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c_r = ceil(multiplier * sqrt(d / r) / rho) for r = 1..n, the batch size
+    of a snowball step with r steps left, at the cost of its distinct values.
+
+    Returns ``(head, values, ends)``: ``head`` holds c_1..c_h (int64), and
+    past it c_r = values[j] for ends[j-1] < r <= ends[j], where ends[-1] = h
+    before the first run and the last run ends at n. Every float operation in
+    c_r is monotone, so c_r is non-increasing in r. The head is where c_r
+    falls fast, r <= (_RUN_MIN * c_1 / 2)^(2/3); there every c_r is computed.
+    Past it each run's last r is found by a vectorized bisection on the same
+    expression, so the work is O(h + runs * log n) rather than O(n).
+    """
+
+    def raw(r):
+        return multiplier * np.sqrt(d / r) / rho
+
+    h = n
+    if n > _DIRECT_MAX:
+        scale = float(np.ceil(raw(np.ones(1)))[0])
+        if 0.0 < scale < math.inf:
+            h = min(n, math.ceil((_RUN_MIN * scale / 2.0) ** (2.0 / 3.0)))
+    head = np.ceil(raw(np.arange(1, h + 1, dtype=np.float64))).astype(np.int64)
+    if h == n:
+        return head, np.empty(0, np.int64), np.empty(0, np.int64)
+    top, low = np.ceil(raw(np.array([h + 1.0, float(n)])))
+    # for each value k in (c_n, c_{h+1}], the last r > h with c_r >= k,
+    # that is with raw(r) > k - 1
+    below = np.arange(top - 1.0, low - 1.0, -1.0)
+    last = np.full(below.shape, h + 1.0)
+    past = np.full(below.shape, n + 1.0)  # c_past < k
+    for _ in range(int(n - h).bit_length() if below.size else 0):
+        mid = np.floor((last + past) / 2.0)
+        above = raw(mid) > below
+        last = np.where(above, mid, last)
+        past = np.where(above, past, mid)
+    # a value that c_r skips gets an empty run
+    return (head, np.arange(int(top), int(low) - 1, -1, dtype=np.int64),
+            np.append(last.astype(np.int64), n))
+
+
 def snowball_batches(T: int, d: int, rho: float, multiplier: float = MULTIPLIER_SZ) -> list[int]:
     """Growing batch sizes B_t = ceil(multiplier * sqrt(d / (T - t + 1)) / rho).
 
     The schedule equalizes per-example privacy under amplification by
     iteration; the total satisfies sum B_t <= T + 2 * multiplier * sqrt(dT) / rho.
+    B_t is c_r of :func:`snowball_runs` at r = T - t + 1. The list is filled
+    with the longest run's value; every other run, and the head, then
+    overwrites its part with one slice assignment.
     """
     if T < 1 or d < 1:
         raise ValueError("T and d must be >= 1")
     if rho <= 0:
         raise ValueError("rho must be positive")
-    remaining = np.arange(T, 0, -1, dtype=np.float64)  # T - t + 1 for t = 1..T
-    raw = multiplier * np.sqrt(d / remaining) / rho
-    return np.ceil(raw).astype(np.int64).tolist()
+    head, values, ends = snowball_runs(T, d, rho, multiplier)
+    h = len(head)
+    if h == T:
+        return head[::-1].tolist()
+    starts = np.concatenate(([h], ends[:-1]))
+    longest = int(np.argmax(ends - starts))
+    out = [int(values[longest])] * T
+    for j, (value, start, end) in enumerate(zip(values.tolist(), starts.tolist(), ends.tolist())):
+        if j != longest:
+            out[T - end:T - start] = [value] * (end - start)
+    out[T - h:] = head[::-1].tolist()
+    return out
 
 
 def constant_step(T: int, D: float, L_G: float) -> list[float]:

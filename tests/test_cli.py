@@ -189,6 +189,29 @@ class TestAccount:
         # the CLI is a thin adapter: its printed rho is the library's value
         assert rho == pytest.approx(pai_rho(sched, L).rho, rel=1e-12)
 
+    def test_overflowing_noise_sums_give_the_true_rho(self, tmp_path, capsys):
+        # (eta sigma)^2 = 1e400 overflows float64; rho = 2 L eta / (B eta sigma) = 2
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"B": [1], "eta": [1e200], "sigma": [1.0]}))
+        assert run_cli(["account", "--schedule", path, "--lipschitz", 1.0,
+                        "--delta", 1e-5]) == 0
+        out = capsys.readouterr()
+        assert out.out.splitlines()[0] == "rho: 2"
+        assert out.err == ""
+
+    @pytest.mark.parametrize("text", [
+        '{"B": ["3"], "eta": ["0.5"], "sigma": ["1"]}',
+        '{"B": [true], "eta": [0.5], "sigma": [1.0]}',
+    ], ids=["strings", "boolean"])
+    def test_non_numeric_entries_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run_cli(["account", "--schedule", path, "--lipschitz", 1.0,
+                        "--delta", 1e-5]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "must be a list of numbers" in out.err
+
     def test_bad_schedule_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"B": [1]}')

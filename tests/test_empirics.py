@@ -54,6 +54,16 @@ def oracle_largest_feasible_steps(n, d, rho, multiplier):
     return lo
 
 
+def oracle_snowball_plan(n, d, rho, multiplier):
+    """The prefix-sum plan over every c_r, r = 1..n, before runs."""
+    r = np.arange(1, n + 1, dtype=np.float64)
+    c = np.ceil(multiplier * np.sqrt(d / r) / rho).astype(np.int64)
+    T = int(np.searchsorted(np.cumsum(c), n, side="right"))
+    if T == 0:
+        raise ValueError(f"n = {n} cannot fund even one step at d = {d}, rho = {rho}")
+    return c[T - 1::-1]
+
+
 class TestSweepPlumbing:
     def test_snowball_plan_is_tight(self):
         for n in (16, 100, 1000):
@@ -79,6 +89,22 @@ class TestSweepPlumbing:
         batches = _snowball_plan(n, d, rho, multiplier)
         assert batches.dtype == np.int64
         np.testing.assert_array_equal(batches, snowball_batches(T, d, rho, multiplier))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.floats(0.0, math.log10(2e5)).map(lambda x: max(1, round(10.0 ** x))),
+           d=st.integers(1, 10**6), rho=st.floats(1e-3, 1e2),
+           multiplier=st.sampled_from((MULTIPLIER_SZ, MULTIPLIER_JNN)))
+    def test_snowball_plan_equals_prefix_sum_over_every_step(self, n, d, rho, multiplier):
+        try:
+            want = oracle_snowball_plan(n, d, rho, multiplier)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match="cannot fund") as got:
+                _snowball_plan(n, d, rho, multiplier)
+            assert str(got.value) == str(exc)
+            return
+        got = _snowball_plan(n, d, rho, multiplier)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
 
     def test_snowball_plan_at_scale(self):
         # n = 2^20 at d = 16: the binary search's largest case, T = 1 048 484

@@ -1,9 +1,11 @@
 """The schedule layer against its float64 predecessors, kept here as oracles.
 
-`Schedule` converts batch sizes straight to int64, `pai_rho` takes one
-mask-free pass and `jnn_steps` builds its list band by band. The earlier
-implementations below (float64 round trip, boolean masks, ``np.repeat``) give
-the same arrays, the same rho and the same lists wherever they were exact.
+`Schedule` converts batch sizes straight to int64 and a repeated entry in
+O(1) numpy work, `pai_rho` takes one mask-free pass in place, and
+`jnn_steps` and `snowball_batches` build their lists run by run. The earlier
+implementations below (float64 round trip, boolean masks, ``np.repeat``, the
+float expression at every step) give the same arrays, the same rho and the
+same lists wherever they were exact.
 """
 
 import json
@@ -15,7 +17,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpsco.accountant import pai_rho
-from dpsco.schedules import InvalidScheduleError, Schedule, jnn_steps
+from dpsco.schedules import (
+    MULTIPLIER_JNN,
+    MULTIPLIER_SZ,
+    InvalidScheduleError,
+    Schedule,
+    jnn_steps,
+    snowball_batches,
+)
 
 PROPERTY_SETTINGS = settings(deadline=None, max_examples=150)
 
@@ -67,6 +76,13 @@ def oracle_pai_rho(schedule: Schedule, lipschitz: float) -> float:
         return math.inf
     terms = eta[active] / (batches[active] * np.sqrt(suffix[active]))
     return 2.0 * lipschitz * float(np.max(terms))
+
+
+def oracle_snowball_batches(T: int, d: int, rho: float, multiplier: float) -> list[int]:
+    """The float expression at every one of the T steps."""
+    remaining = np.arange(T, 0, -1, dtype=np.float64)  # T - t + 1 for t = 1..T
+    raw = multiplier * np.sqrt(d / remaining) / rho
+    return np.ceil(raw).astype(np.int64).tolist()
 
 
 def oracle_jnn_steps(T: int, c: float) -> list[float]:
@@ -209,3 +225,141 @@ def test_jnn_steps_equal_repeat_oracle(T, c):
     got = jnn_steps(T, c)
     assert type(got) is list and all(type(s) is float for s in got[:2] + got[-2:])
     assert got == oracle_jnn_steps(T, c)
+
+
+# T log-uniform up to 2 * 10^5: about a fifth of the draws pass 16384 and
+# take the run-by-run path, the rest compute every step
+snowball_steps = st.floats(0.0, math.log10(2e5)).map(lambda x: max(1, round(10.0 ** x)))
+
+
+@PROPERTY_SETTINGS
+@given(snowball_steps, st.integers(1, 10**6), st.floats(1e-3, 1e2),
+       st.one_of(st.sampled_from((MULTIPLIER_SZ, MULTIPLIER_JNN)), st.floats(1e-2, 1e2)))
+def test_snowball_batches_equal_float_expression(T, d, rho, multiplier):
+    got = snowball_batches(T, d, rho, multiplier)
+    assert type(got) is list and all(type(b) is int for b in got[:2] + got[-2:])
+    assert got == oracle_snowball_batches(T, d, rho, multiplier)
+
+
+@pytest.mark.parametrize("T, d, rho, multiplier", [
+    (10, 10**6, 1e-3, MULTIPLIER_SZ),  # multiplier * sqrt(d) / rho = 2e6 >> T
+    (2 * 10**5, 10**6, 1e-3, MULTIPLIER_SZ),  # hundreds of short runs past the head
+    (2 * 10**5, 1, 1e2, MULTIPLIER_JNN),  # one run of ones
+    (2 * 10**5, 256, 0.25, MULTIPLIER_JNN),
+    (16385, 16, 1.0, MULTIPLIER_SZ),  # one step past the directly computed sizes
+])
+def test_snowball_batches_equal_float_expression_at_scale(T, d, rho, multiplier):
+    assert snowball_batches(T, d, rho, multiplier) == oracle_snowball_batches(
+        T, d, rho, multiplier)
+
+
+# Entries a repeated field can hold besides its own value: each either equals
+# the value (and must convert like it) or must be refused like the oracle.
+def _intruders(value):
+    out = [float(value), np.float64(value), str(value), complex(value, 0.0),
+           complex(value, 1.0), np.array([value]), np.array([value, value]), value + 1]
+    if math.isfinite(value) and value == int(value):
+        out.append(int(value))
+        if abs(value) < 2**63:
+            out.append(np.int64(int(value)))
+        if value in (0, 1):
+            out.append(bool(value))
+    return out
+
+
+def _outcome(build):
+    """The arrays ``build`` returns, or the message of its refusal."""
+    try:
+        got = build()
+    except InvalidScheduleError as exc:
+        return str(exc)
+    if isinstance(got, Schedule):
+        got = (got.batch_sizes, got.step_sizes, got.noise_scales)
+    return tuple((arr.dtype, arr.tolist()) for arr in got)
+
+
+CONSTANT_FIELDS = {
+    "identical": lambda value, T: [value] * T,
+    "identical tuple": lambda value, T: (value,) * T,
+    "JSON-loaded": lambda value, T: json.loads(json.dumps([value] * T)),
+}
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.integers(1, 30), st.integers(0, 2),
+       st.one_of(st.floats(), st.sampled_from((0.0, -0.0, 1.0, 2.0, -1.0))),
+       st.sampled_from(sorted(CONSTANT_FIELDS)), st.data())
+def test_repeated_float_field_matches_float_round_trip(T, field, value, container, data):
+    """A repeated float in any field, alone or with one other entry anywhere:
+    the same arrays or the same refusal as the float64 round trip."""
+    # as batch sizes the oracle is exact below 2^53
+    assume(field != 0 or not (math.isfinite(value) and abs(value) >= 2**53))
+    lists = [[3] * T, [0.5] * T, [1.0] * T]
+    lists[field] = CONSTANT_FIELDS[container](value, T)
+    if data.draw(st.booleans(), label="intrude"):
+        lists[field] = list(lists[field])
+        at = data.draw(st.integers(0, T - 1), label="at")
+        lists[field][at] = data.draw(st.sampled_from(_intruders(value)), label="intruder")
+    assert _outcome(lambda: Schedule(*lists)) == _outcome(lambda: oracle_schedule_arrays(*lists))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 30), st.integers(-3, 2**53 - 2), st.sampled_from(sorted(CONSTANT_FIELDS)),
+       st.data())
+def test_repeated_batch_size_matches_float_round_trip(T, value, container, data):
+    """A repeated int batch size, alone or with one other entry anywhere."""
+    batches = CONSTANT_FIELDS[container](value, T)
+    if data.draw(st.booleans(), label="intrude"):
+        batches = list(batches)
+        batches[data.draw(st.integers(0, T - 1), label="at")] = data.draw(
+            st.sampled_from(_intruders(float(value))[:-1] + [value + 1]), label="intruder")
+    lists = [batches, [0.5] * T, [1.0] * T]
+    assert _outcome(lambda: Schedule(*lists)) == _outcome(lambda: oracle_schedule_arrays(*lists))
+
+
+def test_repeated_field_refusals():
+    T = 4
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidScheduleError, match="step sizes must be finite"):
+            Schedule([1] * T, [bad] * T, [1.0] * T)
+    with pytest.raises(InvalidScheduleError, match="noise scales must be nonnegative"):
+        Schedule([1] * T, [0.5] * T, [-1.0] * T)
+    for bad in (0, -2):
+        with pytest.raises(InvalidScheduleError, match="batch sizes must be >= 1"):
+            Schedule([bad] * T, [0.5] * T, [1.0] * T)
+    # equal to 0.5 under ==, but not a real number, or not a scalar
+    for bad in (complex(0.5, 0.0), np.array([0.5]), np.array([0.5, 0.5])):
+        with pytest.raises(InvalidScheduleError, match="step sizes must be a sequence"):
+            Schedule([1] * T, [0.5] * (T - 1) + [bad], [1.0] * T)
+        with pytest.raises(InvalidScheduleError, match="step sizes must be a sequence"):
+            Schedule([1] * T, [0.5, bad] + [0.5] * (T - 2), [1.0] * T)
+
+
+@pytest.mark.parametrize("T", [1, 3, 1000])
+def test_power_of_two_step_scaling_leaves_rho_unchanged(T):
+    """rho is invariant under eta -> 2^k eta; past 2^500 the squared products
+    overflow float64 and the rescaled pass takes over."""
+    rng = np.random.default_rng(T)
+    batches = rng.integers(1, 50, T)
+    eta, sigma = rng.uniform(0.01, 1.0, T), rng.uniform(0.01, 5.0, T)
+    want = pai_rho(Schedule(batches, eta, sigma), 1.5).rho
+    assert 0.0 < want < math.inf
+    for k in (-300, 300):
+        assert pai_rho(Schedule(batches, eta * 2.0**k, sigma), 1.5).rho == want
+    for k in (520, 900):
+        assert pai_rho(Schedule(batches, eta * 2.0**k, sigma), 1.5).rho == pytest.approx(
+            want, rel=1e-13)
+        assert pai_rho(Schedule(batches, eta, sigma * 2.0**k), 1.5).rho == pytest.approx(
+            want * 2.0**-k, rel=1e-13)
+
+
+def test_overflowing_sums_give_the_true_rho():
+    # (eta sigma)^2 = 1e400 overflows; rho = 2 L eta / (B eta sigma) = 2 exactly
+    assert pai_rho(Schedule([1], [1e200], [1.0]), 1.0).rho == 2.0
+    # eta sigma itself overflows: rho = 2 L / (B sigma) at the last step
+    assert pai_rho(Schedule([2, 2], [1e300, 1e300], [1e300, 1e300]), 1.0).rho == 1e-300
+    # a product that underflows after rescaling only raises rho: the last step
+    # (rho = 2e200 exactly) ends up over a zero sum
+    assert pai_rho(Schedule([1, 1], [1e200, 1e-200], [1.0, 1e-200]), 1.0).is_infinite
+    # a zero step stays free on the rescaled pass
+    assert pai_rho(Schedule([1, 3], [1e200, 0.0], [1.0, 1e300]), 1.0).rho == 2.0

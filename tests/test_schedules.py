@@ -66,6 +66,20 @@ class TestSchedule:
         with pytest.raises(InvalidScheduleError):
             Schedule.from_json("[1, 2]")
 
+    @pytest.mark.parametrize("text", [
+        '{"B": ["3"], "eta": ["0.5"], "sigma": ["1"]}',
+        '{"B": [true], "eta": [0.5], "sigma": [1.0]}',
+        '{"B": [1, 2], "eta": [0.5, false], "sigma": [1.0, 1.0]}',
+        '{"B": [1], "eta": [0.5], "sigma": [null]}',
+        '{"B": [[1]], "eta": [0.5], "sigma": [1.0]}',
+        '{"B": "12", "eta": [0.5, 0.5], "sigma": [1.0, 1.0]}',
+        '{"B": 1, "eta": [0.5], "sigma": [1.0]}',
+    ], ids=["strings", "true batch", "false step", "null noise", "nested list",
+            "string field", "number field"])
+    def test_json_entries_must_be_numbers(self, text):
+        with pytest.raises(InvalidScheduleError, match="must be a list of numbers"):
+            Schedule.from_json(text)
+
     def test_any_sequence_gives_equal_schedules(self):
         want = Schedule((1, 2, 3), (0.5, 0.25, 0.125), (1.0, 1.0, 0.0))
         assert Schedule([1, 2, 3], [0.5, 0.25, 0.125], [1.0, 1.0, 0.0]) == want
