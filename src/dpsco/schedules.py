@@ -7,8 +7,10 @@ optimizers consume schedules without modifying them.
 from __future__ import annotations
 
 import array
+import bisect
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,35 +29,54 @@ class InvalidScheduleError(ValueError):
 _INT64_MAX = 2**63 - 1
 
 
-def _constant_entry(values, kind: type):
-    """The first entry of a list or tuple whose entries all equal it, when
-    that entry has exactly type ``kind``; otherwise None.
+# A list or tuple is converted run by run up to 1 + len / _RUN_STRIDE runs, and
+# each run's slice is counted in windows of at most _COUNT_WINDOW entries.
+_RUN_STRIDE = 64
+_COUNT_WINDOW = 1 << 16
 
-    Equality alone also admits 1 == 1.0 == True == 1+0j and a one-element
-    array; the sum keeps type ``kind`` only if every entry is an int or float
-    (a bool counts as an int), so anything else takes the general conversion.
+
+def _run_vector(values, kind: type) -> np.ndarray | None:
+    """A fresh float64 (``kind`` float) or int64 (int) vector holding a list
+    or tuple that starts with a ``kind`` entry, built run by run; None when
+    the general conversion must decide. Bisection (on negated entries if the
+    field descends) finds each run's end and a ``count`` of its slice proves
+    the run. ``==`` also admits 1 + 0j and arrays, so the sum must keep type
+    ``kind``: every entry is then an int or a float (or a bool). A run of
+    zeros is copied entry by entry, since 0.0 == -0.0.
     """
     if type(values) not in (list, tuple) or not values or type(values[0]) is not kind:
         return None
-    first = values[0]
+    n, runs, ends = len(values), [], [0]
     try:
-        if (values[-1] != first or values.count(first) != len(values)
-                or type(sum(values)) is not kind):
+        key = operator.neg if values[-1] < values[0] else None
+        while ends[-1] < n and len(runs) <= n // _RUN_STRIDE:
+            start, value = ends[-1], values[ends[-1]]
+            end = bisect.bisect_right(values, -value if key else value, start, n, key=key)
+            for lo in range(start, end, _COUNT_WINDOW):
+                window = values[lo:min(lo + _COUNT_WINDOW, end)]
+                if window.count(value) != len(window):
+                    return None
+            runs.append(value)
+            ends.append(end)
+        run_values = np.array(runs, dtype=np.float64 if kind is float else np.int64)
+        if ends[-1] < n or not np.isfinite(run_values).all() or type(sum(values)) is not kind:
             return None
-    except (TypeError, ValueError, ArithmeticError):  # e.g. an ndarray entry
+    except (TypeError, ValueError, ArithmeticError):  # e.g. an array entry, an int past int64
         return None
-    return first
+    arr = np.repeat(run_values, np.diff(ends))
+    for value, start, end in zip(runs, ends, ends[1:]):
+        if value == 0:
+            arr[start:end] = values[start:end]
+    return arr
 
 
 def _float_vector(values, name: str) -> tuple[np.ndarray, float]:
     """A fresh, finite float64 vector holding ``values`` (any sequence or
-    array), with its smallest entry (0.0 when empty). A list or tuple of one
-    repeated float is filled without reading every entry's value."""
-    first = _constant_entry(values, float)
-    if first is not None:
-        if not math.isfinite(first):
-            raise InvalidScheduleError(f"{name} must be finite")
-        return np.full(len(values), first), first
+    array), with its smallest entry (0.0 when empty). A list or tuple of
+    floats in few runs is converted at the cost of its runs."""
+    arr = _run_vector(values, float)
+    if arr is not None:
+        return arr, float(arr.min())
     try:
         if isinstance(values, np.ndarray):
             arr = values.astype(np.float64)
@@ -88,9 +109,9 @@ def _batch_vector(values) -> np.ndarray:
         if arr.ndim != 1:
             raise InvalidScheduleError("batch sizes must be one-dimensional")
         return arr
-    first = _constant_entry(values, int)
-    if first is not None and 1 <= first <= _INT64_MAX:
-        return np.full(len(values), first, dtype=np.int64)
+    arr = _run_vector(values, int)
+    if arr is not None:
+        return arr
     if isinstance(values, (list, tuple, range)):
         try:
             return np.array(array.array("q", values))
@@ -269,8 +290,10 @@ def snowball_batches(T: int, d: int, rho: float, multiplier: float = MULTIPLIER_
     """
     if T < 1 or d < 1:
         raise ValueError("T and d must be >= 1")
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("rho must be positive")
+    if not multiplier > 0:
+        raise ValueError("multiplier must be positive")
     head, values, ends = snowball_runs(T, d, rho, multiplier)
     h = len(head)
     if h == T:

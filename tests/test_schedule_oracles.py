@@ -1,21 +1,25 @@
 """The schedule layer against its float64 predecessors, kept here as oracles.
 
-`Schedule` converts batch sizes straight to int64 and a repeated entry in
-O(1) numpy work, `pai_rho` takes one mask-free pass in place, and
-`jnn_steps` and `snowball_batches` build their lists run by run. The earlier
-implementations below (float64 round trip, boolean masks, ``np.repeat``, the
-float expression at every step) give the same arrays, the same rho and the
-same lists wherever they were exact.
+`Schedule` converts batch sizes straight to int64 and a list or tuple in few
+runs of equal entries at the cost of its runs, `pai_rho` takes one mask-free
+pass in place, and `jnn_steps` and `snowball_batches` build their lists run
+by run. The earlier implementations below (float64 round trip, boolean
+masks, ``np.repeat``, the float expression at every step) give the same
+arrays, the same rho and the same lists wherever they were exact.
 """
 
+import array
+import bisect
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dpsco import schedules
 from dpsco.accountant import pai_rho
 from dpsco.schedules import (
     MULTIPLIER_JNN,
@@ -114,7 +118,7 @@ def _assert_same_schedule(sched, want):
     for name, arr in zip(("batch_sizes", "step_sizes", "noise_scales"), want):
         got = getattr(sched, name)
         assert got.dtype == arr.dtype
-        assert np.array_equal(got, arr)
+        assert got.tobytes() == arr.tobytes()  # the sign of zero too
         assert not got.flags.writeable
         assert got.base is None
 
@@ -264,6 +268,8 @@ def _intruders(value):
             out.append(np.int64(int(value)))
         if value in (0, 1):
             out.append(bool(value))
+    if value == 0:
+        out.append(-value)  # equal, but its sign bit must survive
     return out
 
 
@@ -275,7 +281,7 @@ def _outcome(build):
         return str(exc)
     if isinstance(got, Schedule):
         got = (got.batch_sizes, got.step_sizes, got.noise_scales)
-    return tuple((arr.dtype, arr.tolist()) for arr in got)
+    return tuple((arr.dtype, arr.tobytes()) for arr in got)
 
 
 CONSTANT_FIELDS = {
@@ -333,6 +339,119 @@ def test_repeated_field_refusals():
             Schedule([1] * T, [0.5] * (T - 1) + [bad], [1.0] * T)
         with pytest.raises(InvalidScheduleError, match="step sizes must be a sequence"):
             Schedule([1] * T, [0.5, bad] + [0.5] * (T - 2), [1.0] * T)
+
+
+@st.composite
+def run_fields(draw, values):
+    """Entries from ``values`` in runs, ascending, descending or unsorted:
+    either a few runs long enough to convert run by run, or many short
+    runs past the cap of one run per 64 entries."""
+    if draw(st.booleans(), label="short runs"):
+        k, lengths = draw(st.integers(2, 80)), st.integers(1, 3)
+    else:
+        k, lengths = draw(st.integers(1, 6)), st.integers(1, 300)
+    run_values = draw(st.lists(values, min_size=k, max_size=k))
+    order = draw(st.sampled_from(("ascending", "descending", "unsorted")))
+    if order != "unsorted":
+        run_values.sort(reverse=order == "descending")
+    return [value for value in run_values for _ in range(draw(lengths))]
+
+
+RUN_CONTAINERS = {
+    "list": list,
+    "tuple": tuple,
+    "JSON-loaded": lambda field: json.loads(json.dumps(field)),
+}
+
+
+def _intrude(field, data):
+    """``field`` with one entry replaced by one of its ``_intruders``."""
+    out = list(field)
+    at = data.draw(st.integers(0, len(out) - 1), label="at")
+    out[at] = data.draw(st.sampled_from(_intruders(float(out[at]))), label="intruder")
+    return type(field)(out)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.integers(0, 2),
+       run_fields(st.one_of(st.floats(), st.sampled_from((0.0, -0.0, 0.5, 1.0, 2.0, -1.0)),
+                            st.booleans(), st.integers(-2, 3))),
+       st.sampled_from(sorted(RUN_CONTAINERS)), st.booleans(), st.data())
+def test_run_built_float_field_matches_float_round_trip(field, entries, container, intrude,
+                                                        data):
+    """A field of runs, with or without one other entry anywhere: the same
+    arrays, bit for bit, or the same refusal as the float64 round trip."""
+    # as batch sizes the oracle is exact below 2^53
+    assume(field != 0 or all(not math.isfinite(v) or abs(v) < 2**53 for v in entries))
+    T = len(entries)
+    lists = [[3] * T, [0.5] * T, [1.0] * T]
+    lists[field] = RUN_CONTAINERS[container](entries)
+    if intrude:
+        lists[field] = _intrude(lists[field], data)
+    assert _outcome(lambda: Schedule(*lists)) == _outcome(lambda: oracle_schedule_arrays(*lists))
+
+
+@settings(deadline=None, max_examples=300)
+@given(run_fields(st.one_of(st.integers(-3, 2**53 - 2), st.booleans())),
+       st.sampled_from(sorted(RUN_CONTAINERS)), st.booleans(), st.data())
+def test_run_built_batch_sizes_match_float_round_trip(entries, container, intrude, data):
+    batches = RUN_CONTAINERS[container](entries)
+    if intrude:
+        batches = _intrude(batches, data)
+    T = len(batches)
+    lists = [batches, [0.5] * T, [1.0] * T]
+    assert _outcome(lambda: Schedule(*lists)) == _outcome(lambda: oracle_schedule_arrays(*lists))
+
+
+def _exact_oracle(batches, eta, sigma):
+    """Python int batch sizes taken exactly, as `Schedule` promises up to 2^63 - 1."""
+    if min(batches) < 1:
+        raise InvalidScheduleError("batch sizes must be >= 1")
+    if max(batches) > 2**63 - 1:
+        raise InvalidScheduleError("batch sizes must fit in int64")
+    if sum(batches) > 2**63 - 1:
+        raise InvalidScheduleError("total batch size must fit in int64")
+    return np.array(batches, dtype=np.int64), np.array(eta), np.array(sigma)
+
+
+@settings(deadline=None, max_examples=200)
+@given(run_fields(st.integers(2**53 - 2, 2**64)), st.sampled_from(sorted(RUN_CONTAINERS)))
+def test_run_built_batch_sizes_beyond_float64_stay_exact(entries, container):
+    T = len(entries)
+    lists = [RUN_CONTAINERS[container](entries), [0.5] * T, [1.0] * T]
+    assert _outcome(lambda: Schedule(*lists)) == _outcome(lambda: _exact_oracle(*lists))
+
+
+def _counting(calls, fn):
+    def wrapped(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def test_run_built_fields_skip_the_entrywise_conversion(monkeypatch):
+    """The accounting fields at T = 10^6 never reach array.array or
+    np.fromiter; a strictly increasing field gives up after the cap's
+    bisections and takes them."""
+    T = 10**6
+    run_built = (tuple(snowball_batches(T, 256, 0.25, MULTIPLIER_JNN)), tuple(jnn_steps(T, 1.0)),
+                 (0.75,) * T)
+    calls = []
+    monkeypatch.setattr(schedules, "array", SimpleNamespace(array=_counting(calls, array.array)))
+    monkeypatch.setattr(np, "fromiter", _counting(calls, np.fromiter))
+    monkeypatch.setattr(bisect, "bisect_right", _counting(calls, bisect.bisect_right))
+    sched = Schedule(*run_built)
+    assert "array" not in calls and "fromiter" not in calls
+    assert 3 <= calls.count("bisect_right") <= 3 * (1 + T // 64)
+    calls.clear()
+    T = 10**5
+    fields = (tuple(range(1, T + 1)), tuple(np.linspace(0.5, 1.0, T).tolist()), (0.75,) * T)
+    increasing = Schedule(*fields)
+    assert calls.count("array") == 1 and calls.count("fromiter") == 1
+    assert calls.count("bisect_right") <= 2 * (1 + T // 64) + 1
+    monkeypatch.undo()
+    _assert_same_schedule(increasing, oracle_schedule_arrays(*fields))
+    _assert_same_schedule(sched, oracle_schedule_arrays(*run_built))
 
 
 @pytest.mark.parametrize("T", [1, 3, 1000])

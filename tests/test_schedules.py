@@ -158,6 +158,18 @@ class TestSnowballBatches:
                     total = sum(snowball_batches(T, d, rho, multiplier))
                     assert total <= T + 2.0 * multiplier * math.sqrt(d * T) / rho
 
+    @pytest.mark.parametrize("rho, multiplier, message", [
+        (math.nan, MULTIPLIER_SZ, "rho must be positive"),
+        (0.0, MULTIPLIER_SZ, "rho must be positive"),
+        (1.0, math.nan, "multiplier must be positive"),
+        (1.0, 0.0, "multiplier must be positive"),
+        (1.0, -2.0, "multiplier must be positive"),
+    ])
+    def test_nan_or_nonpositive_parameters_rejected(self, rho, multiplier, message):
+        # NaN fails every comparison, so it once cast to int64 as -2^63
+        with pytest.raises(ValueError, match=message):
+            snowball_batches(3, 4, rho, multiplier)
+
 
 class TestConstantStep:
     def test_hand_value(self):
