@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage or config error, 3 runtime invariant violation
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -244,7 +245,10 @@ def cmd_contraction_check(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``dpsco`` parser, built once: parsing leaves it unchanged (an
+    ``append`` option copies its default list before appending)."""
     parser = argparse.ArgumentParser(
         prog="dpsco",
         description="Differentially private stochastic convex optimization toolkit",

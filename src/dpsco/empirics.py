@@ -70,8 +70,6 @@ def _snowball_plan(n: int, d: int, rho: float, multiplier: float) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if not rho > 0:
-        raise ValueError("rho must be positive")
     head, values, ends = snowball_runs(n, d, rho, multiplier)
     h = len(head)
     starts = np.concatenate(([h], ends[:-1]))

@@ -138,8 +138,8 @@ def _start_point(domain: ConvexDomain, w0) -> np.ndarray:
     return w
 
 
-# Lower bound on P_j = prod_{i<=j} (1 - eta_i) within one chunk for the closed
-# form (log P_j >= -600), so that P_j and pull_i / P_i stay normal floats.
+# Lower bound on P_j = prod_{i<=j} (1 - eta_i) within one closed-form call
+# (log P_j >= -600), so that P_j and pull_i / P_i stay normal floats.
 _PRODUCT_FLOOR = math.exp(-600.0)
 
 
@@ -155,21 +155,24 @@ def _inside(rows, domain, center):
 def _quadratic_chunk(w, eta, pull, domain, center):
     """The unprojected iterates of w_j = (1 - eta_j) w_{j-1} + pull_j (w_0 = w)
     in closed form, w_j = P_j (w + sum_{i<=j} pull_i / P_i) with
-    P_j = prod_{i<=j} (1 - eta_i), as rows cut before the first iterate
-    outside the domain: up to there projection is the identity. P is the
-    cumulative product of the loop's own factors 1 - eta_i (relative error
-    below k ulp however small P gets). Empty when some eta_j lies outside
-    (0, 1), when P_k falls below ``_PRODUCT_FLOOR``, or when the first step
-    already leaves the domain (checked alone first: from an iterate on the
-    boundary it often does)."""
-    if not (eta.min() > 0.0 and eta.max() < 1.0):
+    P_j = prod_{i<=j} (1 - eta_i), as the longest prefix of rows that ends
+    before the first eta_j outside (0, 1), before the first P_j below
+    ``_PRODUCT_FLOOR`` and before the first iterate outside the domain: up to
+    there projection is the identity. P is the cumulative product of the
+    loop's own factors 1 - eta_i (relative error below k ulp however small P
+    gets). The first step is checked alone first: from an iterate on the
+    boundary it often leaves the domain, and the prefix is then empty."""
+    if not (0.0 < eta[0] < 1.0):
         return pull[:0]
     if not _inside(((1.0 - eta[0]) * w + pull[0])[None], domain, center)[0]:
         return pull[:0]
-    p = np.cumprod(1.0 - eta)[:, None]
-    if p[-1, 0] < _PRODUCT_FLOOR:
-        return pull[:0]
-    rows = pull / p
+    valid = (eta > 0.0) & (eta < 1.0)
+    m = len(eta) if valid.all() else int(valid.argmin())
+    p = np.cumprod(1.0 - eta[:m])[:, None]
+    if p[-1, 0] < _PRODUCT_FLOOR:  # P_1 >= 2^-53 never is
+        m = int(np.argmax(p[:, 0] < _PRODUCT_FLOOR))
+        p = p[:m]
+    rows = pull[:m] / p
     rows[0] += w
     np.cumsum(rows, axis=0, out=rows)
     rows *= p
@@ -226,30 +229,42 @@ def _linear_chunk(w, eta, A, b, kick, domain, center):
     return rows if inside.all() else rows[:inside.argmin()]
 
 
+# A chunk spans at most _CHUNK steps and _CHUNK_ENTRIES noise entries
+# (k * d), never fewer than one noise block, and ends on a block boundary;
+# its means, noise kicks and pulls are built at once.
+_CHUNK = 2048
+_CHUNK_ENTRIES = 32768
+
+
 def _sgd_pass(data, loss, domain, w, steps, batches=None, sigmas=None, noise=None,
               weights=None):
     """The one-pass loop of pnsgd, psgd, phased_sgd and sc_weighted_sgd: step t
     takes the next ``batches[t]`` examples (default 1) and sets
     w <- proj(w - eta_t * (mean gradient + sigma_t * xi_t)). Each step consumes
-    one draw of ``noise``, also at sigma_t = 0. Chunks end on the stream's block
-    boundaries, so a chunk's noise is one view of a cached block.
+    one draw of ``noise``, also at sigma_t = 0. The pass walks the schedule in
+    chunks of up to ``_CHUNK`` steps (fewer in high dimension) that end on the
+    stream's 256-draw block boundaries (counted from step 0 without a stream).
 
     Two families have affine gradients, and their steps are taken in closed
-    form up to the first iterate outside the domain; from there the per-step
-    loop, which projects, finishes the (sub-)chunk:
+    form where projection is the identity; the per-step loop, which projects,
+    runs the rest:
 
-    - quadratic: a step is w <- proj((1 - eta_t) w + pull_t), and a whole
-      chunk goes to :func:`_quadratic_chunk`, which declines when some eta_t
-      lies outside (0, 1) or the product of the 1 - eta_t underflows;
-    - linear regression: each sub-chunk of ``_LINEAR_SPAN`` steps goes to
-      :func:`_linear_chunk`, which declines when some eta_t |a_t|^2 lies
-      outside [0, 2]; a sub-chunk with a batch of more than one example is
-      not offered.
+    - quadratic: a step is w <- proj((1 - eta_t) w + pull_t), and the rest of
+      the chunk goes to :func:`_quadratic_chunk`, which takes the longest
+      prefix before an eta_t outside (0, 1), a product of the 1 - eta_t below
+      ``_PRODUCT_FLOOR`` or an iterate outside the domain. After a cut it is
+      offered the rest again at once; when it takes nothing, the loop runs to
+      the next block boundary, and the rest is offered from there;
+    - linear regression: each sub-chunk of ``_LINEAR_SPAN`` steps within a
+      block goes to :func:`_linear_chunk`, which declines when some
+      eta_t |a_t|^2 lies outside [0, 2] and is cut before the first iterate
+      outside the domain; the loop finishes the sub-chunk. A sub-chunk with
+      a batch of more than one example is not offered.
 
-    Both decline when the first step already leaves the domain. The loop
-    runs what they decline and every step of the logistic and
-    absolute-deviation families. Returns the last iterate and
-    sum_t weights_t * w_t (None without weights)."""
+    Both take nothing when the first step already leaves the domain. The
+    loop runs every step of the logistic and absolute-deviation families.
+    Returns the last iterate and sum_t weights_t * w_t (None without
+    weights)."""
     X, Y = data.features, data.targets
     if X.shape[1] != w.shape[0]:
         raise DimensionMismatchError(f"data dimension {X.shape[1]} != iterate {w.shape[0]}")
@@ -259,39 +274,48 @@ def _sgd_pass(data, loss, domain, w, steps, batches=None, sigmas=None, noise=Non
     ball = domain.kind == "ball"
     center = domain.center if ball and domain.center.any() else None
     total = None if weights is None else np.zeros_like(w)
+    phase = 0 if noise is None else noise.index % _NOISE_BLOCK  # step t is draw t + phase
+    cap = max(_NOISE_BLOCK, min(_CHUNK, _CHUNK_ENTRIES // w.shape[0])
+              // _NOISE_BLOCK * _NOISE_BLOCK)
     t = start = 0
     while t < T:
-        k = min(T - t, _NOISE_BLOCK - (0 if noise is None else noise.index % _NOISE_BLOCK))
+        k = min(T - t, cap - (t + phase) % _NOISE_BLOCK)
         sizes, eta, kick = batches[t:t + k], steps[t:t + k], None  # rows eta sigma xi
         if noise is not None and sigmas[t:t + k].any():
             kick = (eta * sigmas[t:t + k])[:, None] * noise.gaussians(w.shape[0], k)
         elif noise is not None:
             noise.skip(k)
-        iterates = None if total is None else np.empty((k, w.shape[0]))
+        base = start
         if quadratic:  # w - eta (w - mean + sigma xi) = (1 - eta) w + pull
             ends = np.cumsum(sizes)
             if ends[-1] == k:  # one example per step: the means are the rows
-                means = X[start:start + k]
+                means = X[base:base + k]
             else:
-                means = np.add.reduceat(X[start:start + ends[-1]], ends - sizes, axis=0)
+                means = np.add.reduceat(X[base:base + ends[-1]], ends - sizes, axis=0)
                 means /= sizes[:, None]
-            pull = eta[:, None] * means - (0.0 if kick is None else kick)
-        span = _LINEAR_SPAN if linear else k
-        for lo in range(0, k, span):
-            hi = min(lo + span, k)
-            rows = ()
+            pull = eta[:, None] * means
+            if kick is not None:
+                pull -= kick
+                kick = None  # the loop steps on pull alone
+        lo = 0
+        while lo < k:
+            edge = min(k, lo + _NOISE_BLOCK - (t + phase + lo) % _NOISE_BLOCK)
+            rows, hi = (), k
             if quadratic:
-                rows = _quadratic_chunk(w, eta, pull, domain, center)
-            elif linear and sizes[lo:hi].max() == 1:
-                m = hi - lo
-                rows = _linear_chunk(w, eta[lo:hi], X[start:start + m], Y[start:start + m],
-                                     None if kick is None else kick[lo:hi], domain, center)
+                rows = _quadratic_chunk(w, eta[lo:], pull[lo:], domain, center)
+                hi = lo + len(rows) if len(rows) else edge
+            elif linear:
+                hi = min(lo + _LINEAR_SPAN, edge)
+                if sizes[lo:hi].max() == 1:
+                    m = hi - lo
+                    rows = _linear_chunk(w, eta[lo:hi], X[start:start + m], Y[start:start + m],
+                                         None if kick is None else kick[lo:hi], domain, center)
             done = lo + len(rows)
             if len(rows):
                 w = rows[-1].copy()
-                start += int(ends[done - 1]) if quadratic else len(rows)
-                if iterates is not None:
-                    iterates[lo:done] = rows
+                start = base + int(ends[done - 1]) if quadratic else start + len(rows)
+                if total is not None:
+                    total += weights[t + lo:t + done] @ rows
             for j, (b, e) in enumerate(zip(sizes[done:hi].tolist(), eta[done:hi].tolist()), done):
                 if quadratic:
                     w = (1.0 - e) * w + pull[j]
@@ -301,7 +325,7 @@ def _sgd_pass(data, loss, domain, w, steps, batches=None, sigmas=None, noise=Non
                 else:
                     A = X[start:start + b]
                     w = w - (e / b) * (slope(A @ w, Y[start:start + b]) @ A)
-                if kick is not None and not quadratic:
+                if kick is not None:
                     w = w - kick[j]
                 start += b
                 if ball:  # geometry.project, inline
@@ -312,10 +336,9 @@ def _sgd_pass(data, loss, domain, w, steps, batches=None, sigmas=None, noise=Non
                         w = off if center is None else center + off
                 else:
                     w = np.clip(w, domain.lower, domain.upper)
-                if iterates is not None:
-                    iterates[j] = w
-        if iterates is not None:
-            total += weights[t:t + k] @ iterates
+                if total is not None:
+                    total += weights[t + j] * w
+            lo = hi
         t += k
     return w, total
 

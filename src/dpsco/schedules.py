@@ -187,7 +187,9 @@ class Schedule:
 
     @classmethod
     def constant(cls, T: int, batch_size: int, eta: float, sigma: float) -> "Schedule":
-        return cls(np.full(T, batch_size), np.full(T, eta), np.full(T, sigma))
+        # broadcast views: __post_init__ makes the one owned copy of each field
+        return cls(np.broadcast_to(batch_size, T), np.broadcast_to(eta, T),
+                   np.broadcast_to(sigma, T))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -250,7 +252,15 @@ def snowball_runs(n: int, d: int, rho: float,
     falls fast, r <= (_RUN_MIN * c_1 / 2)^(2/3); there every c_r is computed.
     Past it each run's last r is found by a vectorized bisection on the same
     expression, so the work is O(h + runs * log n) rather than O(n).
+    ``rho`` and ``multiplier`` must be positive and finite, and c_1 must fit
+    in int64.
     """
+    if not 0.0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
+    if not 0.0 < multiplier < math.inf:
+        raise ValueError("multiplier must be positive and finite")
+    if not multiplier * math.sqrt(d) / rho < 2.0**63:  # c_1 as computed below
+        raise ValueError("batch sizes must fit in int64")
 
     def raw(r):
         return multiplier * np.sqrt(d / r) / rho
@@ -290,10 +300,6 @@ def snowball_batches(T: int, d: int, rho: float, multiplier: float = MULTIPLIER_
     """
     if T < 1 or d < 1:
         raise ValueError("T and d must be >= 1")
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    if not multiplier > 0:
-        raise ValueError("multiplier must be positive")
     head, values, ends = snowball_runs(T, d, rho, multiplier)
     h = len(head)
     if h == T:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dpsco.cli import main
+from dpsco.cli import build_parser, main
 
 
 def run_cli(args):
@@ -263,6 +263,22 @@ class TestAccount:
         sched.write_text(json.dumps({"B": [1], "eta": [1.0], "sigma": [1.0]}))
         assert run_cli(["account", "--schedule", sched, "--lipschitz", 1.0]) == 2
 
+    def test_repeated_calls_share_one_parser(self, tmp_path, capsys):
+        # the parser is built once; an append option's default list must not
+        # carry one call's --delta values into the next call
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps({"B": [1, 2], "eta": [0.5, 0.5], "sigma": [1.0, 2.0]}))
+        args = ["account", "--schedule", sched, "--lipschitz", 1.0, "--delta", 1e-5,
+                "--delta", 1e-2]
+        outs = []
+        for _ in range(3):
+            assert run_cli(args) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+        assert outs[0].count("eps=") == 2
+        assert run_cli(["account", "--schedule", sched, "--lipschitz", 1.0]) == 2
+        assert build_parser() is build_parser()
+
 
 class TestCounterexample:
     def test_single_k_row(self, tmp_path):
@@ -283,6 +299,15 @@ class TestCounterexample:
         assert len(lines) == 6  # header + {1, T^(1/3), sqrt(T), T^(2/3), T}
         assert run_cli(args) == 0
         assert out.read_bytes() == first
+
+    def test_default_grid_after_a_call_with_k(self, tmp_path):
+        # --k appends to a default list on the one cached parser
+        args = ["counterexample", "--steps", 64, "--sigma", 0.125, "--trials", 200,
+                "--seed", 9, "--output", tmp_path / "ce.csv"]
+        assert run_cli(args + ["--k", 1]) == 0
+        assert len((tmp_path / "ce.csv").read_text().strip().splitlines()) == 2
+        assert run_cli(args) == 0
+        assert len((tmp_path / "ce.csv").read_text().strip().splitlines()) == 6
 
     def test_k_beyond_T_exits_2(self, tmp_path):
         assert run_cli(["counterexample", "--steps", 10, "--sigma", 1.0,

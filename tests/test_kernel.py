@@ -5,14 +5,17 @@ The four oracle loops below are the loops of dpsco 0.1.0's ``pnsgd``,
 ``sc_weighted_sgd``, kept verbatim. Every public algorithm must match them to
 1e-12 per coordinate for all four loss families, ball and box domains, mixed
 sigma = 0 steps, noise streams that start off a block boundary, and schedules
-whose steps and batches straddle the kernel's 256-step chunks. The quadratic
-cases below also drive the closed-form chunk: projection firing mid-chunk,
-box domains, chunks with eta = 0 and eta >= 1 steps, products of (1 - eta)
-below the floor exp(-600), and the weighted passes. The linear-regression
-cases drive the closed-form least-squares sub-chunks the same way: projection
-firing mid-sub-chunk, a start on the boundary, noise kicks, the weighted
-passes, the declines (eta |a|^2 outside [0, 2], a batch of two), and a
-non-finite residual.
+whose steps and batches straddle the 256-draw noise blocks and the kernel's
+chunks of up to 2048 steps. The quadratic cases below also drive the
+closed-form chunk: projection firing mid-chunk, box domains, the cuts before
+eta = 0 and eta >= 1 steps and before products of (1 - eta) below the floor
+exp(-600), and the weighted passes over several chunks. A spy checks that the
+closed form takes at least as many steps as it did with 256-step chunks that
+declined instead of cutting. The linear-regression cases drive the
+closed-form least-squares sub-chunks the same way: projection firing
+mid-sub-chunk, a start on the boundary, noise kicks, the weighted passes, the
+declines (eta |a|^2 outside [0, 2], a batch of two), and a non-finite
+residual.
 """
 
 import contextlib
@@ -35,6 +38,7 @@ from dpsco.losses import (
 import dpsco.optimizers
 from dpsco.optimizers import (
     NoiseStream,
+    _inside,
     _linear_chunk,
     _quadratic_chunk,
     phased_sgd,
@@ -315,23 +319,38 @@ def test_closed_form_takes_whole_chunks_inside_the_domain():
     np.testing.assert_allclose(rows, _chunk_reference(start, eta, pull), rtol=0, atol=TOL)
 
 
-def test_closed_form_declines_steps_outside_the_unit_interval_and_tiny_products():
+def test_closed_form_cuts_before_steps_outside_the_unit_interval_and_tiny_products():
     domain, _, sample, start = _quadratic_case("ball")
     pull = 0.01 * sample(256, 25).features
     for bad in (0.0, 1.0, 1.5):
         eta = np.full(256, 0.01)
         eta[100] = bad
+        rows = _quadratic_chunk(start, eta, pull, domain, None)
+        assert len(rows) == 100
+        np.testing.assert_allclose(rows, _chunk_reference(start, eta, pull)[:100],
+                                   rtol=0, atol=TOL)
+        eta[0] = bad
         assert len(_quadratic_chunk(start, eta, pull, domain, None)) == 0
-    # (1 - 0.95)^256 = exp(-767) is below the floor exp(-600); 0.1^256 = exp(-589) is not
-    assert len(_quadratic_chunk(start, np.full(256, 0.95), pull, domain, None)) == 0
+    # (1 - 0.95)^j falls below the floor exp(-600) at j = 201; 0.1^256 = exp(-589) does not
+    eta = np.full(256, 0.95)
+    rows = _quadratic_chunk(start, eta, pull, domain, None)
+    assert len(rows) == 200
+    np.testing.assert_allclose(rows, _chunk_reference(start, eta, pull)[:200], rtol=0, atol=TOL)
     assert len(_quadratic_chunk(start, np.full(256, 0.9), 0.9 * pull / 0.01, domain, None)) == 256
 
 
+def _floor_cut(eta):
+    """Rows before the first product of (1 - eta) below the floor exp(-600)."""
+    low = np.cumprod(1.0 - eta) < math.exp(-600.0)
+    return int(low.argmax()) if low.any() else len(eta)
+
+
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 256), dim=st.integers(1, 8),
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 2048), dim=st.integers(1, 8),
        eta_exponent=st.floats(-8.0, -0.01), scale_exponent=st.floats(-3.0, 2.0))
 def test_closed_form_equals_the_recurrence(seed, k, dim, eta_exponent, scale_exponent):
-    # inside a ball too large to bind, the closed form is the whole recurrence
+    # inside a ball too large to bind, the closed form is the recurrence up
+    # to the floor cut
     rng = np.random.default_rng(seed)
     if seed % 2:  # steps anywhere in (0, 1), or log-uniform small ones
         eta = rng.uniform(10.0 ** eta_exponent, 1.0 - 1e-9, k)
@@ -342,11 +361,10 @@ def test_closed_form_equals_the_recurrence(seed, k, dim, eta_exponent, scale_exp
     w = scale * rng.standard_normal(dim)
     domain = ConvexDomain.ball(np.zeros(dim), 1e9)
     rows = _quadratic_chunk(w, eta, pull, domain, None)
-    want = _chunk_reference(w, eta, pull)
-    if np.cumprod(1.0 - eta)[-1] < math.exp(-600.0):
-        assert len(rows) == 0
-    else:
-        np.testing.assert_allclose(rows, want, rtol=0, atol=TOL * max(1.0, scale))
+    m = _floor_cut(eta)
+    assert len(rows) == m
+    np.testing.assert_allclose(rows, _chunk_reference(w, eta[:m], pull[:m]), rtol=0,
+                               atol=TOL * max(1.0, scale))
 
 
 def test_closed_form_counts_nan_as_outside():
@@ -410,6 +428,135 @@ def test_weighted_quadratic_passes_match_oracles(domain_name):
     np.testing.assert_allclose(rec.final_iterate, want, rtol=0, atol=TOL)
 
     T = 1000
+    eta = 2.0 * math.log(T) / (loss.strong_convexity * T)
+    gamma = sc_weights(T, eta, loss.strong_convexity).as_array()
+    fast, slow = NoiseStream(6), NoiseStream(6)
+    fast.skip(37)
+    slow.skip(37)
+    rec = sc_weighted_sgd(data, loss, domain, start, T, 0.05, fast)
+    last, weighted = oracle_sc_weighted(data, loss, domain, start.copy(), T, eta, 0.05, slow,
+                                        gamma)
+    np.testing.assert_allclose(rec.final_iterate, last, rtol=0, atol=TOL)
+    np.testing.assert_allclose(rec.weighted_average, weighted, rtol=0, atol=TOL)
+    assert fast.index == slow.index == 37 + T
+
+
+def _declining_quadratic_chunk(w, eta, pull, domain, center):
+    """The closed form of 256-step chunks, kept verbatim: it declines the whole
+    chunk when some eta_j lies outside (0, 1) or when P_k falls below the
+    floor, and otherwise cuts before the first iterate outside the domain."""
+    if not (eta.min() > 0.0 and eta.max() < 1.0):
+        return pull[:0]
+    if not _inside(((1.0 - eta[0]) * w + pull[0])[None], domain, center)[0]:
+        return pull[:0]
+    p = np.cumprod(1.0 - eta)[:, None]
+    if p[-1, 0] < math.exp(-600.0):
+        return pull[:0]
+    rows = pull / p
+    rows[0] += w
+    np.cumsum(rows, axis=0, out=rows)
+    rows *= p
+    inside = _inside(rows, domain, center)
+    return rows if inside.all() else rows[:inside.argmin()]
+
+
+def _closed_form_calls(monkeypatch, rule, chunk):
+    """Run with ``rule`` as the closed form and chunks of up to ``chunk``
+    steps; (offered, taken) for each call lands in the returned list."""
+    calls = []
+
+    def spy(w, eta, pull, domain, center):
+        rows = rule(w, eta, pull, domain, center)
+        calls.append((len(eta), len(rows)))
+        return rows
+
+    monkeypatch.setattr(dpsco.optimizers, "_quadratic_chunk", spy)
+    monkeypatch.setattr(dpsco.optimizers, "_CHUNK", chunk)
+    return calls
+
+
+@pytest.mark.parametrize("case", ("projection", "eta=0.95", "eta=0.9", "eta=0"))
+def test_closed_form_takes_no_fewer_steps_than_256_step_chunks(case, monkeypatch):
+    # the per-step loop runs at most the steps it ran when 256-step chunks
+    # declined on a bad eta or a tiny product instead of cutting
+    domain, loss, sample, start = _quadratic_case("outside" if case == "projection" else "ball")
+    T = 3000
+    rng = np.random.default_rng(40)
+    eta = rng.uniform(0.005, 0.05, T)
+    if case == "eta=0":
+        eta[rng.choice(T, 30, replace=False)] = 0.0
+    elif case != "projection":
+        eta[:] = float(case[4:])
+    sched = Schedule(np.ones(T, dtype=int), eta, np.full(T, 0.1))
+    data = sample(T, 41)
+    taken = {}
+    for name, rule, chunk in (("now", _quadratic_chunk, dpsco.optimizers._CHUNK),
+                              ("before", _declining_quadratic_chunk, 256)):
+        calls = _closed_form_calls(monkeypatch, rule, chunk)
+        fast, slow = NoiseStream(9), NoiseStream(9)
+        fast.skip(70)
+        slow.skip(70)
+        rec = pnsgd(data, loss, domain, start, sched, fast)
+        want = oracle_pnsgd(data, loss, domain, start.copy(), sched, slow)
+        np.testing.assert_allclose(rec.final_iterate, want, rtol=0, atol=TOL)
+        taken[name] = sum(rows for _, rows in calls)
+    assert taken["now"] >= taken["before"]
+    if case == "eta=0.9":  # (0.1)^256 = exp(-589) stays above the floor
+        assert taken["now"] == taken["before"] == T
+    elif case != "projection":  # the declined chunks are now cut
+        assert taken["now"] > taken["before"]
+    else:  # the iterates reach the boundary and ride it
+        assert 0 < taken["now"] < T // 2
+
+
+@pytest.mark.parametrize("dim, longest", [(5, 2048), (64, 512), (200, 256)])
+def test_chunks_end_on_block_boundaries_and_hold_at_most_32768_entries(dim, longest,
+                                                                       monkeypatch):
+    chunks = []
+    bulk = NoiseStream.gaussians
+
+    def spy(self, d, count):
+        chunks.append((self.index, count))
+        return bulk(self, d, count)
+
+    monkeypatch.setattr(NoiseStream, "gaussians", spy)
+    domain = ConvexDomain.ball(np.zeros(dim), 1.0)
+    dist = quadratic_sphere(domain, np.zeros(dim), 0.3)
+    T = 5000
+    noise = NoiseStream(3)
+    noise.skip(70)
+    pnsgd(dist.sample_dataset(T, 44), dist.loss, domain, np.zeros(dim),
+          Schedule.constant(T, 1, 0.02, 0.1), noise)
+    assert chunks[0][0] == 70 and noise.index == 70 + T
+    assert all(a + k == b for (a, k), (b, _) in zip(chunks, chunks[1:]))
+    assert all((a + k) % 256 == 0 for a, k in chunks[:-1])
+    assert max(k for _, k in chunks) == longest
+
+
+@pytest.mark.parametrize("domain_name", ("ball", "box", "outside"))
+def test_weighted_passes_over_several_chunks_match_oracles(domain_name, monkeypatch):
+    # psgd, the phased inner pass (first phase 2500 steps) and sc_weighted_sgd
+    # over chunks of 2048 steps, cut by eta = 0 and eta >= 1 steps and, on
+    # "outside", by projection
+    domain, loss, sample, start = _quadratic_case(domain_name)
+    calls = _closed_form_calls(monkeypatch, _quadratic_chunk, dpsco.optimizers._CHUNK)
+    T = 5000
+    data = sample(T, 42)
+    steps = np.random.default_rng(43).uniform(0.001, 0.05, T)
+    steps[[300, 2100, 2101, 4000]] = 0.0
+    steps[[1000, 3000]] = (1.0, 1.5)
+    rec = psgd(data, loss, domain, start, steps.tolist())
+    last, avg = oracle_psgd(data, loss, domain, start.copy(), steps)
+    np.testing.assert_allclose(rec.final_iterate, last, rtol=0, atol=TOL)
+    np.testing.assert_allclose(rec.weighted_average, avg, rtol=0, atol=TOL)
+    assert any(0 < rows < offered for offered, rows in calls)
+    if domain_name != "outside":
+        assert max(rows for _, rows in calls) > 256  # past one noise block
+
+    rec = phased_sgd(data, loss, domain, start, 0.05, 1.0, NoiseStream(4))
+    want = oracle_phased_sgd(data, loss, domain, start.copy(), 0.05, 1.0, NoiseStream(4))
+    np.testing.assert_allclose(rec.final_iterate, want, rtol=0, atol=TOL)
+
     eta = 2.0 * math.log(T) / (loss.strong_convexity * T)
     gamma = sc_weights(T, eta, loss.strong_convexity).as_array()
     fast, slow = NoiseStream(6), NoiseStream(6)

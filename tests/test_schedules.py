@@ -1,10 +1,12 @@
 """Batch, step, weight, and phase schedule constructors."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from dpsco.empirics import _snowball_plan
 from dpsco.schedules import (
     MULTIPLIER_JNN,
     MULTIPLIER_SZ,
@@ -133,6 +135,30 @@ class TestSchedule:
         with pytest.raises(InvalidScheduleError):
             Schedule.constant(4, 1.5, 0.5, 2.0)
 
+    @pytest.mark.parametrize("args", [(5, 3, 0.5, 2.0), (1, 1, 0.0, 0.0), (4, 2.0, 1, 3),
+                                      (3, np.int64(7), np.float64(0.25), 1.5)])
+    def test_constant_fields_are_owned_contiguous_and_read_only(self, args):
+        T, batch, eta, sigma = args
+        sched = Schedule.constant(*args)
+        for arr, value, dtype in ((sched.batch_sizes, batch, np.int64),
+                                  (sched.step_sizes, eta, np.float64),
+                                  (sched.noise_scales, sigma, np.float64)):
+            np.testing.assert_array_equal(arr, np.full(T, value, dtype=dtype))
+            assert arr.dtype == dtype and arr.shape == (T,)
+            assert arr.flags.owndata and arr.flags.c_contiguous
+            assert arr.strides == (8,)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_constant_refuses_what_the_constructor_refuses(self):
+        with pytest.raises(InvalidScheduleError, match="at least one step"):
+            Schedule.constant(0, 1, 0.5, 1.0)
+        with pytest.raises(InvalidScheduleError, match="finite"):
+            Schedule.constant(3, 1, math.inf, 1.0)
+        with pytest.raises(InvalidScheduleError, match="nonnegative"):
+            Schedule.constant(3, 1, 0.5, -1.0)
+
 
 class TestSnowballBatches:
     def test_single_step_hand_value(self):
@@ -169,6 +195,32 @@ class TestSnowballBatches:
         # NaN fails every comparison, so it once cast to int64 as -2^63
         with pytest.raises(ValueError, match=message):
             snowball_batches(3, 4, rho, multiplier)
+
+    @pytest.mark.parametrize("rho, multiplier, message", [
+        (math.inf, MULTIPLIER_SZ, "rho must be positive and finite"),
+        (-math.inf, MULTIPLIER_SZ, "rho must be positive and finite"),
+        (1.0, math.inf, "multiplier must be positive and finite"),
+        (1e-300, MULTIPLIER_SZ, "fit in int64"),
+        (1.0, 1e300, "fit in int64"),
+    ])
+    def test_infinite_parameters_and_overflowing_sizes_rejected(self, rho, multiplier, message):
+        # an infinite rho once gave [0, 0, 0], and an infinite multiplier or a
+        # c_1 past int64 gave -2^63 after an invalid-cast RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                snowball_batches(3, 4, rho, multiplier)
+            with pytest.raises(ValueError, match=message):
+                _snowball_plan(30, 4, rho, multiplier)
+
+    def test_largest_size_that_fits_int64(self):
+        # c_1 = 2^62 fits and is kept exactly; c_1 = 2^63 does not fit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert snowball_batches(2, 1, 1.0, 2.0**62) == [
+                math.ceil(2.0**62 * math.sqrt(0.5)), 2**62]
+            with pytest.raises(ValueError, match="fit in int64"):
+                snowball_batches(2, 1, 1.0, 2.0**63)
 
 
 class TestConstantStep:
