@@ -11,12 +11,9 @@ __version__ = "0.1.0"
 from .accountant import (
     ApproxDP,
     PrivacyBudget,
-    ShiftSequence,
     compose,
     gaussian_mechanism_budget,
     gaussian_renyi,
-    optimal_single_shift_allocation,
-    pai_divergence_general,
     pai_rho,
     rdp_to_dp,
     rdp_to_dp_general,

@@ -107,9 +107,15 @@ def _parse_run_config(obj: dict) -> dict:
     parsed_grid = []
     for entry in grid:
         try:
-            parsed_grid.append((int(entry["n"]), int(entry["d"]), float(entry["rho"])))
+            point = [entry[key] for key in ("n", "d", "rho")]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"grid entry {entry!r} must have n, d, rho") from exc
+        numbers = all(type(v) is int or type(v) is float and math.isfinite(v) for v in point)
+        if not (numbers and min(point[:2]) >= 1 and point[0] % 1 == point[1] % 1 == 0
+                and point[2] > 0):
+            raise ConfigError(f"grid entry {entry!r}: n and d must be integers >= 1, "
+                              "rho finite and > 0")
+        parsed_grid.append((int(point[0]), int(point[1]), float(point[2])))
     trials = int(obj["trials"])
     if trials < 2:
         raise ConfigError("trials must be >= 2")

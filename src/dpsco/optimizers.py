@@ -180,51 +180,97 @@ def _quadratic_chunk(w, eta, pull, domain, center):
     return rows if inside.all() else rows[:inside.argmin()]
 
 
-# Steps per closed-form least-squares sub-chunk. Each sub-chunk pays one
-# k x k solve, and a cut hands the rest of its sub-chunk to the loop. Of
-# 32, 48, 64, 80, 96 and 128, 64 was fastest or within 5 % of the fastest for
-# phased SGD at n = 2^14 with d = 16 and 64, with projection idle and with it
-# firing. The lower-triangular mask of every shorter sub-chunk is a corner of
-# this one.
-_LINEAR_SPAN = 64
-_LOWER = np.tri(_LINEAR_SPAN)
+# The least-squares closed form takes its steps in blocks of _BLOCK and
+# inverts each block's system as two halves. After a cut the loop runs to the
+# next multiple of _LINEAR_SPAN steps from the offer's start, and the next
+# offer holds _LINEAR_SPAN steps; each offer taken whole doubles the next,
+# up to the rest of the noise block. (When an iterate rides the boundary,
+# offers of the whole rest of the block computed mostly rows past the cut.)
+_BLOCK, _HALF, _LINEAR_SPAN = 16, 8, 64
+_TRI = np.tri(_BLOCK)
+_STRICT = np.tri(_HALF, k=-1)
+
+
+def _unit_lower_inverse(D):
+    """(I + D)^-1 for a stack of strictly lower-triangular 8 x 8 D, as the
+    Neumann product (I - D)(I + D^2)(I + D^4), since D^8 = 0. Over 16 rows
+    the powers of D grow too large for such a product to stay accurate."""
+    D2 = D @ D
+    Y = np.eye(_HALF) - D
+    Y += Y @ D2
+    Y += Y @ (D2 @ D2)
+    return Y
 
 
 def _linear_chunk(w, eta, A, b, kick, domain, center):
     """The unprojected iterates of the least-squares steps
     w_j = w_{j-1} - eta_j (a_j.w_{j-1} - b_j) a_j - kick_j (w_0 = w; ``kick``
-    None for none) in closed form, as rows cut before the first iterate
-    outside the domain. The residuals r_j = a_j.w_{j-1} - b_j solve the unit
-    lower-triangular system (I + tril(A A^T, -1) diag(eta)) r = c with
-    c_j = a_j.(w - sum_{i<j} kick_i) - b_j, and w_j = w - sum_{i<=j}
-    (eta_i r_i a_i + kick_i). A residual that is not finite makes its
-    iterate not finite, which counts as outside. Empty when the first step
-    already leaves the domain (checked alone first) or when some
-    eta_j |a_j|^2 lies outside [0, 2], where a step stops being
-    contractive."""
+    None for none) in closed form, as rows cut before the first
+    eta_j |a_j|^2 outside [0, 2], where a step stops being contractive, and
+    before the first iterate outside the domain; empty when the first step
+    already leaves it (checked alone first). From the iterate v at the start
+    of a block B of 16 steps, the residuals r_j = a_j.w_{j-1} - b_j are
+    r_B = X_B (A_B v - b'_B), where b'_j adds a_j.(the block's kicks before
+    j) to b_j and X_B = (I + tril(A_B A_B^T, -1) diag(eta_B))^-1; the block
+    ends at v - A_B^T (eta_B r_B) - (its kicks). Every X_B comes from one
+    batched gram, as two 8-row Neumann inverses joined by one block product.
+    A ragged last block is padded with zero rows: the leading block of a
+    lower-triangular inverse is the inverse of the leading block. A residual
+    that is not finite makes its iterate not finite, which counts as
+    outside."""
     first = w - (eta[0] * (A[0].dot(w) - b[0])) * A[0]
     if kick is not None:
         first -= kick[0]
     if not _inside(first[None], domain, center)[0]:
         return A[:0]
-    k = len(eta)
-    gram = A @ A.T
-    contraction = eta * gram.diagonal()
-    if not (contraction.min() >= 0.0 and contraction.max() <= 2.0):
+    valid = eta * np.einsum("ij,ij->i", A, A)
+    valid = (valid >= 0.0) & (valid <= 2.0)
+    n, d = len(eta) if valid.all() else int(valid.argmin()), A.shape[1]
+    if n == 0:
         return A[:0]
-    lower = _LOWER[:k, :k]
-    system = gram * lower
-    system *= eta
-    system.flat[::k + 1] = 1.0
-    c = A @ w - b
+    eta, A, b, kick = eta[:n], A[:n], b[:n], None if kick is None else kick[:n]
+    m = -(-n // _BLOCK)
+    if n % _BLOCK:  # pad the last block with zero rows
+        A = np.concatenate((A, np.zeros((m * _BLOCK - n, d))))
+    a = A.reshape(m, _BLOCK, d)
+    gram = a @ a.transpose(0, 2, 1)
+    target = np.zeros((m, _BLOCK))
+    target.reshape(-1)[:n] = b
     if kick is not None:
-        kicks = np.cumsum(kick, axis=0)
-        c[1:] -= np.einsum("ij,ij->i", A[1:], kicks[:-1])
-    r = np.linalg.solve(system, c)
-    rows = (lower * (eta * r)) @ A  # the prefix sums of eta_i r_i a_i
+        kicks = np.zeros((m, _BLOCK, d))
+        kicks.reshape(-1, d)[:n] = kick
+        kicks = _TRI @ kicks  # the prefix sums within each block
+        target[:, 1:] += np.einsum("bij,bij->bi", a[:, 1:], kicks[:, :-1])
+    halves = np.empty((m, 2, _HALF, _HALF))
+    halves[:, 0], halves[:, 1] = gram[:, :_HALF, :_HALF], gram[:, _HALF:, _HALF:]
+    halves = halves.reshape(2 * m, _HALF, _HALF)
+    steps = np.zeros((2 * m, _HALF, 1))
+    steps.reshape(-1)[:n] = eta
+    halves *= _STRICT
+    halves *= steps.transpose(0, 2, 1)
+    Y = _unit_lower_inverse(halves)
+    Y *= steps
+    # M = diag(eta_B) X_B A_B and q = diag(eta_B) X_B b'_B: the lower-left
+    # quarter of X_B is -Y_2 G_21 diag(eta_1) Y_1, and diag(eta_1) Y_1 [A_1 b'_1]
+    # is the upper half of [M q]
+    M = Y @ a.reshape(2 * m, _HALF, d)
+    q = Y @ target.reshape(2 * m, _HALF, 1)
+    join = Y[1::2] @ gram[:, _HALF:, :_HALF]
+    M[1::2] -= join @ M[0::2]
+    q[1::2] -= join @ q[0::2]
+    M, q = M.reshape(m, _BLOCK, d), q.reshape(m, _BLOCK)
+    u, starts, v = [], [], w
+    for B, (MB, qB, aB) in enumerate(zip(M, q, a)):
+        starts.append(v)
+        u.append(MB.dot(v) - qB)  # eta_B r_B
+        v = v - u[-1].dot(aB)
+        if kick is not None:
+            v = v - kicks[B, -1]
+    rows = (_TRI * np.array(u)[:, None, :]) @ a  # the prefix sums of u_j a_j
     if kick is not None:
         rows += kicks
-    np.subtract(w, rows, out=rows)
+    np.subtract(np.array(starts)[:, None, :], rows, out=rows)
+    rows = rows.reshape(-1, d)[:n]
     inside = _inside(rows, domain, center)
     return rows if inside.all() else rows[:inside.argmin()]
 
@@ -255,11 +301,14 @@ def _sgd_pass(data, loss, domain, w, steps, batches=None, sigmas=None, noise=Non
       ``_PRODUCT_FLOOR`` or an iterate outside the domain. After a cut it is
       offered the rest again at once; when it takes nothing, the loop runs to
       the next block boundary, and the rest is offered from there;
-    - linear regression: each sub-chunk of ``_LINEAR_SPAN`` steps within a
-      block goes to :func:`_linear_chunk`, which declines when some
-      eta_t |a_t|^2 lies outside [0, 2] and is cut before the first iterate
-      outside the domain; the loop finishes the sub-chunk. A sub-chunk with
-      a batch of more than one example is not offered.
+    - linear regression: the rest of the block, up to the first batch of
+      more than one example, goes to :func:`_linear_chunk`, which is cut
+      before the first eta_t |a_t|^2 outside [0, 2] and before the first
+      iterate outside the domain. After a cut the loop runs to the next
+      multiple of ``_LINEAR_SPAN`` steps from the offer's start, and offers
+      restart at ``_LINEAR_SPAN`` steps and double with each one taken whole.
+      So every offer starts where a 64-step sub-chunk did, and per block the
+      loop runs no more steps than it did after those sub-chunks.
 
     Both take nothing when the first step already leaves the domain. The
     loop runs every step of the logistic and absolute-deviation families.
@@ -278,6 +327,7 @@ def _sgd_pass(data, loss, domain, w, steps, batches=None, sigmas=None, noise=Non
     cap = max(_NOISE_BLOCK, min(_CHUNK, _CHUNK_ENTRIES // w.shape[0])
               // _NOISE_BLOCK * _NOISE_BLOCK)
     t = start = 0
+    span = _NOISE_BLOCK
     while t < T:
         k = min(T - t, cap - (t + phase) % _NOISE_BLOCK)
         sizes, eta, kick = batches[t:t + k], steps[t:t + k], None  # rows eta sigma xi
@@ -304,12 +354,17 @@ def _sgd_pass(data, loss, domain, w, steps, batches=None, sigmas=None, noise=Non
             if quadratic:
                 rows = _quadratic_chunk(w, eta[lo:], pull[lo:], domain, center)
                 hi = lo + len(rows) if len(rows) else edge
-            elif linear:
-                hi = min(lo + _LINEAR_SPAN, edge)
-                if sizes[lo:hi].max() == 1:
-                    m = hi - lo
-                    rows = _linear_chunk(w, eta[lo:hi], X[start:start + m], Y[start:start + m],
-                                         None if kick is None else kick[lo:hi], domain, center)
+            elif linear:  # offered up to the first batch of more than one
+                wide = sizes[lo:edge] > 1
+                limit = edge - lo if not wide.any() else int(wide.argmax())
+                m = min(limit, span)
+                if m:
+                    rows = _linear_chunk(w, eta[lo:lo + m], X[start:start + m],
+                                         Y[start:start + m],
+                                         None if kick is None else kick[lo:lo + m], domain, center)
+                span = min(2 * span, _NOISE_BLOCK) if len(rows) == m else _LINEAR_SPAN
+                hi = (lo + m if len(rows) == m < limit else
+                      min(edge, lo + (len(rows) // _LINEAR_SPAN + 1) * _LINEAR_SPAN))
             done = lo + len(rows)
             if len(rows):
                 w = rows[-1].copy()
@@ -396,8 +451,13 @@ def psgd(
     step_sizes,
 ) -> RunRecord:
     """Noiseless projected SGD, one example per step; returns the last iterate
-    and the uniform average of iterates w_1..w_T (the start excluded)."""
-    steps = np.array([float(e) for e in step_sizes], dtype=np.float64)
+    and the uniform average of iterates w_1..w_T (the start excluded). Step
+    sizes must be finite, nonnegative numbers."""
+    steps = np.asarray(step_sizes)
+    finite = steps.dtype.kind in "iuf" and np.isfinite(steps).all()
+    if steps.ndim != 1 or not (finite and (steps >= 0).all()):
+        raise ValueError("step sizes must be a sequence of finite, nonnegative numbers")
+    steps = steps.astype(np.float64)
     if len(data) != len(steps):
         raise DataSizeError(f"dataset has {len(data)} examples, need {len(steps)}")
     w, total = _sgd_pass(data, loss, domain, _start_point(domain, w0), steps,
@@ -442,8 +502,8 @@ def phased_sgd(
     n = len(data)
     if n < 2:
         raise DataSizeError(f"need at least 2 examples, got {n}")
-    if eta <= 0 or rho <= 0:
-        raise ValueError("eta and rho must be positive")
+    if not (0.0 < eta < math.inf and rho > 0.0):
+        raise ValueError("eta must be positive and finite, and rho positive")
     beta = loss.smoothness
     smooth = math.isfinite(beta)
     if not smooth:
@@ -519,8 +579,8 @@ def phased_erm(
         raise DataSizeError(f"need at least 2 examples, got {n}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if eta <= 0 or epsilon <= 0:
-        raise ValueError("eta and epsilon must be positive")
+    if not (0.0 < eta < math.inf and epsilon > 0.0):
+        raise ValueError("eta must be positive and finite, and epsilon positive")
     if inner not in ("sgd", "exact"):
         raise ValueError(f"unknown inner solver {inner!r}")
     L = loss.lipschitz

@@ -7,19 +7,21 @@ import pytest
 from scipy import integrate
 
 from dpsco.accountant import (
-    InvalidAllocationError,
     PrivacyBudget,
-    ShiftSequence,
     compose,
     gaussian_mechanism_budget,
     gaussian_renyi,
-    optimal_single_shift_allocation,
-    pai_divergence_general,
     pai_rho,
     rdp_to_dp,
     rdp_to_dp_general,
 )
 from dpsco.schedules import Schedule, constant_step, snowball_batches
+from shift_allocation import (
+    InvalidAllocationError,
+    ShiftSequence,
+    optimal_single_shift_allocation,
+    pai_divergence_general,
+)
 
 
 def renyi_divergence_quadrature(shift: float, sigma: float, alpha: float) -> float:

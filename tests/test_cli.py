@@ -132,6 +132,26 @@ class TestRun:
         assert "sigma_scale" in capsys.readouterr().err
         assert not Path(cfg["output"]).exists()
 
+    @pytest.mark.parametrize("point", [{"n": 64.9}, {"d": True}, {"n": "64"}, {"rho": math.inf},
+                                       {"n": 0}, {"d": 0}, {"rho": 0.0}, {"rho": -1.0},
+                                       {"rho": math.nan}])
+    def test_bad_grid_entry_exits_2(self, tmp_path, sweep_config, capsys, point):
+        # n = 64.9 ran as 64, d = true as 1 and rho = Infinity without noise;
+        # n = 0, d = 0 and rho <= 0 or NaN failed mid-run with exit 3
+        cfg, _ = sweep_config
+        bad = tmp_path / "bad5.json"
+        bad.write_text(json.dumps({**cfg, "grid": [{"n": 64, "d": 2, "rho": 1.0, **point}]}))
+        assert run_cli(["run", "--config", bad]) == 2
+        assert "grid entry" in capsys.readouterr().err
+        assert not Path(cfg["output"]).exists()
+        assert not Path(cfg["output"] + ".manifest.json").exists()
+
+    def test_grid_counts_written_as_whole_floats_run(self, sweep_config):
+        cfg, path = sweep_config
+        path.write_text(json.dumps({**cfg, "grid": [{"n": 64.0, "d": 2.0, "rho": 1}]}))
+        assert run_cli(["run", "--config", path]) == 0
+        assert Path(cfg["output"]).read_text().splitlines()[1].startswith("64,2,1.0,")
+
     def test_zero_sigma_scale_still_runs(self, sweep_config):
         cfg, path = sweep_config
         path.write_text(json.dumps({**cfg, "overrides": {"sigma_scale": 0.0}}))

@@ -12,14 +12,18 @@ eta = 0 and eta >= 1 steps and before products of (1 - eta) below the floor
 exp(-600), and the weighted passes over several chunks. A spy checks that the
 closed form takes at least as many steps as it did with 256-step chunks that
 declined instead of cutting. The linear-regression cases drive the
-closed-form least-squares sub-chunks the same way: projection firing
-mid-sub-chunk, a start on the boundary, noise kicks, the weighted passes, the
-declines (eta |a|^2 outside [0, 2], a batch of two), and a non-finite
-residual.
+closed-form least-squares offers, taken in 16-step blocks, the same way:
+projection firing mid-offer, a start on the boundary, noise kicks, blocks
+left ragged by the stream's offset, the weighted passes, the cuts before
+eta |a|^2 outside [0, 2] and before a batch of two, and a non-finite
+residual. They are checked against the recurrence and against the LU solve
+of the earlier 64-step sub-chunks, kept below as an oracle; a spy checks that
+per noise block the loop runs no more steps than after those sub-chunks.
 """
 
 import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -596,6 +600,54 @@ def _linear_reference(w, eta, A, b, kick):
     return np.array(rows)
 
 
+def _lu_linear_chunk(w, eta, A, b, kick, domain, center):
+    """The closed form of 64-step sub-chunks, kept verbatim but for the mask,
+    which is built for any k: one LU solve of the k x k unit lower-triangular
+    system for the residuals, declined whole when some eta_j |a_j|^2 lies
+    outside [0, 2], and cut before the first iterate outside the domain."""
+    first = w - (eta[0] * (A[0].dot(w) - b[0])) * A[0]
+    if kick is not None:
+        first -= kick[0]
+    if not _inside(first[None], domain, center)[0]:
+        return A[:0]
+    k = len(eta)
+    gram = A @ A.T
+    contraction = eta * gram.diagonal()
+    if not (contraction.min() >= 0.0 and contraction.max() <= 2.0):
+        return A[:0]
+    lower = np.tri(k)
+    system = gram * lower
+    system *= eta
+    system.flat[::k + 1] = 1.0
+    c = A @ w - b
+    if kick is not None:
+        kicks = np.cumsum(kick, axis=0)
+        c[1:] -= np.einsum("ij,ij->i", A[1:], kicks[:-1])
+    r = np.linalg.solve(system, c)
+    rows = (lower * (eta * r)) @ A  # the prefix sums of eta_i r_i a_i
+    if kick is not None:
+        rows += kicks
+    np.subtract(w, rows, out=rows)
+    inside = _inside(rows, domain, center)
+    return rows if inside.all() else rows[:inside.argmin()]
+
+
+def _sub_chunks(w, eta, A, b, kick, domain, center):
+    """What 64-step sub-chunks took of an offer: each sub-chunk from the
+    offer's start goes to the LU closed form, until one is cut or declined.
+    In place of _linear_chunk the pass then runs the loop as they did: to the
+    end of that sub-chunk, with the next offer at the sub-chunk after it."""
+    rows = []
+    for s in range(0, len(eta), 64):
+        part = _lu_linear_chunk(w, eta[s:s + 64], A[s:s + 64], b[s:s + 64],
+                                None if kick is None else kick[s:s + 64], domain, center)
+        rows.append(part)
+        if len(part) < len(eta[s:s + 64]):
+            break
+        w = part[-1]
+    return np.concatenate(rows)
+
+
 @pytest.fixture
 def taken(monkeypatch):
     """The row counts the closed-form least-squares sub-chunks returned."""
@@ -683,19 +735,26 @@ def test_weighted_linear_passes_match_oracles(domain_name, taken):
     assert sum(taken) > (0 if domain_name.endswith("outside") else 1000)
 
 
-def test_linear_closed_form_declines_non_contractive_steps():
-    # |a| = 1: eta |a|^2 = 1.99 is still contractive, 2.5 is not
+def test_linear_closed_form_cuts_before_non_contractive_steps():
+    # |a| = 1: eta |a|^2 = 1.99 is still contractive; 2.5, a negative step
+    # and NaN are not, and the rows end before the first of them
     domain, _, sample, start = _linear_case("ball")
     data = sample(64, 35)
     A, b = data.features, data.targets
     eta = np.full(64, 0.05)
     eta[30] = 1.99
     rows = _linear_chunk(start, eta, A, b, None, domain, None)
-    np.testing.assert_allclose(rows, _linear_reference(start, eta, A, b, None)[:len(rows)],
-                               rtol=0, atol=TOL)
+    want = _linear_reference(start, eta, A, b, None)
+    np.testing.assert_allclose(rows, want[:len(rows)], rtol=0, atol=TOL)
     assert len(rows) > 30
-    eta[30] = 2.5
-    assert len(_linear_chunk(start, eta, A, b, None, domain, None)) == 0
+    for bad in (2.5, -0.01, np.nan):
+        eta[30] = bad
+        rows = _linear_chunk(start, eta, A, b, None, domain, None)
+        assert len(rows) == 30
+        np.testing.assert_allclose(rows, want[:30], rtol=0, atol=TOL)
+        eta[0] = bad
+        assert len(_linear_chunk(start, eta, A, b, None, domain, None)) == 0
+        eta[0] = 0.05
     b = b.copy()
     b[3] = np.nan  # a residual that is not finite ends the rows before it
     eta[30] = 0.05
@@ -718,8 +777,89 @@ def test_linear_passes_with_declined_steps_match_oracles(domain_name):
     np.testing.assert_allclose(rec.weighted_average, avg, rtol=0, atol=TOL)
 
 
+def test_pnsgd_linear_ragged_blocks_match_oracle(taken):
+    # a stream 37 draws into its block makes every block's offer 219 steps,
+    # 13 blocks of 16 and a ragged block of 11; the pass ends mid-block too
+    domain, loss, sample, start = _linear_case("ball")
+    T = 1000
+    sched = Schedule.constant(T, 1, 0.1, 0.05)
+    data = sample(T, 39)
+    fast, slow = NoiseStream(10), NoiseStream(10)
+    fast.skip(37)
+    slow.skip(37)
+    rec = pnsgd(data, loss, domain, start, sched, fast)
+    want = oracle_pnsgd(data, loss, domain, start.copy(), sched, slow)
+    np.testing.assert_allclose(rec.final_iterate, want, rtol=0, atol=TOL)
+    assert taken == [219, 256, 256, 256, 13]
+
+
+def _offers(monkeypatch, rule, data):
+    """Run with ``rule`` as the least-squares closed form; (first step, steps
+    offered, rows taken) of each offer lands in the returned list."""
+    offers = []
+
+    def spy(w, eta, A, b, kick, domain, center):
+        rows = rule(w, eta, A, b, kick, domain, center)
+        first = (A.ctypes.data - data.features.ctypes.data) // data.features.strides[0]
+        offers.append((first, len(eta), len(rows)))
+        return rows
+
+    monkeypatch.setattr(dpsco.optimizers, "_linear_chunk", spy)
+    return offers
+
+
+def _loop_steps_per_block(offers, T, phase):
+    """The steps the per-step loop ran in each noise block of a pass of T
+    single-example steps; an offer never crosses a block."""
+    loop = np.bincount((np.arange(T) + phase) // 256)
+    for first, _, rows in offers:
+        loop[(first + phase) // 256] -= rows
+    return loop
+
+
+@pytest.mark.parametrize("case", ("outside", "shifted_outside", "box", "eta=2.5"))
+def test_closed_form_runs_no_more_loop_steps_than_64_step_sub_chunks(case, monkeypatch):
+    # per noise block, the loop runs at most the steps it ran when 64-step
+    # sub-chunks each took an LU solve and declined a non-contractive step
+    domain, loss, sample, start = _linear_case("ball" if case == "eta=2.5" else case)
+    T = 3000
+    rng = np.random.default_rng(45)
+    eta = rng.uniform(0.02, 0.2, T)
+    if case == "eta=2.5":  # |a| = 1: not contractive, and left to the loop
+        eta[rng.choice(T, 12, replace=False)] = 2.5
+    sched = Schedule(np.ones(T, dtype=int), eta, np.full(T, 0.05))
+    data = sample(T, 46)
+    loop = {}
+    for name, rule in (("now", _linear_chunk), ("before", _sub_chunks)):
+        offers = _offers(monkeypatch, rule, data)
+        fast, slow = NoiseStream(11), NoiseStream(11)
+        fast.skip(70)
+        slow.skip(70)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # eta = 2.5 > 2/beta
+            rec = pnsgd(data, loss, domain, start, sched, fast)
+        want = oracle_pnsgd(data, loss, domain, start.copy(), sched, slow)
+        np.testing.assert_allclose(rec.final_iterate, want, rtol=0, atol=TOL)
+        loop[name] = _loop_steps_per_block(offers, T, 70)
+    assert (loop["now"] <= loop["before"]).all()
+    if case == "eta=2.5":  # the declined sub-chunks are now cut
+        assert loop["now"].sum() < loop["before"].sum()
+    elif case != "box":  # the iterates reach the boundary and ride it
+        assert loop["now"].sum() > T // 2
+    # after a cut offers restart at 64 steps; offers taken whole grow to a block
+    now = _offers(monkeypatch, _linear_chunk, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        pnsgd(data, loss, domain, start, sched, NoiseStream(11))
+    assert all(after[1] <= 64 for before, after in zip(now, now[1:]) if before[2] < before[1])
+    assert max(offered for _, offered, _ in now) == 256
+
+
 def test_pnsgd_linear_one_wider_batch_among_single_steps(taken):
-    # a sub-chunk holding a batch of two is left to the loop; the others are not
+    # the closed form takes the steps before a batch of two, and the loop runs
+    # from it to the next 64-step mark of the offer: with the stream 20 draws
+    # into its block, offers start at steps 0, 64, 236 and 364 (the blocks
+    # end at 236 and 492), and the loop runs steps 40-63 and 300-363
     domain, loss, sample, start = _linear_case("ball")
     T = 600
     batches = np.ones(T, dtype=int)
@@ -734,20 +874,23 @@ def test_pnsgd_linear_one_wider_batch_among_single_steps(taken):
     want = oracle_pnsgd(data, loss, domain, start.copy(), sched, slow)
     np.testing.assert_allclose(rec.final_iterate, want, rtol=0, atol=TOL)
     assert noise.index == 20 + T
-    assert 0 < sum(taken) <= T - 2 * 64
+    assert taken == [40, 172, 64, 128, 108]
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 64), dim=st.integers(1, 8),
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 300), dim=st.integers(1, 8),
        scale_exponent=st.floats(-3.0, 2.0), feature_exponent=st.floats(-2.0, 1.0),
-       kicked=st.booleans())
+       spread=st.sampled_from((0.0, 1.0)), kicked=st.booleans())
 def test_linear_closed_form_equals_the_recurrence(seed, k, dim, scale_exponent,
-                                                  feature_exponent, kicked):
+                                                  feature_exponent, spread, kicked):
     # inside a ball too large to bind, the closed form is the whole recurrence
-    # for any contractive steps, eta_j |a_j|^2 in [0, 1.99]
+    # for any contractive steps, eta_j |a_j|^2 in [0, 1.99]: over several
+    # 16-step blocks, a ragged last block, and features whose lengths spread
+    # over two decades; the LU solve of the 64-step sub-chunks agrees
     rng = np.random.default_rng(seed)
     scale = 10.0 ** scale_exponent
-    A = 10.0 ** feature_exponent * rng.standard_normal((k, dim))
+    A = 10.0 ** (feature_exponent + spread * rng.uniform(-1.0, 1.0, (k, 1)))
+    A = A * rng.standard_normal((k, dim))
     eta = rng.uniform(0.0, 1.99, k) / np.maximum(np.einsum("ij,ij->i", A, A), 1e-300)
     b = scale * rng.standard_normal(k) * 10.0 ** feature_exponent
     kick = scale * rng.standard_normal((k, dim)) if kicked else None
@@ -755,9 +898,12 @@ def test_linear_closed_form_equals_the_recurrence(seed, k, dim, scale_exponent,
     domain = ConvexDomain.ball(np.zeros(dim), 1e9)
     rows = _linear_chunk(w, eta, A, b, kick, domain, None)
     want = _linear_reference(w, eta, A, b, kick)
-    assert len(rows) == k
+    lu = _lu_linear_chunk(w, eta, A, b, kick, domain, None)
+    assert len(rows) == len(lu) == k
     # a short feature with a long step moves the iterate by about b / |a|
-    np.testing.assert_allclose(rows, want, rtol=0, atol=TOL * max(1.0, np.abs(want).max()))
+    tol = TOL * max(1.0, np.abs(want).max())
+    np.testing.assert_allclose(rows, want, rtol=0, atol=tol)
+    np.testing.assert_allclose(rows, lu, rtol=0, atol=tol)
 
 
 @settings(max_examples=60, deadline=None)

@@ -237,6 +237,16 @@ class TestPsgd:
             assert gap_avg <= 2 * L * eta + 1e-9
 
 
+    @pytest.mark.parametrize("steps", [[0.1, math.nan], [0.1, math.inf], [0.1, -0.1],
+                                       ["0.1", "0.1"], [0.1, None], [True, False]])
+    def test_refuses_steps_that_are_not_finite_nonnegative_numbers(self, steps):
+        # a NaN step gave a NaN iterate, and "0.1" was parsed as a number
+        loss = quadratic_loss(BALL1)
+        data = Dataset(np.array([[1.0], [1.0]]))
+        with pytest.raises(ValueError, match="step sizes"):
+            psgd(data, loss, BALL1, [0.5], steps)
+
+
 class TestPhasedSgd:
     def test_noiseless_localizes_point_mass(self):
         dist = quadratic_point_mass(BALL2, [0.4, -0.3])
@@ -339,6 +349,16 @@ class TestPhasedSgd:
             phased_sgd(data, dist.loss, BALL2, [0.0, 0.0], eta=3.0, rho=1.0,
                        noise=NoiseStream(0))
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -0.5])
+    def test_refuses_steps_that_are_not_positive_and_finite(self, eta):
+        # eta = NaN passed both eta <= 0 and eta > 2/beta, and the run ended
+        # at a NaN iterate while it declared rho = 1
+        dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
+        data = dist.sample_dataset(8, rng_seed=0)
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            phased_sgd(data, dist.loss, BALL2, [0.0, 0.0], eta=eta, rho=1.0,
+                       noise=NoiseStream(0))
+
     def test_one_pass_budgets(self):
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
         n = 129
@@ -439,6 +459,16 @@ class TestPhasedErm:
         rec = phased_erm(data, dist.loss, BALL2, [0.0, 0.0], 0.25, epsilon=0.7, delta=1e-5,
                          noise=NoiseStream(3), inner="exact", sigma_scale=scale)
         assert rec.declared_budget == (ApproxDP(0.7, 2e-5) if declared else None)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0])
+    def test_refuses_steps_that_are_not_positive_and_finite(self, eta):
+        # eta = NaN used up the first phase's 94314 oracle calls before raising
+        domain = ConvexDomain.ball([0.0], 2.0)
+        dist = absolute_deviation_uniform(domain, median=0.3, half_width=1.0)
+        data = dist.sample_dataset(64, rng_seed=6)
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            phased_erm(data, dist.loss, domain, [-1.0], eta=eta, epsilon=1.0, delta=1e-4,
+                       noise=NoiseStream(2))
 
     def test_delta_range_enforced(self):
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)

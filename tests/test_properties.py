@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpsco.accountant import optimal_single_shift_allocation, pai_divergence_general, pai_rho
+from dpsco.accountant import pai_rho
 from dpsco.schedules import InvalidScheduleError, Schedule
+from shift_allocation import optimal_single_shift_allocation, pai_divergence_general
 
 PROPERTY_SETTINGS = settings(deadline=None, max_examples=100)
 
