@@ -30,17 +30,11 @@ from .losses import (
     LossFamily,
     SyntheticDistribution,
     absolute_deviation_uniform,
-    batch_grad,
-    dataset_from_csv,
-    dataset_to_csv,
-    grad,
     linear_regression_sphere,
     logistic_sphere,
-    population_loss_estimate,
     quadratic_gaussian,
     quadratic_point_mass,
     quadratic_sphere,
-    sample_dataset,
 )
 from .optimizers import (
     NoiseStream,
@@ -56,7 +50,6 @@ from .optimizers import (
     sc_weighted_sgd,
 )
 from .schedules import (
-    AveragingWeights,
     Schedule,
     constant_step,
     jnn_steps,

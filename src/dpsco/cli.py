@@ -93,6 +93,11 @@ def _build_distribution(spec: dict, domain: ConvexDomain) -> SyntheticDistributi
     raise ConfigError(f"unknown or missing loss family {family!r}")
 
 
+def _is_integer(value) -> bool:
+    """An int, or a float with an integer value; not a bool, a string or NaN."""
+    return type(value) is int or type(value) is float and math.isfinite(value) and value % 1 == 0
+
+
 def _parse_run_config(obj: dict) -> dict:
     for key in ("algorithm", "loss", "domain", "grid", "trials", "seed", "output"):
         if key not in obj:
@@ -110,15 +115,17 @@ def _parse_run_config(obj: dict) -> dict:
             point = [entry[key] for key in ("n", "d", "rho")]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"grid entry {entry!r} must have n, d, rho") from exc
-        numbers = all(type(v) is int or type(v) is float and math.isfinite(v) for v in point)
-        if not (numbers and min(point[:2]) >= 1 and point[0] % 1 == point[1] % 1 == 0
-                and point[2] > 0):
+        n, d, rho = point
+        if not (_is_integer(n) and _is_integer(d) and min(n, d) >= 1
+                and type(rho) in (int, float) and math.isfinite(rho) and rho > 0):
             raise ConfigError(f"grid entry {entry!r}: n and d must be integers >= 1, "
                               "rho finite and > 0")
-        parsed_grid.append((int(point[0]), int(point[1]), float(point[2])))
-    trials = int(obj["trials"])
-    if trials < 2:
-        raise ConfigError("trials must be >= 2")
+        parsed_grid.append((int(n), int(d), float(rho)))
+    trials, seed = obj["trials"], obj["seed"]
+    if not (_is_integer(trials) and trials >= 2):
+        raise ConfigError(f"trials must be an integer >= 2, got {trials!r}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     overrides = obj.get("overrides", {})
     sigma_scale = float(overrides.get("sigma_scale", 1.0))
     if not (math.isfinite(sigma_scale) and sigma_scale >= 0.0):
@@ -128,8 +135,8 @@ def _parse_run_config(obj: dict) -> dict:
         "loss": obj["loss"],
         "domain": obj["domain"],
         "grid": parsed_grid,
-        "trials": trials,
-        "seed": int(obj["seed"]),
+        "trials": int(trials),
+        "seed": int(seed),
         "output": obj["output"],
         "sigma_scale": sigma_scale,
     }

@@ -326,22 +326,26 @@ class CounterexampleReport:
         return alpha * self.x0_offset ** 2 / (2.0 * self.sigma ** 2 * self.T)
 
 
+def _average_moments(T: int, k: int, sigma: float, x0_offset: float) -> tuple[float, float]:
+    """Mean shift and variance of the average iterate (the cubic term is the
+    exact triangular-square sum, not an O(k^3) stand-in)."""
+    if not 1 <= k <= T:
+        raise ValueError(f"k must be in [1, T], got k = {k}, T = {T}")
+    return k * x0_offset / T, sigma * sigma * (k * (k + 1) * (2 * k + 1) / 6.0 + (T - k)) / (T * T)
+
+
 def counterexample_exact(
     T: int, k: int, sigma: float, x0_offset: float, oco: bool = False
 ) -> CounterexampleReport:
-    """Exact mean shift and variance of the average iterate (the cubic term
-    is the exact triangular-square sum, not an O(k^3) stand-in).
+    """Exact mean shift and variance of the average iterate.
 
     With ``oco`` the report describes the online-convex variant of the same
     process, whose average is the same Gaussian scaled by the step size
     eta = 1/sqrt(T); divergences are scale-invariant so they are unchanged.
     """
-    if not 1 <= k <= T:
-        raise ValueError(f"k must be in [1, T], got k = {k}, T = {T}")
+    shift, variance = _average_moments(T, k, sigma, x0_offset)
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    shift = k * x0_offset / T
-    variance = sigma * sigma * (k * (k + 1) * (2 * k + 1) / 6.0 + (T - k)) / (T * T)
     if oco:
         eta = 1.0 / math.sqrt(T)
         shift *= eta
@@ -367,8 +371,7 @@ def counterexample_empirical(
     The accuracy must track Phi(mean shift / std of the average); both are
     reported. Requires trials >= 100 per sign.
     """
-    if not 1 <= k <= T:
-        raise ValueError(f"k must be in [1, T], got k = {k}, T = {T}")
+    shift, variance = _average_moments(T, k, sigma, x0_magnitude)
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
     rng = np.random.default_rng(seed)
@@ -382,8 +385,6 @@ def counterexample_empirical(
             avg += x
         avg /= T
         correct += int(np.count_nonzero(np.sign(avg) == sign))
-    shift = k * x0_magnitude / T
-    variance = sigma * sigma * (k * (k + 1) * (2 * k + 1) / 6.0 + (T - k)) / (T * T)
     if variance == 0.0:
         predicted = 1.0 if shift > 0 else 0.5
     else:

@@ -10,7 +10,6 @@ makes excess-loss measurements exact.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -25,14 +24,6 @@ LOGISTIC = "logistic"
 ABSOLUTE_DEVIATION = "absolute_deviation"
 
 _PAIR_FAMILIES = (LINEAR_REGRESSION, LOGISTIC, ABSOLUTE_DEVIATION)
-
-
-def _sigmoid(z: float) -> float:
-    # Stable on both tails.
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -64,35 +55,14 @@ class LossFamily:
         if math.isfinite(self.smoothness) and self.strong_convexity > self.smoothness:
             raise ValueError("strong convexity cannot exceed smoothness")
 
-    # Single-example oracle. For pair families ``x`` is a tuple (a, b).
-    def value(self, w: np.ndarray, x) -> float:
-        w = np.asarray(w, dtype=np.float64)
-        if self.kind == QUADRATIC:
-            p = self._check_point(w, x)
-            return 0.5 * float(np.dot(w - p, w - p))
-        a, b = self._check_pair(w, x)
-        margin = float(np.dot(a, w))
-        if self.kind == LINEAR_REGRESSION:
-            return 0.5 * (margin - b) ** 2
-        if self.kind == LOGISTIC:
-            # log(1 + exp(-b * margin)), stable
-            z = -b * margin
-            return float(np.logaddexp(0.0, z))
-        return abs(margin - b)
-
     def grad(self, w: np.ndarray, x) -> np.ndarray:
-        """Gradient (subgradient for the non-smooth family, with sign(0) = 0)."""
+        """Gradient of one example's loss (subgradient with sign(0) = 0 for
+        the non-smooth family); for an (a, b) family ``x`` is the pair (a, b)."""
         w = np.asarray(w, dtype=np.float64)
         if self.kind == QUADRATIC:
-            p = self._check_point(w, x)
-            return w - p
-        a, b = self._check_pair(w, x)
-        margin = float(np.dot(a, w))
-        if self.kind == LINEAR_REGRESSION:
-            return (margin - b) * a
-        if self.kind == LOGISTIC:
-            return -b * _sigmoid(-b * margin) * a
-        return math.copysign(1.0, margin - b) * a if margin != b else 0.0 * a
+            return w - np.asarray(x, dtype=np.float64)
+        a = np.asarray(x[0], dtype=np.float64)
+        return self.margin_slope(a.dot(w), x[1]) * a
 
     def batch_grad(self, w: np.ndarray, batch: "Dataset") -> np.ndarray:
         """Arithmetic mean of ``grad`` over a nonempty batch (vectorized)."""
@@ -138,6 +108,7 @@ class LossFamily:
         return f"the data give beta = {beta:.6g} > declared beta = {self.smoothness:.6g}"
 
     def batch_value(self, w: np.ndarray, batch: "Dataset") -> float:
+        """Arithmetic mean of the loss over a nonempty batch (vectorized)."""
         if len(batch) == 0:
             raise ValueError("batch must be nonempty")
         w = np.asarray(w, dtype=np.float64)
@@ -151,26 +122,6 @@ class LossFamily:
         if self.kind == LOGISTIC:
             return float(np.mean(np.logaddexp(0.0, -batch.targets * margins)))
         return float(np.mean(np.abs(margins - batch.targets)))
-
-    def _check_point(self, w, x) -> np.ndarray:
-        p = np.asarray(x, dtype=np.float64).reshape(-1)
-        if p.shape != w.shape:
-            raise DimensionMismatchError(f"example shape {p.shape} != iterate {w.shape}")
-        return p
-
-    def _check_pair(self, w, x):
-        a = np.asarray(x[0], dtype=np.float64).reshape(-1)
-        if a.shape != w.shape:
-            raise DimensionMismatchError(f"feature shape {a.shape} != iterate {w.shape}")
-        return a, float(x[1])
-
-
-def grad(loss: LossFamily, w, x) -> np.ndarray:
-    return loss.grad(np.asarray(w, dtype=np.float64), x)
-
-
-def batch_grad(loss: LossFamily, w, batch: "Dataset") -> np.ndarray:
-    return loss.batch_grad(np.asarray(w, dtype=np.float64), batch)
 
 
 @dataclass(frozen=True)
@@ -210,32 +161,6 @@ class Dataset:
         feats[i] = np.asarray(example[0], dtype=np.float64)
         targs[i] = float(example[1])
         return Dataset(feats, targs)
-
-
-def dataset_to_csv(dataset: Dataset, path) -> None:
-    """One example per row: x1..xd, or a1..ad,b for (a, b) families."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        d = dataset.dimension
-        if dataset.targets is None:
-            writer.writerow([f"x{j + 1}" for j in range(d)])
-            for row in dataset.features:
-                writer.writerow([repr(float(v)) for v in row])
-        else:
-            writer.writerow([f"a{j + 1}" for j in range(d)] + ["b"])
-            for row, b in zip(dataset.features, dataset.targets):
-                writer.writerow([repr(float(v)) for v in row] + [repr(float(b))])
-
-
-def dataset_from_csv(path) -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    arr = np.asarray(rows, dtype=np.float64)
-    if header[-1] == "b":
-        return Dataset(arr[:, :-1], arr[:, -1])
-    return Dataset(arr)
 
 
 def _unit_rows(raw: np.ndarray) -> np.ndarray:
@@ -333,42 +258,6 @@ class SyntheticDistribution:
         if not self.has_closed_form:
             raise ValueError(f"{self.name} has no closed-form optimum")
         return self.population_loss(w) - self.optimum
-
-
-def population_loss_estimate(
-    dist: SyntheticDistribution, w, num_mc: int, rng_seed: int
-) -> dict[str, float]:
-    """Monte-Carlo estimate of F(w) with its standard error.
-
-    The quadratic family under a Gaussian sampler admits the exact value
-    0.5 |w - mu|^2 + 0.5 trace(Sigma); that closed form is returned with
-    ``std_err`` 0 instead of sampling.
-    """
-    if num_mc < 2:
-        raise ValueError(f"num_mc must be >= 2, got {num_mc}")
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    if dist.loss.kind == QUADRATIC and dist.sampler == "gaussian":
-        return {"mean": dist.population_loss(w), "std_err": 0.0}
-    data = dist.sample_dataset(num_mc, rng_seed)
-    if dist.loss.kind == QUADRATIC:
-        diffs = w[None, :] - data.features
-        values = 0.5 * np.sum(diffs * diffs, axis=1)
-    else:
-        margins = data.features @ w
-        if dist.loss.kind == LINEAR_REGRESSION:
-            values = 0.5 * (margins - data.targets) ** 2
-        elif dist.loss.kind == LOGISTIC:
-            values = np.logaddexp(0.0, -data.targets * margins)
-        else:
-            values = np.abs(margins - data.targets)
-    return {
-        "mean": float(np.mean(values)),
-        "std_err": float(np.std(values, ddof=1) / math.sqrt(num_mc)),
-    }
-
-
-def sample_dataset(dist: SyntheticDistribution, n: int, rng_seed: int) -> Dataset:
-    return dist.sample_dataset(n, rng_seed)
 
 
 def _sup_distance(domain: ConvexDomain, point: np.ndarray) -> float:

@@ -283,32 +283,36 @@ _CHUNK_ENTRIES = 32768
 
 
 def _sgd_pass(data, loss, domain, w, steps, batches=None, sigmas=None, noise=None,
-              weights=None):
-    """The one-pass loop of pnsgd, psgd, phased_sgd and sc_weighted_sgd: step t
-    takes the next ``batches[t]`` examples (default 1) and sets
-    w <- proj(w - eta_t * (mean gradient + sigma_t * xi_t)). Each step consumes
-    one draw of ``noise``, also at sigma_t = 0. The pass walks the schedule in
-    chunks of up to ``_CHUNK`` steps (fewer in high dimension) that end on the
-    stream's 256-draw block boundaries (counted from step 0 without a stream).
+              weights=None, prox=None):
+    """The one-pass loop of pnsgd, psgd, phased_sgd, sc_weighted_sgd and
+    phased_erm's inner SGD: step t takes the next ``batches[t]`` examples
+    (default 1) and sets w <- proj(w - eta_t * (mean gradient + sigma_t * xi_t)),
+    with eta_t * lam (w - w_prev) added inside the projection when a proximal
+    anchor ``prox = (w_prev, lam)`` is given. Each step consumes one draw of
+    ``noise``, also at sigma_t = 0. The pass walks the schedule in chunks of up
+    to ``_CHUNK`` steps (fewer in high dimension) that end on the stream's
+    256-draw block boundaries (counted from step 0 without a stream).
 
     Two families have affine gradients, and their steps are taken in closed
     form where projection is the identity; the per-step loop, which projects,
     runs the rest:
 
-    - quadratic: a step is w <- proj((1 - eta_t) w + pull_t), and the rest of
-      the chunk goes to :func:`_quadratic_chunk`, which takes the longest
-      prefix before an eta_t outside (0, 1), a product of the 1 - eta_t below
-      ``_PRODUCT_FLOOR`` or an iterate outside the domain. After a cut it is
-      offered the rest again at once; when it takes nothing, the loop runs to
-      the next block boundary, and the rest is offered from there;
-    - linear regression: the rest of the block, up to the first batch of
-      more than one example, goes to :func:`_linear_chunk`, which is cut
-      before the first eta_t |a_t|^2 outside [0, 2] and before the first
-      iterate outside the domain. After a cut the loop runs to the next
-      multiple of ``_LINEAR_SPAN`` steps from the offer's start, and offers
-      restart at ``_LINEAR_SPAN`` steps and double with each one taken whole.
-      So every offer starts where a 64-step sub-chunk did, and per block the
-      loop runs no more steps than it did after those sub-chunks.
+    - quadratic: a step is w <- proj((1 - eta_t) w + pull_t) (with an anchor,
+      eta_t (1 + lam) stands for eta_t and the means plus lam w_prev for the
+      means), and the rest of the chunk goes to :func:`_quadratic_chunk`,
+      which takes the longest prefix before an eta_t outside (0, 1), a product
+      of the 1 - eta_t below ``_PRODUCT_FLOOR`` or an iterate outside the
+      domain. After a cut it is offered the rest again at once; when it takes
+      nothing, the loop runs to the next block boundary, and the rest is
+      offered from there;
+    - linear regression, without an anchor: the rest of the block, up to the
+      first batch of more than one example, goes to :func:`_linear_chunk`,
+      which is cut before the first eta_t |a_t|^2 outside [0, 2] and before
+      the first iterate outside the domain. After a cut the loop runs to the
+      next multiple of ``_LINEAR_SPAN`` steps from the offer's start, and
+      offers restart at ``_LINEAR_SPAN`` steps and double with each one taken
+      whole. So every offer starts where a 64-step sub-chunk did, and per
+      block the loop runs no more steps than it did after those sub-chunks.
 
     Both take nothing when the first step already leaves the domain. The
     loop runs every step of the logistic and absolute-deviation families.
@@ -318,7 +322,9 @@ def _sgd_pass(data, loss, domain, w, steps, batches=None, sigmas=None, noise=Non
     if X.shape[1] != w.shape[0]:
         raise DimensionMismatchError(f"data dimension {X.shape[1]} != iterate {w.shape[0]}")
     T, quadratic, slope = len(steps), loss.kind == QUADRATIC, loss.margin_slope
-    linear = loss.kind == LINEAR_REGRESSION
+    linear = loss.kind == LINEAR_REGRESSION and prox is None
+    anchor, lam = (None, 0.0) if prox is None else prox
+    drag = None if quadratic else anchor  # the anchor the loop steps on
     batches = np.ones(T, dtype=np.int64) if batches is None else batches
     ball = domain.kind == "ball"
     center = domain.center if ball and domain.center.any() else None
@@ -343,10 +349,14 @@ def _sgd_pass(data, loss, domain, w, steps, batches=None, sigmas=None, noise=Non
             else:
                 means = np.add.reduceat(X[base:base + ends[-1]], ends - sizes, axis=0)
                 means /= sizes[:, None]
+            if anchor is not None:  # lam (w - w_prev) is affine in w too
+                means = means + lam * anchor
             pull = eta[:, None] * means
             if kick is not None:
                 pull -= kick
                 kick = None  # the loop steps on pull alone
+            if anchor is not None:
+                eta = eta * (1.0 + lam)
         lo = 0
         while lo < k:
             edge = min(k, lo + _NOISE_BLOCK - (t + phase + lo) % _NOISE_BLOCK)
@@ -372,6 +382,7 @@ def _sgd_pass(data, loss, domain, w, steps, batches=None, sigmas=None, noise=Non
                 if total is not None:
                     total += weights[t + lo:t + done] @ rows
             for j, (b, e) in enumerate(zip(sizes[done:hi].tolist(), eta[done:hi].tolist()), done):
+                v = w
                 if quadratic:
                     w = (1.0 - e) * w + pull[j]
                 elif b == 1:
@@ -382,6 +393,8 @@ def _sgd_pass(data, loss, domain, w, steps, batches=None, sigmas=None, noise=Non
                     w = w - (e / b) * (slope(A @ w, Y[start:start + b]) @ A)
                 if kick is not None:
                     w = w - kick[j]
+                if drag is not None:
+                    w = w - (e * lam) * (v - drag)
                 start += b
                 if ball:  # geometry.project, inline
                     off = w if center is None else w - center
@@ -515,7 +528,7 @@ def phased_sgd(
         raise StepSizeError(f"{defect}: sensitivity bound inapplicable")
     L = loss.lipschitz
     w = _start_point(domain, w0)
-    plan = phase_plan(n, eta, mode="geometric")
+    plan = phase_plan(n, eta)
     log = []
     offset = 0
     for i, (ni, eta_i) in enumerate(plan, start=1):
@@ -585,7 +598,7 @@ def phased_erm(
         raise ValueError(f"unknown inner solver {inner!r}")
     L = loss.lipschitz
     w = _start_point(domain, w0)
-    plan = phase_plan(n, eta, mode="geometric")
+    plan = phase_plan(n, eta)
     log = []
     offset = 0
     evals = 0
@@ -700,23 +713,28 @@ def _certified_sgd_erm(loss, domain, block, w_prev, lam, gap, budget, rng_stream
     )
 
 
+_INDEX_CHUNK = 1 << 16
+
+
 def _sgd_attempt(loss, domain, block, w_prev, lam, steps, rng):
-    ni = len(block)
-    half = steps // 2
+    """SGD with step 1/(lam (s + 1)) on the phase objective
+    mean f + (lam / 2) |w - w_prev|^2 over examples drawn with replacement;
+    returns the average of the last steps - steps // 2 iterates. The drawn
+    rows are gathered ``_INDEX_CHUNK`` at a time, one kernel pass each."""
     if block.dimension == 1 and loss.kind == ABSOLUTE_DEVIATION:
         return _sgd_attempt_absdev_1d(domain, block, w_prev, lam, steps, rng)
-    idx = rng.integers(0, ni, size=steps)
-    w = w_prev.copy()
-    acc = np.zeros_like(w)
-    for s in range(steps):
-        g = loss.grad(w, block.example(int(idx[s]))) + lam * (w - w_prev)
-        w = project(domain, w - g / (lam * (s + 1)))
-        if s >= half:
-            acc += w
+    idx = rng.integers(0, len(block), size=steps)
+    half = steps // 2
+    eta = 1.0 / (lam * np.arange(1, steps + 1))
+    suffix = (np.arange(steps) >= half).astype(np.float64)
+    w, acc = w_prev, np.zeros_like(w_prev)
+    for s in range(0, steps, _INDEX_CHUNK):
+        rows = idx[s:s + _INDEX_CHUNK]
+        part = Dataset(block.features[rows], None if block.targets is None else block.targets[rows])
+        w, total = _sgd_pass(part, loss, domain, w, eta[s:s + _INDEX_CHUNK],
+                             weights=suffix[s:s + _INDEX_CHUNK], prox=(w_prev, lam))
+        acc += total
     return acc / (steps - half)
-
-
-_INDEX_CHUNK = 1 << 16
 
 
 def _sgd_attempt_absdev_1d(domain, block, w_prev, lam, steps, rng):
@@ -843,7 +861,7 @@ def sc_weighted_sgd(
         raise StepSizeError(f"eta = {eta} > 2/beta = {2.0 / beta}")
     if noise_scale > 0 and noise is None:
         raise ValueError("noisy run requires a NoiseStream")
-    gamma = sc_weights(T, eta, lam).as_array()
+    gamma = sc_weights(T, eta, lam)
     w, weighted = _sgd_pass(data, loss, domain, _start_point(domain, w0), np.full(T, eta),
                             sigmas=np.full(T, noise_scale), noise=noise, weights=gamma)
     weighted /= float(np.sum(gamma))

@@ -214,26 +214,6 @@ class Schedule:
         return cls(*fields)
 
 
-@dataclass(frozen=True)
-class AveragingWeights:
-    """Strictly positive per-iterate weights with their normalization."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.weights) == 0:
-            raise InvalidScheduleError("weights must be nonempty")
-        if any(w <= 0 or not math.isfinite(w) for w in self.weights):
-            raise InvalidScheduleError("weights must be positive and finite")
-
-    @property
-    def normalization(self) -> float:
-        return float(sum(self.weights))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=np.float64)
-
-
 # snowball_runs computes every c_r while n is at most _DIRECT_MAX, and past
 # it every c_r before the runs of equal values reach _RUN_MIN steps.
 _DIRECT_MAX = 16384
@@ -342,11 +322,12 @@ def jnn_steps(T: int, c: float) -> list[float]:
     return steps
 
 
-def sc_weights(T: int, eta: float, lam: float) -> AveragingWeights:
-    """Geometric averaging weights (1 - eta * lam)^-t for strongly convex SGD.
+def sc_weights(T: int, eta: float, lam: float) -> np.ndarray:
+    """Geometric averaging weights (1 - eta * lam)^-t, t = 1..T, for strongly
+    convex SGD, as a read-only array.
 
-    Requires eta * lam < 1 so the weights are positive and finite; the
-    consuming optimizer additionally enforces eta <= 1 / (2 * lam).
+    Requires eta * lam < 1 so the weights are positive; the consuming
+    optimizer additionally enforces eta <= 1 / (2 * lam).
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -355,47 +336,22 @@ def sc_weights(T: int, eta: float, lam: float) -> AveragingWeights:
     if eta * lam >= 1:
         raise InvalidScheduleError(f"eta * lam = {eta * lam} >= 1: weights diverge")
     base = 1.0 - eta * lam
-    return AveragingWeights(tuple(base ** (-t) for t in range(1, T + 1)))
+    weights = np.array([base ** (-t) for t in range(1, T + 1)])
+    weights.flags.writeable = False
+    return weights
 
 
-def phase_plan(
-    n: int,
-    eta0: float,
-    mode: str = "geometric",
-    k_override: int | None = None,
-) -> list[tuple[int, float]]:
-    """Per-phase (sample count, step size) plan for localization algorithms.
-
-    geometric:
-        k = ceil(log2 n) phases with n_i = floor(2^-i * n) and
-        eta_i = 4^-i * eta0. Sample counts are floored so they are integers;
-        the leftover samples are discarded, which only strengthens privacy.
-    doubly_exponential:
-        k = ceil(ln ln n) (at least 1, overridable) phases with n_i =
-        floor(n / k) and eta_i = 2^(-2^i) * eta0.
-
-    Phases with zero samples are dropped (the plan is truncated at the last
-    phase with n_i >= 1). In both modes sum n_i <= n.
+def phase_plan(n: int, eta0: float) -> list[tuple[int, float]]:
+    """Per-phase (sample count, step size) plan for localization algorithms:
+    k = ceil(log2 n) phases with n_i = floor(2^-i * n) and
+    eta_i = 4^-i * eta0. Sample counts are floored so they are integers; the
+    leftover samples are discarded, which only strengthens privacy. Phases
+    with zero samples are dropped (n = 5 gives an empty third phase), so
+    sum n_i <= n.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if eta0 <= 0:
         raise ValueError("eta0 must be positive")
-    if mode == "geometric":
-        k = math.ceil(math.log2(n))
-        plan = [(n >> i, eta0 * 4.0 ** (-i)) for i in range(1, k + 1)]
-    elif mode == "doubly_exponential":
-        if k_override is not None:
-            k = int(k_override)
-            if k < 1:
-                raise ValueError("k_override must be >= 1")
-        else:
-            k = max(1, math.ceil(math.log(max(math.log(n), 1.0 + 1e-12))))
-        plan = [(n // k, eta0 * 2.0 ** (-(2.0 ** i))) for i in range(1, k + 1)]
-    else:
-        raise ValueError(f"unknown phase mode {mode!r}")
-    plan = [(ni, ei) for ni, ei in plan if ni >= 1]
-    if not plan:
-        raise InvalidScheduleError(f"phase plan for n = {n} has no nonempty phase")
-    assert sum(ni for ni, _ in plan) <= n
-    return plan
+    plan = [(n >> i, eta0 * 4.0 ** (-i)) for i in range(1, math.ceil(math.log2(n)) + 1)]
+    return [(ni, ei) for ni, ei in plan if ni >= 1]

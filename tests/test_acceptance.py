@@ -269,7 +269,7 @@ def test_criterion_11_phased_erm_nonsmooth():
     ok = dist.excess_loss(exact.final_iterate) <= 4.0 * L * D / math.sqrt(n)
     certified = phased_erm(data, dist.loss, domain, [-1.0], eta, epsilon=1.0, delta=delta,
                            noise=NoiseStream(SEED), inner="sgd", sigma_scale=0.0)
-    cap = 8.0 * sum(ni * ni for ni, _ in phase_plan(n, eta, "geometric"))
+    cap = 8.0 * sum(ni * ni for ni, _ in phase_plan(n, eta))
     cap *= max(1.0, math.log(1.0 / delta))
     ok &= certified.gradient_evaluations <= cap
     ok &= dist.excess_loss(certified.final_iterate) <= 4.0 * L * D / math.sqrt(n)

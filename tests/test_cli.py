@@ -146,11 +146,27 @@ class TestRun:
         assert not Path(cfg["output"]).exists()
         assert not Path(cfg["output"] + ".manifest.json").exists()
 
+    @pytest.mark.parametrize("field, value", [("trials", 2.9), ("trials", True),
+                                              ("trials", "3"), ("seed", 7.5), ("seed", True),
+                                              ("seed", "3"), ("seed", -1)])
+    def test_bad_trials_or_seed_exits_2(self, tmp_path, sweep_config, capsys, field, value):
+        # trials = 2.9 ran 2 trials and "3" ran 3; seed = 7.5 ran as 7, true
+        # as 1 and "3" as 3, all with exit 0 and the manifest keeping the value
+        # as written; seed = -1 failed mid-run with exit 3
+        cfg, _ = sweep_config
+        bad = tmp_path / "bad6.json"
+        bad.write_text(json.dumps({**cfg, field: value}))
+        assert run_cli(["run", "--config", bad]) == 2
+        assert field in capsys.readouterr().err
+        assert not Path(cfg["output"]).exists()
+        assert not Path(cfg["output"] + ".manifest.json").exists()
+
     def test_grid_counts_written_as_whole_floats_run(self, sweep_config):
         cfg, path = sweep_config
-        path.write_text(json.dumps({**cfg, "grid": [{"n": 64.0, "d": 2.0, "rho": 1}]}))
+        path.write_text(json.dumps({**cfg, "grid": [{"n": 64.0, "d": 2.0, "rho": 1}],
+                                    "trials": 3.0, "seed": 7.0}))
         assert run_cli(["run", "--config", path]) == 0
-        assert Path(cfg["output"]).read_text().splitlines()[1].startswith("64,2,1.0,")
+        assert Path(cfg["output"]).read_text().splitlines()[1].startswith("64,2,1.0,phased_sgd,3,")
 
     def test_zero_sigma_scale_still_runs(self, sweep_config):
         cfg, path = sweep_config

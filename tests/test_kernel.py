@@ -1,9 +1,10 @@
 """The one-pass SGD kernel against the per-step loops it replaced.
 
-The four oracle loops below are the loops of dpsco 0.1.0's ``pnsgd``,
-``psgd``, ``_psgd_average`` (the inner pass of ``phased_sgd``) and
-``sc_weighted_sgd``, kept verbatim. Every public algorithm must match them to
-1e-12 per coordinate for all four loss families, ball and box domains, mixed
+The oracle loops below are the loops of dpsco 0.1.0's ``pnsgd``, ``psgd``,
+``_psgd_average`` (the inner pass of ``phased_sgd``), ``sc_weighted_sgd`` and
+``_sgd_attempt`` (the inner SGD of ``phased_erm``), kept verbatim. Every public
+algorithm must match them to 1e-12 per coordinate for all four loss
+families, ball and box domains, mixed
 sigma = 0 steps, noise streams that start off a block boundary, and schedules
 whose steps and batches straddle the 256-draw noise blocks and the kernel's
 chunks of up to 2048 steps. The quadratic cases below also drive the
@@ -41,10 +42,14 @@ from dpsco.losses import (
 )
 import dpsco.optimizers
 from dpsco.optimizers import (
+    InnerSolveBudgetError,
     NoiseStream,
     _inside,
     _linear_chunk,
     _quadratic_chunk,
+    _sgd_attempt,
+    _sgd_attempt_absdev_1d,
+    phased_erm,
     phased_sgd,
     pnsgd,
     psgd,
@@ -104,11 +109,27 @@ def oracle_phased_sgd(data, loss, domain, w, eta, rho, noise):
     """phased_sgd's phase loop around the verbatim inner pass."""
     d, L = domain.dimension, loss.lipschitz
     offset = 0
-    for ni, eta_i in phase_plan(len(data), eta, mode="geometric"):
+    for ni, eta_i in phase_plan(len(data), eta):
         avg, _ = oracle_psgd_average(loss, domain, data.subset(offset, offset + ni), w, eta_i)
         offset += ni
         w = project(domain, avg + 4.0 * L * eta_i / rho * noise.gaussian(d))
     return w
+
+
+def oracle_sgd_attempt(loss, domain, block, w_prev, lam, steps, rng):
+    ni = len(block)
+    half = steps // 2
+    if block.dimension == 1 and loss.kind == ABSOLUTE_DEVIATION:
+        return _sgd_attempt_absdev_1d(domain, block, w_prev, lam, steps, rng)
+    idx = rng.integers(0, ni, size=steps)
+    w = w_prev.copy()
+    acc = np.zeros_like(w)
+    for s in range(steps):
+        g = loss.grad(w, block.example(int(idx[s]))) + lam * (w - w_prev)
+        w = project(domain, w - g / (lam * (s + 1)))
+        if s >= half:
+            acc += w
+    return acc / (steps - half)
 
 
 D = 5
@@ -221,7 +242,7 @@ def test_sc_weighted_sgd_matches_oracle(domain_name, noise_scale):
     fast.skip(37)
     slow.skip(37)
     rec = sc_weighted_sgd(data, loss, domain, W0, T, noise_scale, fast)
-    gamma = sc_weights(T, eta, loss.strong_convexity).as_array()
+    gamma = sc_weights(T, eta, loss.strong_convexity)
     last, weighted = oracle_sc_weighted(data, loss, domain, W0.copy(), T, eta, noise_scale,
                                         slow, gamma)
     np.testing.assert_allclose(rec.final_iterate, last, rtol=0, atol=TOL)
@@ -433,7 +454,7 @@ def test_weighted_quadratic_passes_match_oracles(domain_name):
 
     T = 1000
     eta = 2.0 * math.log(T) / (loss.strong_convexity * T)
-    gamma = sc_weights(T, eta, loss.strong_convexity).as_array()
+    gamma = sc_weights(T, eta, loss.strong_convexity)
     fast, slow = NoiseStream(6), NoiseStream(6)
     fast.skip(37)
     slow.skip(37)
@@ -562,7 +583,7 @@ def test_weighted_passes_over_several_chunks_match_oracles(domain_name, monkeypa
     np.testing.assert_allclose(rec.final_iterate, want, rtol=0, atol=TOL)
 
     eta = 2.0 * math.log(T) / (loss.strong_convexity * T)
-    gamma = sc_weights(T, eta, loss.strong_convexity).as_array()
+    gamma = sc_weights(T, eta, loss.strong_convexity)
     fast, slow = NoiseStream(6), NoiseStream(6)
     fast.skip(37)
     slow.skip(37)
@@ -921,3 +942,71 @@ def test_bulk_draw_equals_successive_draws(seed, dim, start, count):
         np.testing.assert_array_equal(row, single.gaussian(dim))
     # the stream goes on exactly where k single draws leave it
     np.testing.assert_array_equal(bulk.gaussian(dim), single.gaussian(dim))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("domain_name", DOMAINS)
+def test_inner_sgd_attempt_matches_oracle(family, domain_name):
+    # the first steps, 1/lam and 1/(2 lam), are long: the quadratic closed
+    # form declines them (eta (1 + lam) >= 1) and the loop projects
+    domain = _domains()[domain_name]
+    loss, sample = _family(family, domain)
+    block = sample(20, 50)
+    for lam in (0.01, 0.3, 10.0):
+        want = oracle_sgd_attempt(loss, domain, block, W0, lam, 800, np.random.default_rng(51))
+        got = _sgd_attempt(loss, domain, block, W0, lam, 800, np.random.default_rng(51))
+        np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
+
+
+def _attempts(monkeypatch, attempt):
+    """Run phased_erm's attempts through ``attempt``; the returned list
+    receives each attempt's candidate."""
+    candidates = []
+
+    def spy(*args):
+        candidates.append(attempt(*args))
+        return candidates[-1]
+
+    monkeypatch.setattr(dpsco.optimizers, "_sgd_attempt", spy)
+    return candidates
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("domain_name", ("ball", "box"))
+def test_phased_erm_inner_sgd_matches_oracle(family, domain_name, monkeypatch):
+    # equal candidates in every attempt, and equal oracle calls; absolute
+    # deviation in d = 5 never meets its certificate, and both runs stop on
+    # the same exhausted budget
+    domain = _domains()[domain_name]
+    loss, sample = _family(family, domain)
+    data = sample(32, 52)
+    runs = {}
+    for name, attempt in (("kernel", _sgd_attempt), ("oracle", oracle_sgd_attempt)):
+        candidates = _attempts(monkeypatch, attempt)
+        try:
+            outcome = phased_erm(data, loss, domain, W0, 0.5, 1.0, 1e-5, NoiseStream(53))
+        except InnerSolveBudgetError as exc:
+            outcome = str(exc)
+        runs[name] = outcome, candidates
+    (got, got_candidates), (want, want_candidates) = runs["kernel"], runs["oracle"]
+    assert len(got_candidates) == len(want_candidates) > 1
+    for a, b in zip(got_candidates, want_candidates):
+        np.testing.assert_allclose(a, b, rtol=0, atol=TOL)
+    if family == "absolute_deviation":
+        assert got == want and "not met" in got
+    else:
+        np.testing.assert_allclose(got.final_iterate, want.final_iterate, rtol=0, atol=TOL)
+        assert got.gradient_evaluations == want.gradient_evaluations
+
+
+@pytest.mark.parametrize("family", ("quadratic", "linear_regression"))
+def test_inner_sgd_attempt_longer_than_index_chunk(family):
+    # 2 * 182^2 = 66248 steps: two slices of gathered rows, one kernel pass each
+    domain = _domains()["ball"]
+    loss, sample = _family(family, domain)
+    block = sample(182, 54)
+    steps = 2 * 182 * 182
+    assert steps > dpsco.optimizers._INDEX_CHUNK
+    want = oracle_sgd_attempt(loss, domain, block, W0, 0.05, steps, np.random.default_rng(55))
+    got = _sgd_attempt(loss, domain, block, W0, 0.05, steps, np.random.default_rng(55))
+    np.testing.assert_allclose(got, want, rtol=0, atol=TOL)

@@ -10,13 +10,8 @@ from dpsco.losses import (
     Dataset,
     LossFamily,
     absolute_deviation_uniform,
-    batch_grad,
-    dataset_from_csv,
-    dataset_to_csv,
-    grad,
     linear_regression_sphere,
     logistic_sphere,
-    population_loss_estimate,
     quadratic_gaussian,
     quadratic_point_mass,
     quadratic_sphere,
@@ -25,27 +20,46 @@ from dpsco.losses import (
 BALL2 = ConvexDomain.ball([0.0, 0.0], 1.0)
 
 
+def one_row(x):
+    """A dataset of the one example ``x``: a point, or a pair (a, b)."""
+    if isinstance(x, tuple):
+        return Dataset(np.asarray(x[0], dtype=np.float64)[None], np.array([float(x[1])]))
+    return Dataset(np.asarray(x, dtype=np.float64)[None])
+
+
 def central_difference(loss, w, x, h=1e-6):
-    """Independent gradient oracle: central finite differences of f."""
+    """Independent gradient oracle: central finite differences of f, from the
+    values kernel on a one-row dataset."""
+    row = one_row(x)
     g = np.zeros_like(w)
     for j in range(w.shape[0]):
         e = np.zeros_like(w)
         e[j] = h
-        g[j] = (loss.value(w + e, x) - loss.value(w - e, x)) / (2.0 * h)
+        g[j] = (loss.batch_value(w + e, row) - loss.batch_value(w - e, row)) / (2.0 * h)
     return g
+
+
+def monte_carlo(dist, w, n, seed, groups=100):
+    """The loss at ``w`` averaged over n sampled examples by ``batch_value``
+    on ``groups`` equal blocks, with the standard error of the block means."""
+    data = dist.sample_dataset(n, rng_seed=seed)
+    size = n // groups
+    means = np.array([dist.loss.batch_value(w, data.subset(g * size, (g + 1) * size))
+                      for g in range(groups)])
+    return float(means.mean()), float(means.std(ddof=1) / math.sqrt(groups))
 
 
 class TestGrad:
     def test_quadratic_grad_is_offset(self):
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
         np.testing.assert_array_equal(
-            grad(dist.loss, [1.0, 1.0], np.array([0.0, 0.0])), [1.0, 1.0]
+            dist.loss.grad([1.0, 1.0], np.array([0.0, 0.0])), [1.0, 1.0]
         )
 
     def test_quadratic_grad_vanishes_at_example(self):
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
         x = np.array([0.25, -0.5])
-        np.testing.assert_array_equal(grad(dist.loss, x, x), [0.0, 0.0])
+        np.testing.assert_array_equal(dist.loss.grad(x, x), [0.0, 0.0])
 
     def test_logistic_grad_at_origin(self):
         # sigmoid(0) = 1/2, so the gradient is -b a / 2; cross-checked against
@@ -53,49 +67,70 @@ class TestGrad:
         loss = LossFamily("logistic", lipschitz=1.0, smoothness=0.25, strong_convexity=0.0)
         a = np.array([0.6, 0.8])
         w = np.zeros(2)
-        g = grad(loss, w, (a, 1.0))
+        g = loss.grad(w, (a, 1.0))
         np.testing.assert_allclose(g, -a / 2.0, atol=1e-15)
         np.testing.assert_allclose(g, central_difference(loss, w, (a, 1.0)), atol=1e-9)
 
     def test_dimension_mismatch(self):
+        # the batch kernel checks the example's dimension against the iterate's
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
         with pytest.raises(DimensionMismatchError):
-            grad(dist.loss, [1.0, 1.0], np.array([0.0, 0.0, 0.0]))
+            dist.loss.batch_grad(np.array([1.0, 1.0]), one_row([0.0, 0.0, 0.0]))
 
     def test_absolute_deviation_sign_convention(self):
         loss = LossFamily("absolute_deviation", 1.0, math.inf, 0.0)
         a = np.array([1.0])
-        assert grad(loss, np.array([0.0]), (a, 0.0))[0] == 0.0  # sign(0) = 0
-        assert grad(loss, np.array([1.0]), (a, 0.0))[0] == 1.0
-        assert grad(loss, np.array([-1.0]), (a, 0.0))[0] == -1.0
+        assert loss.grad(np.array([0.0]), (a, 0.0))[0] == 0.0  # sign(0) = 0
+        assert loss.grad(np.array([1.0]), (a, 0.0))[0] == 1.0
+        assert loss.grad(np.array([-1.0]), (a, 0.0))[0] == -1.0
 
 
 class TestBatchGrad:
     def test_singleton_batch_equals_grad(self):
-        dist = logistic_sphere(BALL2, 1.0, [0.0, 0.0])
-        data = dist.sample_dataset(1, rng_seed=5)
+        # every family, plus logistic margins a.w near +-700 (exp(-700) is
+        # still a normal float; a warning would fail the test) and an
+        # absolute-deviation example exactly at its kink a.w = b
         w = np.array([0.2, -0.1])
-        np.testing.assert_allclose(
-            batch_grad(dist.loss, w, data), grad(dist.loss, w, data.example(0)), atol=1e-15
-        )
+        cases = []
+        for dist in (quadratic_sphere(BALL2, [0.0, 0.0], 1.0),
+                     linear_regression_sphere(BALL2, 1.0, [0.5, 0.0], 0.1),
+                     logistic_sphere(BALL2, 1.0, [0.0, 0.0]),
+                     absolute_deviation_uniform(ConvexDomain.ball([0.0], 1.0), 0.3, 1.0)):
+            data = dist.sample_dataset(1, rng_seed=5)
+            cases.append((dist.loss, w[:dist.dimension], data.example(0)))
+        logistic = LossFamily("logistic", 1.0, 0.25, 0.0)
+        a = np.array([0.6, 0.8])
+        for sign in (1.0, -1.0):  # a.w = +-700
+            for b in (1.0, -1.0):
+                cases.append((logistic, sign * np.array([420.0, 560.0]), (a, b)))
+        absdev = LossFamily("absolute_deviation", 1.0, math.inf, 0.0)
+        kink = (absdev, np.array([0.25, 0.5]), (np.array([1.0, 0.5]), 0.5))
+        cases.append(kink)
+        for loss, w, x in cases:
+            g = loss.grad(w, x)
+            assert np.isfinite(g).all()
+            np.testing.assert_allclose(loss.batch_grad(w, one_row(x)), g, rtol=1e-12, atol=0)
+        assert not absdev.grad(*kink[1:]).any()  # sign(0) = 0
+        np.testing.assert_allclose(logistic.grad(np.array([420.0, 560.0]), (a, -1.0)), a,
+                                   rtol=1e-15)
 
     def test_symmetric_batch_cancels(self):
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
         x = np.array([0.3, 0.4])
         data = Dataset(np.stack([x, -x]))
-        np.testing.assert_array_equal(batch_grad(dist.loss, np.zeros(2), data), [0.0, 0.0])
+        np.testing.assert_array_equal(dist.loss.batch_grad(np.zeros(2), data), [0.0, 0.0])
 
     def test_two_point_mean(self):
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
         data = Dataset(np.array([[2.0, 0.0], [0.0, 2.0]]))
         np.testing.assert_allclose(
-            batch_grad(dist.loss, np.zeros(2), data), [-1.0, -1.0], atol=1e-15
+            dist.loss.batch_grad(np.zeros(2), data), [-1.0, -1.0], atol=1e-15
         )
 
     def test_empty_batch_rejected(self):
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
         with pytest.raises(ValueError):
-            batch_grad(dist.loss, np.zeros(2), Dataset(np.empty((0, 2))))
+            dist.loss.batch_grad(np.zeros(2), Dataset(np.empty((0, 2))))
 
     def test_batch_grad_matches_example_loop(self):
         rng = np.random.default_rng(3)
@@ -107,9 +142,9 @@ class TestBatchGrad:
             data = dist.sample_dataset(16, rng_seed=9)
             w = rng.normal(size=2) * 0.5
             by_loop = np.mean(
-                [grad(dist.loss, w, data.example(i)) for i in range(len(data))], axis=0
+                [dist.loss.grad(w, data.example(i)) for i in range(len(data))], axis=0
             )
-            np.testing.assert_allclose(batch_grad(dist.loss, w, data), by_loop, atol=1e-12)
+            np.testing.assert_allclose(dist.loss.batch_grad(w, data), by_loop, atol=1e-12)
 
 
 class TestSampling:
@@ -157,58 +192,40 @@ class TestSampling:
                 labels = np.where(rng.uniform(size=500) < prob, 1.0, -1.0)
                 np.testing.assert_array_equal(data.targets, labels)
 
-    def test_csv_round_trip(self, tmp_path):
-        for dist in (
-            quadratic_sphere(BALL2, [0.0, 0.0], 1.0),
-            logistic_sphere(BALL2, 1.0, [0.0, 0.0]),
-        ):
-            data = dist.sample_dataset(20, rng_seed=8)
-            path = tmp_path / f"{dist.name}.csv"
-            dataset_to_csv(data, path)
-            back = dataset_from_csv(path)
-            np.testing.assert_array_equal(back.features, data.features)
-            if data.targets is None:
-                assert back.targets is None
-            else:
-                np.testing.assert_array_equal(back.targets, data.targets)
-
 
 class TestPopulationLoss:
     def test_point_mass_zero_at_center(self):
         dist = quadratic_point_mass(BALL2, [0.25, -0.25])
-        est = population_loss_estimate(dist, [0.25, -0.25], num_mc=64, rng_seed=0)
-        assert est["mean"] == 0.0
-        assert est["std_err"] == 0.0
+        assert dist.population_loss([0.25, -0.25]) == 0.0
+        data = dist.sample_dataset(64, rng_seed=0)
+        assert dist.loss.batch_value(np.array([0.25, -0.25]), data) == 0.0
 
     def test_gaussian_closed_form_is_half_d(self):
-        # E 0.5 |x|^2 = d/2 for standard normal data; closed form, no MC noise
+        # E 0.5 |x|^2 = d/2 for standard normal data
         domain = ConvexDomain.ball([0.0] * 4, 1.0)
         dist = quadratic_gaussian(domain, [0.0] * 4, 1.0)
-        est = population_loss_estimate(dist, [0.0] * 4, num_mc=100, rng_seed=0)
-        assert est["mean"] == 2.0
-        assert est["std_err"] == 0.0
+        assert dist.population_loss([0.0] * 4) == 2.0
         # cross-check the closed form against a large Monte Carlo draw
-        data = dist.sample_dataset(200_000, rng_seed=1)
-        mc = float(np.mean(0.5 * np.sum(data.features**2, axis=1)))
+        mc, _ = monte_carlo(dist, np.zeros(4), 200_000, seed=1)
         assert abs(mc - 2.0) < 0.03
 
-    def test_num_mc_precondition(self):
+    def test_empty_batch_value_rejected(self):
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
         with pytest.raises(ValueError):
-            population_loss_estimate(dist, [0.0, 0.0], num_mc=1, rng_seed=0)
+            dist.loss.batch_value(np.zeros(2), Dataset(np.empty((0, 2))))
 
     def test_sphere_closed_form_matches_monte_carlo(self):
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
         w = np.array([0.3, -0.2])
-        est = population_loss_estimate(dist, w, num_mc=200_000, rng_seed=2)
-        assert abs(est["mean"] - dist.population_loss(w)) <= 4 * est["std_err"] + 1e-12
+        mean, std_err = monte_carlo(dist, w, 200_000, seed=2)
+        assert abs(mean - dist.population_loss(w)) <= 4 * std_err + 1e-12
 
     def test_absdev_closed_form(self):
         domain = ConvexDomain.ball([0.0], 1.0)
         dist = absolute_deviation_uniform(domain, median=0.3, half_width=1.0)
         assert dist.optimum == 0.5
-        est = population_loss_estimate(dist, [0.3], num_mc=200_000, rng_seed=3)
-        assert abs(est["mean"] - 0.5) <= 4 * est["std_err"]
+        mean, std_err = monte_carlo(dist, np.array([0.3]), 200_000, seed=3)
+        assert abs(mean - 0.5) <= 4 * std_err
 
     def test_minimizer_gradient_norm_small(self):
         # Monte-Carlo gradient at the closed-form minimizer is statistically zero
@@ -219,7 +236,7 @@ class TestPopulationLoss:
         ):
             n = 40_000
             data = dist.sample_dataset(n, rng_seed=4)
-            g = batch_grad(dist.loss, dist.minimizer, data)
+            g = dist.loss.batch_grad(dist.minimizer, data)
             L = dist.loss.lipschitz
             assert np.linalg.norm(g) <= 3.0 * L / math.sqrt(n)
 
@@ -276,7 +293,7 @@ class TestDeclaredConstants:
             for i in range(100):
                 w = points[i]
                 x = data.example(i)
-                g = grad(dist.loss, w, x)
+                g = dist.loss.grad(w, x)
                 fd = central_difference(dist.loss, w, x)
                 assert np.linalg.norm(g - fd) <= 1e-4 * (1.0 + np.linalg.norm(g))
 
@@ -286,7 +303,7 @@ class TestDeclaredConstants:
             data = dist.sample_dataset(200, rng_seed=13)
             points = self._domain_points(dist, rng, 200)
             for i in range(200):
-                g = grad(dist.loss, points[i], data.example(i))
+                g = dist.loss.grad(points[i], data.example(i))
                 assert np.linalg.norm(g) <= dist.loss.lipschitz + 1e-12
 
     def test_smoothness_audit(self, families):
@@ -303,7 +320,7 @@ class TestDeclaredConstants:
                 if gap < 1e-9:
                     continue
                 x = data.example(i)
-                lhs = np.linalg.norm(grad(dist.loss, p[i], x) - grad(dist.loss, q[i], x))
+                lhs = np.linalg.norm(dist.loss.grad(p[i], x) - dist.loss.grad(q[i], x))
                 assert lhs <= beta * gap * (1.0 + 1e-6)
 
     def test_strong_convexity_audit(self, families):
@@ -315,10 +332,11 @@ class TestDeclaredConstants:
             q = self._domain_points(dist, rng, 100)
             for i in range(100):
                 x = data.example(i)
-                lhs = dist.loss.value(q[i], x)
+                row = one_row(x)
+                lhs = dist.loss.batch_value(q[i], row)
                 rhs = (
-                    dist.loss.value(p[i], x)
-                    + float(np.dot(grad(dist.loss, p[i], x), q[i] - p[i]))
+                    dist.loss.batch_value(p[i], row)
+                    + float(np.dot(dist.loss.grad(p[i], x), q[i] - p[i]))
                     + 0.5 * lam * float(np.sum((q[i] - p[i]) ** 2))
                 )
                 assert lhs >= rhs - 1e-9

@@ -283,7 +283,7 @@ class TestPhasedSgd:
         eta, rho = 0.5, 1.0
         L = dist.loss.lipschitz
         rec = phased_sgd(data, dist.loss, BALL2, [0.0, 0.0], eta, rho, NoiseStream(5))
-        plan = phase_plan(64, eta, "geometric")
+        plan = phase_plan(64, eta)
         assert [p.samples for p in rec.phase_log] == [ni for ni, _ in plan]
         for entry, (_, eta_i) in zip(rec.phase_log, plan):
             assert entry.noise_scale == pytest.approx(4 * L * eta_i / rho, rel=1e-15)
@@ -307,7 +307,7 @@ class TestPhasedSgd:
                                NoiseStream(42), sigma_scale=0.0)
             rec_b = phased_sgd(neighbor, dist.loss, BALL2, [0.0, 0.0], eta, rho,
                                NoiseStream(42), sigma_scale=0.0)
-            plan = phase_plan(n, eta, "geometric")
+            plan = phase_plan(n, eta)
             offset = 0
             for (pa, pb, (ni, eta_i)) in zip(rec_a.phase_log, rec_b.phase_log, plan):
                 if offset <= j < offset + ni:
@@ -317,7 +317,7 @@ class TestPhasedSgd:
                     break
                 offset += ni
         # noise magnitude claim, as an arithmetic identity on the schedule
-        for i, (_, eta_i) in enumerate(phase_plan(n, eta, "geometric"), start=1):
+        for i, (_, eta_i) in enumerate(phase_plan(n, eta), start=1):
             sigma_i = 4 * L * eta_i / rho
             assert d * sigma_i**2 <= (4.0 * 4.0 ** (-i) * D) ** 2 * (1 + 1e-12)
             # the tighter display with the proof's noise convention
@@ -364,7 +364,7 @@ class TestPhasedSgd:
         n = 129
         data = dist.sample_dataset(n, rng_seed=9)
         rec = phased_sgd(data, dist.loss, BALL2, [0.0, 0.0], 0.5, 1.0, NoiseStream(1))
-        plan_total = sum(ni for ni, _ in phase_plan(n, 0.5, "geometric"))
+        plan_total = sum(ni for ni, _ in phase_plan(n, 0.5))
         assert rec.gradient_evaluations == plan_total <= n
 
 
@@ -377,7 +377,7 @@ class TestPhasedErm:
         w0 = np.array([0.5, 0.5])
         rec = phased_erm(data, dist.loss, BALL2, w0, eta, epsilon=1.0, delta=1e-5,
                          noise=NoiseStream(0), inner="exact", sigma_scale=0.0)
-        plan = phase_plan(n, eta, "geometric")
+        plan = phase_plan(n, eta)
         n1, eta1 = plan[0]
         lam1 = 2.0 / (eta1 * n1)
         centroid = data.features[:n1].mean(axis=0)
@@ -399,7 +399,7 @@ class TestPhasedErm:
                          noise=NoiseStream(0), inner="exact", sigma_scale=0.0)
         w = w0.copy()
         offset = 0
-        for entry, (ni, eta_i) in zip(rec.phase_log, phase_plan(n, eta, "geometric")):
+        for entry, (ni, eta_i) in zip(rec.phase_log, phase_plan(n, eta)):
             lam_i = 2.0 / (eta_i * ni)
             centroid = data.features[offset:offset + ni].mean(axis=0)
             w = project(BALL2, (centroid + lam_i * w) / (1.0 + lam_i))
@@ -424,7 +424,7 @@ class TestPhasedErm:
         data = dist.sample_dataset(n, rng_seed=6)
         rec = phased_erm(data, dist.loss, domain, [-1.0], eta=0.5, epsilon=1.0,
                          delta=delta, noise=NoiseStream(2), inner="sgd", sigma_scale=0.0)
-        cap = 8.0 * sum(ni**2 for ni, _ in phase_plan(n, 0.5, "geometric"))
+        cap = 8.0 * sum(ni**2 for ni, _ in phase_plan(n, 0.5))
         cap *= max(1.0, math.log(1.0 / delta))
         assert rec.gradient_evaluations <= cap
         L, D = dist.loss.lipschitz, domain.diameter
@@ -440,7 +440,7 @@ class TestPhasedErm:
                          inner="sgd", **kwargs)
         # certified suboptimality L^2 eta_i / n_i implies iterates within
         # sqrt(2 gap / lam_i) = L eta_i of each phase's true minimizer
-        plan = phase_plan(32, 0.25, "geometric")
+        plan = phase_plan(32, 0.25)
         L = dist.loss.lipschitz
         tol = sum(L * eta_i for _, eta_i in plan)
         assert np.linalg.norm(exact.final_iterate - sgd.final_iterate) <= 2 * tol
