@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from dpsco.accountant import (
@@ -152,6 +154,77 @@ class TestPaiRho:
             bigger_s = list(sigmas)
             bigger_s[t] *= 2.0
             assert pai_rho(Schedule(tuple(batches), etas, tuple(bigger_s)), 1.0).rho <= base + 1e-15
+
+
+def exact_affine_rho(schedule: Schedule, lipschitz: float, contractions) -> list[float]:
+    """Independent oracle: the exact privacy loss mu_t of the affine noisy
+    iteration w_t = c_t w_{t-1} + a_t + eta_t sigma_t xi_t, whose neighbours
+    differ in one a_t by at most 2 L eta_t / B_t. With P_s = prod_{u>s} c_u
+    the last iterate is Gaussian with variance sum_s P_s^2 eta_s^2 sigma_s^2,
+    and a change at step t shifts its mean by P_t 2 L eta_t / B_t, so
+    mu_t = 2 L eta_t / (B_t sqrt(sum_s (P_s / P_t)^2 eta_s^2 sigma_s^2)), or 0
+    when P_t = 0. The ratios P_s / P_t are taken one factor at a time and the
+    root by ``math.hypot``, so tiny contractions neither underflow nor
+    overflow the sum."""
+    B = schedule.batch_sizes.tolist()
+    eta, sigma = schedule.step_sizes.tolist(), schedule.noise_scales.tolist()
+    T = len(B)
+    mu = []
+    for t in range(T):
+        if eta[t] == 0.0 or 0.0 in contractions[t + 1:]:
+            mu.append(0.0)
+            continue
+        terms, ratio = [eta[t] * sigma[t]], 1.0
+        for s in range(t + 1, T):  # P_s / P_t = 1 / prod_{t<u<=s} c_u
+            ratio /= contractions[s]
+            terms.append(ratio * eta[s] * sigma[s] if eta[s] * sigma[s] else 0.0)
+        ratio = 1.0
+        for s in range(t - 1, -1, -1):  # P_s / P_t = prod_{s<u<=t} c_u
+            ratio *= contractions[s + 1]
+            terms.append(ratio * eta[s] * sigma[s])
+        scale = math.hypot(*terms)
+        mu.append(2.0 * lipschitz * eta[t] / (B[t] * scale) if scale else math.inf)
+    return mu
+
+
+@st.composite
+def affine_cases(draw, step=st.floats(0.0, 1.0)):
+    """A schedule, L and contractions c_t drawn from {0, 1} or [0, 1]; step
+    sizes are a scale in [1e-3, 1e3] times 0, 1 or a ``step`` draw."""
+    T = draw(st.integers(1, 40))
+    unit = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    batches = draw(st.lists(st.integers(1, 6), min_size=T, max_size=T))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    steps = st.one_of(st.just(0.0), st.just(1.0), step)
+    eta = [scale * e for e in draw(st.lists(steps, min_size=T, max_size=T))]
+    sigma = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-2, 5.0)), min_size=T, max_size=T))
+    contractions = draw(st.lists(unit, min_size=T, max_size=T))
+    return Schedule(batches, eta, sigma), draw(st.floats(0.1, 4.0)), contractions
+
+
+class TestExactAffineOracle:
+    """pai_rho is the supremum of the exact loss over contractions in [0, 1]."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(affine_cases())
+    def test_exact_loss_never_exceeds_rho(self, case):
+        sched, L, contractions = case
+        assert max(exact_affine_rho(sched, L, contractions)) <= (
+            pai_rho(sched, L).rho * (1.0 + 1e-12))
+
+    # Steps of at least 1e-6 keep every eta_s^2 sigma_s^2 a normal float:
+    # where it underflows, pai_rho's suffix sums lose it and the budget can
+    # come out larger than the exact value (infinite at eta = 2.2e-309).
+    @settings(max_examples=300, deadline=None)
+    @given(affine_cases(step=st.floats(1e-3, 1.0)))
+    def test_rho_is_the_exact_loss_at_the_extremal_contractions(self, case):
+        # c_t = 0 forgets everything before step t, and c_u = 1 after it
+        # keeps every later noise draw: mu_t is then the term of step t
+        sched, L, _ = case
+        T = sched.num_steps
+        extremal = [exact_affine_rho(sched, L, [1.0] * t + [0.0] + [1.0] * (T - t - 1))[t]
+                    for t in range(T)]
+        assert max(extremal) == pytest.approx(pai_rho(sched, L).rho, rel=1e-12)
 
 
 class TestShiftAllocation:

@@ -70,7 +70,7 @@ class TestSweepPlumbing:
             for d in (1, 4):
                 batches = _snowball_plan(n, d, 1.0, MULTIPLIER_SZ)
                 T = len(batches)
-                assert batches.tolist() == snowball_batches(T, d, 1.0)
+                assert tuple(batches.tolist()) == snowball_batches(T, d, 1.0)
                 assert sum(snowball_batches(T, d, 1.0)) <= n
                 assert sum(snowball_batches(T + 1, d, 1.0)) > n
 

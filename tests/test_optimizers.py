@@ -609,7 +609,7 @@ class TestScSnowball:
         domain = ConvexDomain.ball([0.0, 0.0], 1.0)
         dist = quadratic_sphere(domain, [0.0, 0.0], 1.0)
         batches = snowball_batches(1, 2, 1.0)
-        assert batches == [math.ceil(2 * math.sqrt(2))]
+        assert batches == (math.ceil(2 * math.sqrt(2)),)
         data = dist.sample_dataset(batches[0], rng_seed=0)
         rec = sc_snowball(data, dist.loss, domain, [0.0, 0.0], 1, 2, 1.0,
                           NoiseStream(0), eta=0.1)

@@ -162,11 +162,11 @@ class TestSchedule:
 class TestSnowballBatches:
     def test_single_step_hand_value(self):
         # ceil(2 * sqrt(4 / 1) / 1) = 4
-        assert snowball_batches(1, 4, 1.0, MULTIPLIER_SZ) == [4]
+        assert snowball_batches(1, 4, 1.0, MULTIPLIER_SZ) == (4,)
 
     def test_all_ones_when_rho_large(self):
         # ceil(sqrt(1 / (5 - t))) = 1 for every t
-        assert snowball_batches(4, 1, 2.0, MULTIPLIER_SZ) == [1, 1, 1, 1]
+        assert snowball_batches(4, 1, 2.0, MULTIPLIER_SZ) == (1, 1, 1, 1)
 
     def test_last_entry_is_max(self):
         for T, d, rho in [(7, 3, 0.5), (50, 16, 1.0), (13, 1, 0.1)]:
@@ -216,24 +216,24 @@ class TestSnowballBatches:
         # c_1 = 2^62 fits and is kept exactly; c_1 = 2^63 does not fit
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert snowball_batches(2, 1, 1.0, 2.0**62) == [
-                math.ceil(2.0**62 * math.sqrt(0.5)), 2**62]
+            assert snowball_batches(2, 1, 1.0, 2.0**62) == (
+                math.ceil(2.0**62 * math.sqrt(0.5)), 2**62)
             with pytest.raises(ValueError, match="fit in int64"):
                 snowball_batches(2, 1, 1.0, 2.0**63)
 
 
 class TestConstantStep:
     def test_hand_value(self):
-        assert constant_step(4, 2.0, 1.0) == [1.0, 1.0, 1.0, 1.0]
+        assert constant_step(4, 2.0, 1.0) == (1.0, 1.0, 1.0, 1.0)
 
     def test_single_step(self):
-        assert constant_step(1, 3.0, 3.0) == [1.0]
+        assert constant_step(1, 3.0, 3.0) == (1.0,)
 
     def test_length(self):
         assert len(constant_step(17, 1.0, 2.0)) == 17
 
 
-def jnn_steps_loop(T: int, c: float) -> list[float]:
+def jnn_steps_loop(T: int, c: float) -> tuple[float, ...]:
     """Reference band loop: fill each band T_i < t <= T_{i+1} one step at a time."""
     ell = max(0, math.ceil(math.log2(T)))
     bounds = [T - math.ceil(T * 2.0 ** (-i)) for i in range(ell + 1)] + [T]
@@ -244,7 +244,7 @@ def jnn_steps_loop(T: int, c: float) -> list[float]:
             steps[t - 1] = c * 2.0 ** (-i) / math.sqrt(T)
             filled[t - 1] = True
     assert all(filled), "step-size bands must cover every step"
-    return steps
+    return tuple(steps)
 
 
 class TestJnnSteps:
@@ -257,15 +257,15 @@ class TestJnnSteps:
         for T in [2**20, 2**20 + 1, 10**6] + [int(t) for t in rng.integers(3001, 10**6, size=4)]:
             c = float(rng.uniform(0.1, 5.0))
             got = jnn_steps(T, c)
-            assert type(got) is list and type(got[0]) is float
+            assert type(got) is tuple and type(got[0]) is float
             assert got == jnn_steps_loop(T, c)
 
     def test_hand_evaluation_T4(self):
         # bands: T_0 = 0, T_1 = 2, T_2 = 3, T_3 = 4
-        assert jnn_steps(4, 1.0) == [0.5, 0.5, 0.25, 0.125]
+        assert jnn_steps(4, 1.0) == (0.5, 0.5, 0.25, 0.125)
 
     def test_single_step(self):
-        assert jnn_steps(1, 2.5) == [2.5]
+        assert jnn_steps(1, 2.5) == (2.5,)
 
     def test_band_identity_and_monotone(self):
         for T in range(1, 513):
