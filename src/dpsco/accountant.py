@@ -141,30 +141,28 @@ def compose(budgets) -> PrivacyBudget:
 def rdp_to_dp(budget: PrivacyBudget, delta: float) -> float:
     """Convert the curve to (epsilon, delta)-DP: rho^2/2 + rho sqrt(2 ln(1/delta)).
 
-    This closed form equals the minimum over alpha > 1 of
-    alpha rho^2 / 2 + ln(1/delta) / (alpha - 1). It is standard (and tight
-    relative to this conversion) in the regime rho <= sqrt(ln(1/delta));
-    outside that regime a warning is emitted but the value, which remains a
-    valid conversion, is still returned.
+    This closed form is :func:`rdp_to_dp_general` with no order: the minimum
+    over alpha > 1 of alpha rho^2 / 2 + ln(1/delta) / (alpha - 1). It is
+    standard (and tight relative to this conversion) in the regime
+    rho <= sqrt(ln(1/delta)); outside that regime a warning is emitted but
+    the value, which remains a valid conversion, is still returned.
     """
     _check_delta(delta)
     rho = budget.rho
-    if math.isinf(rho):
-        return math.inf
-    if rho > math.sqrt(math.log(1.0 / delta)):
+    if math.isfinite(rho) and rho > math.sqrt(math.log(1.0 / delta)):
         warnings.warn(
             f"rho = {rho} exceeds sqrt(ln(1/delta)) = {math.sqrt(math.log(1.0 / delta))}; "
             "the conversion is valid but loose in this regime",
             stacklevel=2,
         )
-    return rho * rho / 2.0 + rho * math.sqrt(2.0 * math.log(1.0 / delta))
+    return rdp_to_dp_general(budget, delta)
 
 
 def rdp_to_dp_general(budget: PrivacyBudget, delta: float, alpha: float | None = None) -> float:
     """The order-wise conversion alpha rho^2 / 2 + ln(1/delta) / (alpha - 1).
 
-    With ``alpha`` None the optimal order 1 + sqrt(2 ln(1/delta)) / rho is
-    used, at which the value coincides with :func:`rdp_to_dp`.
+    With ``alpha`` None it is the minimum over alpha in the closed form of
+    :func:`rdp_to_dp`, finite where the optimal order overflows (subnormal rho).
     """
     _check_delta(delta)
     rho = budget.rho
@@ -173,7 +171,7 @@ def rdp_to_dp_general(budget: PrivacyBudget, delta: float, alpha: float | None =
     if rho == 0.0:
         return 0.0  # infimum over alpha -> infinity of ln(1/delta) / (alpha - 1)
     if alpha is None:
-        alpha = 1.0 + math.sqrt(2.0 * math.log(1.0 / delta)) / rho
+        return rho * rho / 2.0 + rho * math.sqrt(2.0 * math.log(1.0 / delta))
     if alpha <= 1:
         raise ValueError(f"alpha must be > 1, got {alpha}")
     return alpha * rho * rho / 2.0 + math.log(1.0 / delta) / (alpha - 1.0)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import ConvexDomain
-from .losses import SyntheticDistribution
+from .losses import Dataset, SyntheticDistribution
 from .optimizers import NoiseStream, RunRecord, pnsgd, psgd, sc_snowball, phased_sgd
 from .schedules import (
     MULTIPLIER_JNN,
@@ -259,15 +259,16 @@ def sensitivity_probe(
     Generates ``num_pairs`` neighboring dataset pairs (one uniformly chosen
     example replaced by a fresh draw), executes the algorithm on both, and
     reports the largest final-iterate or average-iterate distance next to the
-    analytic bound 2 L eta. Refuses step sizes beyond the contractive range,
-    losses that are not smooth, and sampled data on which the declared beta
-    does not hold, where that bound does not hold.
+    analytic bound 2 L eta. Raises :class:`ValueError`, where that bound does
+    not hold, for any defect :meth:`LossFamily.support_defect` finds at eta:
+    the loss's and the step's before sampling, the data's in each pair.
     """
-    beta = dist.loss.smoothness
-    if not math.isfinite(beta):
-        raise ValueError(f"beta = {beta}: the loss is not smooth, bound inapplicable")
-    if eta > 2.0 / beta:
-        raise ValueError(f"eta = {eta} > 2/beta = {2.0 / beta}: bound inapplicable")
+    def refuse(sample):
+        defect = dist.loss.support_defect(sample, dist.domain, eta)
+        if defect is not None:
+            raise ValueError(f"{defect}: bound inapplicable")
+
+    refuse(Dataset(np.empty((0, dist.dimension))))
     if algorithm is None:
         def algorithm(data, loss, domain, start):
             return psgd(data, loss, domain, start, [eta] * len(data))
@@ -281,10 +282,8 @@ def sensitivity_probe(
         j = int(rng.integers(0, n))
         fresh = dist.sample_dataset(1, _derive_seeds(seed, pair, 2)).example(0)
         neighbor = data.replace(j, fresh)
-        for sample in (data, neighbor):
-            defect = dist.loss.smoothness_defect(sample)
-            if defect is not None:
-                raise ValueError(f"{defect}: bound inapplicable")
+        refuse(data)
+        refuse(neighbor)
         rec_a = algorithm(data, dist.loss, dist.domain, start)
         rec_b = algorithm(neighbor, dist.loss, dist.domain, start)
         worst = max(worst, float(np.linalg.norm(rec_a.final_iterate - rec_b.final_iterate)))

@@ -90,22 +90,48 @@ class LossFamily:
             return -targets * np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         return np.sign(margins - targets)
 
-    def smoothness_defect(self, data: "Dataset") -> str | None:
-        """Why the declared ``smoothness`` does not hold on ``data``, or None
-        when it does. An (a, b) family's beta depends on the features: the
-        data give max |a|^2 for linear regression and max |a|^2 / 4 for
-        logistic, and one above the declared beta by more than a relative
-        1e-12 (or NaN) is a defect. The other families' beta does not depend
-        on the data."""
-        if self.kind not in (LINEAR_REGRESSION, LOGISTIC) or len(data) == 0:
+    def support_defect(self, data: "Dataset", domain: ConvexDomain,
+                       eta: float | None = None) -> str | None:
+        """Why the declared constants that a privacy claim relies on do not
+        hold for a run on ``data`` over ``domain``, or None when they do.
+        L must be at least what the data give: the largest per-example
+        gradient norm over the domain (|a| for logistic, which it bounds).
+        With ``eta``, the largest step the claim needs to be contractive, the
+        loss must also be smooth, eta at most 2/beta, and beta at least what
+        the features give (max |a|^2 for linear regression, max |a|^2 / 4 for
+        logistic; the other families' beta does not depend on the data).
+        Each comparison allows a relative 1e-12; a NaN is a defect."""
+        beta, slack = self.smoothness, 1.0 + 1e-12
+        if eta is not None and not math.isfinite(beta):
+            return "the loss is not smooth"
+        if eta is not None and eta > 2.0 / beta * slack:
+            return f"a step size {eta:.6g} exceeds 2/beta = {2.0 / beta:.6g}"
+        if len(data) == 0:
             return None
-        feats = data.features
-        beta = float(np.einsum("ij,ij->i", feats, feats).max())
-        if self.kind == LOGISTIC:
-            beta /= 4.0
-        if beta <= self.smoothness * (1.0 + 1e-12):
-            return None
-        return f"the data give beta = {beta:.6g} > declared beta = {self.smoothness:.6g}"
+        X = data.features
+        norms = None if self.kind == QUADRATIC else np.einsum("ij,ij->i", X, X)
+        if eta is not None and self.kind in (LINEAR_REGRESSION, LOGISTIC):
+            got = float(norms.max()) / (4.0 if self.kind == LOGISTIC else 1.0)
+            if not got <= beta * slack:
+                return f"the data give beta = {got:.6g} > declared beta = {beta:.6g}"
+        ball = domain.kind == "ball"  # sup |w - m| = r, or |w_j - m_j| <= h_j
+        m, h = (domain.center, domain.radius) if ball else (
+            (domain.lower + domain.upper) / 2.0, (domain.upper - domain.lower) / 2.0)
+        if self.kind == QUADRATIC and ball:  # |x_i - m| + r; skip the (n, d) temporary at a
+            far = X - m if m.any() else X  # zero centre: it slowed a d = 16 sweep round ~15 %
+            got = math.sqrt(np.einsum("ij,ij->i", far, far).max()) + h
+        elif self.kind == QUADRATIC:  # the farthest corner of each row
+            far = np.abs(X - m) + h
+            got = math.sqrt(np.einsum("ij,ij->i", far, far).max())
+        elif self.kind == LINEAR_REGRESSION:  # |a| (|a.m - b| + sup |a.(w - m)|)
+            lengths = np.sqrt(norms)
+            gap = np.abs(X @ m - data.targets)
+            got = float((lengths * (gap + (h * lengths if ball else np.abs(X) @ h))).max())
+        else:  # logistic and absolute deviation: |a|
+            got = math.sqrt(norms.max())
+        if not got <= self.lipschitz * slack:
+            return f"the data give L = {got:.6g} > declared L = {self.lipschitz:.6g}"
+        return None
 
     def batch_value(self, w: np.ndarray, batch: "Dataset") -> float:
         """Arithmetic mean of the loss over a nonempty batch (vectorized)."""

@@ -398,23 +398,16 @@ def pnsgd(
     xi_t ~ N(0, sigma_t^2 I). The dataset size must equal the schedule's total
     exactly: silent truncation or padding would invalidate the declared
     budget, which is the amplification-by-iteration value for this schedule.
-    A step size above 2/beta, a loss that is not smooth (beta not finite), or
-    data on which the declared beta does not hold
-    (:meth:`LossFamily.smoothness_defect`) voids that value: the run warns and
-    declares none.
+    Any defect that :meth:`LossFamily.support_defect` finds at the largest
+    step (a loss that is not smooth, a step above 2/beta, data above the
+    declared beta or L) voids that value: the run warns and declares none.
     """
     total = schedule.total_samples()
     if len(data) != total:
         raise DataSizeError(f"dataset has {len(data)} examples, schedule consumes {total}")
-    beta = loss.smoothness
-    if not math.isfinite(beta):
-        reason = "the loss is not smooth"
-    elif schedule.step_sizes.max() > 2.0 / beta + 1e-12:
-        reason = "a step size exceeds 2/beta"
-    else:
-        reason = loss.smoothness_defect(data)
+    reason = loss.support_defect(data, domain, float(schedule.step_sizes.max()))
     if reason is not None:
-        warnings.warn(f"{reason}; the privacy budget relies on per-step contractivity, "
+        warnings.warn(f"{reason}; the privacy budget relies on the declared constants, "
                       "so none is declared", stacklevel=2)
     w, _ = _sgd_pass(data, loss, domain, _start_point(domain, w0), schedule.step_sizes,
                      schedule.batch_sizes, schedule.noise_scales, noise)
@@ -479,25 +472,22 @@ def phased_sgd(
 
     ``sigma_scale`` scales every sigma_i (0 disables noise) for ablations;
     below 1 the noise no longer covers the sensitivity and no budget is
-    declared (``declared_budget`` is None). The 2 L eta_i bound needs a smooth
-    loss: for one whose beta is not finite the run warns and declares none,
-    and data on which the declared beta does not hold raise
-    :class:`StepSizeError`, as eta > 2/beta does.
+    declared (``declared_budget`` is None). The 2 L eta_i bound needs the
+    declared constants (:meth:`LossFamily.support_defect` at eta): for a loss
+    that is not smooth the run warns and declares none; eta > 2/beta, or data
+    above the declared beta or L, raise :class:`StepSizeError`.
     """
     n = len(data)
     if n < 2:
         raise DataSizeError(f"need at least 2 examples, got {n}")
     if not (0.0 < eta < math.inf and rho > 0.0):
         raise ValueError("eta must be positive and finite, and rho positive")
-    beta = loss.smoothness
-    smooth = math.isfinite(beta)
-    if not smooth:
-        warnings.warn("the loss is not smooth; the 2 L eta sensitivity bound does not hold, "
-                      "so no privacy budget is declared", stacklevel=2)
-    elif eta > 2.0 / beta:
-        raise StepSizeError(f"eta = {eta} > 2/beta = {2.0 / beta}: sensitivity bound inapplicable")
-    elif (defect := loss.smoothness_defect(data)) is not None:
+    defect = loss.support_defect(data, domain, eta)
+    if defect is not None and math.isfinite(loss.smoothness):
         raise StepSizeError(f"{defect}: sensitivity bound inapplicable")
+    if defect is not None:
+        warnings.warn(f"{defect}; the 2 L eta sensitivity bound does not hold, "
+                      "so no privacy budget is declared", stacklevel=2)
     L = loss.lipschitz
     w = _start_point(domain, w0)
     plan = phase_plan(n, eta)
@@ -519,7 +509,7 @@ def phased_sgd(
         gradient_evaluations=offset,
         phase_log=tuple(log),
         rng_seed=noise.seed,
-        declared_budget=PrivacyBudget(rho) if smooth and sigma_scale >= 1.0 else None,
+        declared_budget=PrivacyBudget(rho) if defect is None and sigma_scale >= 1.0 else None,
     )
 
 
@@ -548,7 +538,9 @@ def phased_erm(
     N(0, sigma_i^2 I) with sigma_i = 4 L (eta_i / epsilon) sqrt(ln(1/delta)).
     Consecutive disjoint blocks follow the same geometric plan as
     :func:`phased_sgd`. The declared guarantee is (epsilon, 2 delta)-DP; with
-    ``sigma_scale`` below 1 (a reduced-noise ablation) none is declared.
+    ``sigma_scale`` below 1 (a reduced-noise ablation), or on data whose
+    gradients exceed the declared L over the domain
+    (:meth:`LossFamily.support_defect`, which warns), none is declared.
 
     inner:
         "sgd" runs strongly convex SGD (step 1/(lam_i s), suffix averaging)
@@ -568,6 +560,10 @@ def phased_erm(
         raise ValueError("eta must be positive and finite, and epsilon positive")
     if inner not in ("sgd", "exact"):
         raise ValueError(f"unknown inner solver {inner!r}")
+    defect = loss.support_defect(data, domain)
+    if defect is not None:
+        warnings.warn(f"{defect}; the noise is calibrated to the declared L, "
+                      "so no privacy budget is declared", stacklevel=2)
     L = loss.lipschitz
     w = _start_point(domain, w0)
     plan = phase_plan(n, eta)
@@ -597,7 +593,8 @@ def phased_erm(
         gradient_evaluations=evals,
         phase_log=tuple(log),
         rng_seed=noise.seed,
-        declared_budget=ApproxDP(epsilon, 2.0 * delta) if sigma_scale >= 1.0 else None,
+        declared_budget=(ApproxDP(epsilon, 2.0 * delta)
+                         if defect is None and sigma_scale >= 1.0 else None),
     )
 
 
@@ -814,8 +811,9 @@ def sc_weighted_sgd(
     With the default eta = 2 ln(T) / (lam T) the geometrically weighted
     average (weights (1 - eta lam)^-t) achieves the optimal rate up to the
     logarithmic factor; the last iterate is also returned for the
-    growing-batch variant's analysis. Requires eta <= 1/(2 lam) and
-    eta <= 2/beta.
+    growing-batch variant's analysis. Requires eta <= 1/(2 lam); any defect
+    that :meth:`LossFamily.support_defect` finds at eta (such as eta > 2/beta)
+    makes the run warn and declare no budget.
     """
     lam = loss.strong_convexity
     if lam <= 0:
@@ -828,9 +826,10 @@ def sc_weighted_sgd(
         eta = 2.0 * math.log(T) / (lam * T)
     if eta > 1.0 / (2.0 * lam) + 1e-15:
         raise StepSizeError(f"eta = {eta} > 1/(2 lam) = {1.0 / (2.0 * lam)}")
-    beta = loss.smoothness
-    if math.isfinite(beta) and eta > 2.0 / beta:
-        raise StepSizeError(f"eta = {eta} > 2/beta = {2.0 / beta}")
+    reason = loss.support_defect(data, domain, eta)
+    if reason is not None:
+        warnings.warn(f"{reason}; the privacy budget relies on the declared constants, "
+                      "so none is declared", stacklevel=2)
     if noise_scale > 0 and noise is None:
         raise ValueError("noisy run requires a NoiseStream")
     gamma = sc_weights(T, eta, lam)
@@ -844,7 +843,7 @@ def sc_weighted_sgd(
         gradient_evaluations=T,
         phase_log=(PhaseRecord(1, T, noise_scale, w),),
         rng_seed=None if noise is None else noise.seed,
-        declared_budget=pai_rho(schedule, loss.lipschitz),
+        declared_budget=pai_rho(schedule, loss.lipschitz) if reason is None else None,
     )
 
 
@@ -865,7 +864,8 @@ def sc_snowball(
 
     Defaults: batch sizes ceil(2 sqrt(d/(T-t+1)) / rho), eta = 2 ln(T)/(lam T)
     (T >= 2; pass eta for the degenerate single-step case), sigma = L/sqrt(d)
-    (overridable for ablations).
+    (overridable for ablations). Where :func:`pnsgd` finds a defect (such as
+    eta > 2/beta) the run warns and declares no budget.
     """
     lam = loss.strong_convexity
     if lam <= 0:
@@ -878,9 +878,6 @@ def sc_snowball(
         eta = 2.0 * math.log(T) / (lam * T)
     if sigma is None:
         sigma = loss.lipschitz / math.sqrt(d)
-    beta = loss.smoothness
-    if math.isfinite(beta) and eta > 2.0 / beta:
-        raise StepSizeError(f"eta = {eta} > 2/beta = {2.0 / beta}")
     schedule = Schedule(snowball_batches(T, d, rho), np.full(T, eta), np.full(T, sigma))
     return pnsgd(data, loss, domain, w0, schedule, noise)
 

@@ -343,12 +343,23 @@ class TestRdpToDp:
         for _ in range(200):
             budget = PrivacyBudget(float(rng.uniform(0.01, 2.0)))
             delta = float(rng.uniform(1e-9, 0.05))
-            closed = rdp_to_dp(budget, delta)
-            optimized = rdp_to_dp_general(budget, delta)
-            assert closed >= optimized - 1e-12
-            # and any other order is no better than the optimum
-            for alpha in (1.5, 2.0, 8.0, 64.0):
-                assert rdp_to_dp_general(budget, delta, alpha) >= optimized - 1e-12
+            rho = budget.rho
+            closed = rho * rho / 2.0 + rho * math.sqrt(2.0 * math.log(1.0 / delta))
+            assert rdp_to_dp(budget, delta) == closed
+            assert rdp_to_dp_general(budget, delta) == closed
+            # the closed form is the minimum over orders: it is attained at the
+            # optimal order, and no other order beats it
+            best = 1.0 + math.sqrt(2.0 * math.log(1.0 / delta)) / rho
+            assert rdp_to_dp_general(budget, delta, best) == pytest.approx(closed, rel=1e-12)
+            for alpha in (1.5, 2.0, 8.0, 64.0, best * 0.999, best * 1.001):
+                assert rdp_to_dp_general(budget, delta, alpha) >= closed - 1e-12
+
+    def test_subnormal_rho_stays_finite(self):
+        # the optimal order 1 + sqrt(2 ln(1/delta)) / rho overflows here
+        budget = PrivacyBudget(1e-310)
+        expected = 1e-310 * math.sqrt(2.0 * math.log(1e6))
+        for value in (rdp_to_dp(budget, 1e-6), rdp_to_dp_general(budget, 1e-6)):
+            assert abs(value - expected) <= 1e-6 * expected
 
     def test_delta_range(self):
         with pytest.raises(ValueError):

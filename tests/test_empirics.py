@@ -206,8 +206,9 @@ class TestSensitivityProbe:
 
     def test_rejects_overlong_step(self):
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
-        with pytest.raises(ValueError):
-            sensitivity_probe(dist, n=10, eta=3.0, num_pairs=5, seed=0)
+        for pairs in (5, 0):
+            with pytest.raises(ValueError, match="exceeds 2/beta"):
+                sensitivity_probe(dist, n=10, eta=3.0, num_pairs=pairs, seed=0)
 
     def test_rejects_data_beyond_declared_smoothness(self):
         # the sampler draws features of norm 3 (beta = 9) for a loss declaring
@@ -223,6 +224,9 @@ class TestSensitivityProbe:
         dist = absolute_deviation_uniform(ConvexDomain.ball([0.0], 1.0), 0.0, 1.0)
         with pytest.raises(ValueError, match="not smooth"):
             sensitivity_probe(dist, n=64, eta=0.05, num_pairs=5, seed=0)
+        # the loss decides it, so the probe refuses before drawing any pair
+        with pytest.raises(ValueError, match="not smooth"):
+            sensitivity_probe(dist, n=64, eta=0.05, num_pairs=0, seed=0)
 
 
 class TestCounterexampleExact:

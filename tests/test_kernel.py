@@ -1049,16 +1049,20 @@ def _attempts(monkeypatch, attempt):
 def test_phased_erm_inner_sgd_matches_oracle(family, domain_name, monkeypatch):
     # equal candidates in every attempt, and equal oracle calls. The
     # absolute-deviation sample has Gaussian features, |a| about sqrt(5),
-    # under a declared L = 1 (the unchecked L of ROADMAP item 1), and never
-    # meets its certificate: both runs stop on the same exhausted budget
+    # under a declared L = 1: the run warns that the data exceed the declared
+    # L, and never meets its certificate: both runs stop on the same
+    # exhausted budget
     domain = _domains()[domain_name]
     loss, sample = _family(family, domain)
     data = sample(32, 52)
     runs = {}
     for name, attempt in (("kernel", _sgd_attempt), ("oracle", oracle_sgd_attempt)):
         candidates = _attempts(monkeypatch, attempt)
+        beyond_l = (pytest.warns(UserWarning, match="declared L") if family == "absolute_deviation"
+                    else contextlib.nullcontext())
         try:
-            outcome = phased_erm(data, loss, domain, W0, 0.5, 1.0, 1e-5, NoiseStream(53))
+            with beyond_l:
+                outcome = phased_erm(data, loss, domain, W0, 0.5, 1.0, 1e-5, NoiseStream(53))
         except InnerSolveBudgetError as exc:
             outcome = str(exc)
         runs[name] = outcome, candidates

@@ -241,6 +241,25 @@ class TestPopulationLoss:
             assert np.linalg.norm(g) <= 3.0 * L / math.sqrt(n)
 
 
+def _extremal_point(kind, domain, x):
+    """The domain point at which one example's gradient norm is largest: the
+    farthest point from x (quadratic), the largest |a.w - b| (linear
+    regression and absolute deviation), or the smallest margin b a.w
+    (logistic)."""
+    if kind == "quadratic":
+        if domain.kind == "ball":
+            away = domain.center - x
+            return domain.center + domain.radius * away / np.linalg.norm(away)
+        return np.where(np.abs(domain.lower - x) >= np.abs(domain.upper - x),
+                        domain.lower, domain.upper)
+    a, b = x
+    mid = domain.center if domain.kind == "ball" else (domain.lower + domain.upper) / 2.0
+    up = -b if kind == "logistic" else (1.0 if a.dot(mid) >= b else -1.0)
+    if domain.kind == "ball":
+        return domain.center + up * domain.radius * a / np.linalg.norm(a)
+    return np.where(up * a >= 0.0, domain.upper, domain.lower)
+
+
 @pytest.fixture(scope="module")
 def families():
     return [
@@ -254,27 +273,53 @@ def families():
 class TestDeclaredConstants:
     """Sampled audits of the declared (L, beta, lambda) constants."""
 
-    def test_sampled_data_meet_the_declared_smoothness(self, families):
-        for dist in families:
-            assert dist.loss.smoothness_defect(dist.sample_dataset(200, rng_seed=18)) is None
+    def test_sampled_data_meet_the_declared_smoothness(self):
+        # every synthetic distribution's own samples meet its declared L and
+        # beta (at the longest contractive step 2/beta) on centred balls,
+        # shifted balls and boxes
+        for d in (1, 3):
+            domains = (ConvexDomain.ball(np.zeros(d), 1.0),
+                       ConvexDomain.ball(np.linspace(0.3, -0.2, d), 0.8),
+                       ConvexDomain.box(np.linspace(-0.5, -0.3, d), np.linspace(0.7, 0.4, d)))
+            for domain in domains:
+                center = np.linspace(0.4, -0.6, d)
+                dists = [quadratic_point_mass(domain, center),
+                         quadratic_sphere(domain, center, 0.7),
+                         quadratic_gaussian(domain, center, 2.0),
+                         linear_regression_sphere(domain, 1.3, center, 0.2),
+                         logistic_sphere(domain, 1.7, center)]
+                if d == 1:
+                    dists.append(absolute_deviation_uniform(domain, 0.2, 0.5))
+                for dist in dists:
+                    beta = dist.loss.smoothness
+                    eta = 2.0 / beta if math.isfinite(beta) else None
+                    data = dist.sample_dataset(500, rng_seed=18)
+                    assert dist.loss.support_defect(data, domain, eta) is None, dist.name
 
     def test_smoothness_defect_reads_the_features(self):
         # beta = |a|^2 (linear regression) or |a|^2 / 4 (logistic), with a
-        # relative tolerance of 1e-12 above the declared value
-        for dist, declared in ((linear_regression_sphere(BALL2, 1.0, [0.0, 0.0], 0.5), 1.0),
+        # relative tolerance of 1e-12 above the declared value; the data's L
+        # (at most 2 and 2 (1 + 1e-13)) stays within the declared L = 2
+        for dist, declared in ((linear_regression_sphere(BALL2, 1.0, [0.0, 0.0], 1.0), 1.0),
                                (logistic_sphere(BALL2, 2.0, [0.0, 0.0]), 1.0)):
             scale = 2.0 if dist.loss.kind == "logistic" else 1.0
             for stretch, ok in ((1.0 + 1e-13, True), (1.0 + 1e-11, False), (3.0, False)):
                 data = Dataset(np.array([[0.0, 0.5], [scale * math.sqrt(stretch), 0.0]]),
-                               np.array([1.0, -1.0]))
-                defect = dist.loss.smoothness_defect(data)
+                               np.array([1.0, 0.0]))
+                defect = dist.loss.support_defect(data, BALL2, 2.0 / declared)
                 assert (defect is None) == ok
             assert "declared beta = 1" in defect
             nan = Dataset(np.array([[np.nan, 0.0]]), np.array([1.0]))
-            assert dist.loss.smoothness_defect(nan) is not None
-        # the other families' beta does not depend on the data
+            assert "declared beta" in dist.loss.support_defect(nan, BALL2, 1.0)
+        # without a step only L is checked: beta = 1.44 > 1 but L = 1.44 <= 2
+        lsq = linear_regression_sphere(BALL2, 1.0, [0.0, 0.0], 1.0).loss
+        wide = Dataset(np.array([[1.2, 0.0]]), np.array([0.0]))
+        assert lsq.support_defect(wide, BALL2) is None
+        assert "declared beta" in lsq.support_defect(wide, BALL2, 1.0)
+        # the other families' beta does not depend on the data; their L does
         far = Dataset(np.array([[30.0, 0.0]]), np.array([1.0]))
-        assert quadratic_sphere(BALL2, [0.0, 0.0], 1.0).loss.smoothness_defect(far) is None
+        defect = quadratic_sphere(BALL2, [0.0, 0.0], 1.0).loss.support_defect(far, BALL2, 2.0)
+        assert defect == "the data give L = 31 > declared L = 2"
 
     def _domain_points(self, dist, rng, count):
         d = dist.dimension
@@ -305,6 +350,56 @@ class TestDeclaredConstants:
             for i in range(200):
                 g = dist.loss.grad(points[i], data.example(i))
                 assert np.linalg.norm(g) <= dist.loss.lipschitz + 1e-12
+        # the L that support_defect reads from the data is the largest
+        # gradient norm over the domain: no sampled domain point exceeds it,
+        # and it equals the norm at each row's extremal point to 1e-12
+        # (logistic's |a| is approached there: its margins reach below -30)
+        d = 3
+        domains = (ConvexDomain.ball(np.zeros(d), 40.0),
+                   ConvexDomain.ball(np.array([5.0, -3.0, 2.0]), 40.0),
+                   ConvexDomain.box(np.array([-45.0, -41.0, -50.0]), np.array([43.0, 40.0, 47.0])))
+        for kind in ("quadratic", "linear_regression", "logistic", "absolute_deviation"):
+            for domain in domains:
+                feats = rng.standard_normal((30, d))
+                feats *= rng.uniform(1.0, 3.0, (30, 1)) / np.linalg.norm(feats, axis=1)[:, None]
+                if kind == "quadratic":
+                    data = Dataset(60.0 * rng.standard_normal((30, d)))
+                elif kind == "logistic":
+                    data = Dataset(feats, rng.choice([-1.0, 1.0], 30))
+                else:
+                    data = Dataset(feats, 20.0 * rng.standard_normal(30))
+                extremal = [_extremal_point(kind, domain, data.example(i)) for i in range(30)]
+                loss = LossFamily(kind, lipschitz=math.inf, smoothness=math.inf,
+                                  strong_convexity=0.0)
+                peak = max(np.linalg.norm(loss.grad(w, data.example(i)))
+                           for i, w in enumerate(extremal))
+                for w in np.concatenate([extremal, self._box_or_ball_points(domain, rng, 100)]):
+                    assert domain.contains(w)
+                    for i in range(30):
+                        assert np.linalg.norm(loss.grad(w, data.example(i))) <= peak
+                for declared, ok in ((peak * (1.0 - 2e-12), False), (peak, True)):
+                    loss = LossFamily(kind, lipschitz=declared, smoothness=math.inf,
+                                      strong_convexity=0.0)
+                    assert (loss.support_defect(data, domain) is None) == ok, (kind, domain)
+        # a centre far from the origin next to the data's spread: the farthest
+        # row is 1e8 - 1, where |x|^2 - 2 x.m + |m|^2 rounds to 0 for both rows
+        far_off = ConvexDomain.ball(np.array([1e8]), 1.0)
+        loss = quadratic_point_mass(far_off, [1e8 + 0.5]).loss
+        assert loss.lipschitz == 1.5
+        rows = Dataset(np.array([[1e8 + 0.5], [1e8 - 1.0]]))
+        assert "the data give L = 2 > declared L = 1.5" in loss.support_defect(rows, far_off)
+        assert loss.support_defect(rows.subset(0, 1), far_off) is None
+        # a NaN is a defect, whatever L is declared
+        loss = LossFamily("linear_regression", math.inf, math.inf, 0.0)
+        nan = Dataset(np.array([[1.0, 0.0, 0.0]]), np.array([math.nan]))
+        assert "declared L = inf" in loss.support_defect(nan, domains[0])
+
+    def _box_or_ball_points(self, domain, rng, count):
+        if domain.kind == "box":
+            return rng.uniform(domain.lower, domain.upper, (count, domain.dimension))
+        raw = rng.standard_normal((count, domain.dimension))
+        raw *= rng.uniform(0.0, domain.radius, (count, 1)) / np.linalg.norm(raw, axis=1)[:, None]
+        return domain.center + raw
 
     def test_smoothness_audit(self, families):
         rng = np.random.default_rng(14)

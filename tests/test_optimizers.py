@@ -1,15 +1,18 @@
 """Optimization algorithms: exact small cases, coupling-based sensitivity,
 phase noise calibration, and determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from dpsco.accountant import ApproxDP, PrivacyBudget, pai_rho
+from dpsco.empirics import sensitivity_probe
 from dpsco.geometry import ConvexDomain, check_contraction, project
 from dpsco.losses import (
     Dataset,
+    LossFamily,
     absolute_deviation_uniform,
     linear_regression_sphere,
     quadratic_point_mass,
@@ -33,6 +36,8 @@ from dpsco.schedules import Schedule, phase_plan, snowball_batches
 
 BALL1 = ConvexDomain.ball([0.0], 10.0)
 BALL2 = ConvexDomain.ball([0.0, 0.0], 1.0)
+BALL4 = ConvexDomain.ball([0.0] * 4, 1.0)
+SPHERE4 = quadratic_sphere(BALL4, [0.0] * 4, 1.0)  # L = 2, beta = lam = 1
 
 
 def quadratic_loss(domain, center=None):
@@ -89,7 +94,8 @@ class TestPnsgd:
         np.testing.assert_array_equal(rec.final_iterate, w0)
 
     def test_one_dimensional_hand_step(self):
-        loss = quadratic_loss(BALL1)
+        # centred at the data point, the declared L = 2 + 10 is what the data give
+        loss = quadratic_loss(BALL1, [2.0])
         data = Dataset(np.array([[2.0]]))
         sched = Schedule((1,), (0.5,), (0.0,))
         rec = pnsgd(data, loss, BALL1, [0.0], sched, NoiseStream(0))
@@ -167,8 +173,9 @@ class TestPnsgd:
 
     def test_batches_are_consecutive_in_order(self):
         # batch t spans indices sum(B_{<t}) .. sum(B_{<=t}); with eta = 1 and
-        # a quadratic the iterate lands exactly on each batch mean in turn
-        loss = quadratic_loss(BALL1)
+        # a quadratic the iterate lands exactly on each batch mean in turn;
+        # the declared L = 4 + 10 is what the data give
+        loss = quadratic_loss(BALL1, [4.0])
         data = Dataset(np.array([[0.0], [0.0], [4.0], [4.0]]))
         sched = Schedule((2, 2), (1.0, 1.0), (0.0, 0.0))
         rec = pnsgd(data, loss, BALL1, [0.0], sched, NoiseStream(0))
@@ -629,6 +636,101 @@ class TestScSnowball:
                           eta=eta, sigma=0.0)
         expected_gap = 3.0 * (1.0 - eta) ** T
         assert abs(rec.final_iterate[0] - 3.0) <= expected_gap * (1 + 1e-9)
+
+
+def _defect_cases():
+    """Column -> (distribution, step): no defect ("ok") and each kind of
+    defect, in d = 4 on the unit ball. The quadratic losses declare beta = 8
+    and lam = 1, so 2/beta = 0.25 lies below sc_weighted_sgd's
+    1/(2 lam) = 0.5."""
+    sphere = SPHERE4
+    quad = LossFamily("quadratic", lipschitz=2.0, smoothness=8.0, strong_convexity=1.0)
+    wide = linear_regression_sphere(BALL4, 3.0, [0.0] * 4, 0.0)  # |a| = 3, b = 0: L 9, beta 9
+    far = quadratic_point_mass(BALL4, [100.0] * 4)
+    return {
+        "ok": (dataclasses.replace(sphere, loss=quad), 0.2),
+        "not smooth": (dataclasses.replace(
+            sphere, loss=dataclasses.replace(quad, smoothness=math.inf)), 0.2),
+        "2/beta": (dataclasses.replace(sphere, loss=quad), 0.4),
+        "declared beta": (dataclasses.replace(wide, loss=LossFamily(
+            "linear_regression", lipschitz=10.0, smoothness=8.0, strong_convexity=1.0)), 0.2),
+        "declared L": (dataclasses.replace(far, loss=quad), 0.2),
+    }
+
+
+def _claim(caller, dist, eta):
+    """The budget ``caller`` declares for a run on a sample of ``dist`` at
+    step ``eta`` (sensitivity_probe's report)."""
+    loss, w0 = dist.loss, np.zeros(4)
+    if caller == "sensitivity_probe":
+        return sensitivity_probe(dist, n=16, eta=eta, num_pairs=2, seed=0)
+    if caller == "sc_snowball":
+        batches = snowball_batches(8, 4, 4.0)
+        return sc_snowball(dist.sample_dataset(sum(batches), 1), loss, BALL4, w0, 8, 4, 4.0,
+                           NoiseStream(2), eta=eta).declared_budget
+    data = dist.sample_dataset(64, 1)
+    if caller == "pnsgd":
+        return pnsgd(data, loss, BALL4, w0, Schedule.constant(64, 1, eta, 0.5),
+                     NoiseStream(2)).declared_budget
+    if caller == "sc_weighted_sgd":
+        return sc_weighted_sgd(data, loss, BALL4, w0, 64, 0.5, NoiseStream(2),
+                               eta=eta).declared_budget
+    if caller == "phased_sgd":
+        return phased_sgd(data, loss, BALL4, w0, eta, 1.0, NoiseStream(2)).declared_budget
+    return phased_erm(data, loss, BALL4, w0, eta, 1.0, 1e-5, NoiseStream(2),
+                      inner="exact" if loss.kind == "quadratic" else "sgd").declared_budget
+
+
+# Each caller's response to each kind of defect: "warn" (a UserWarning and no
+# budget), an exception it raises, or "ok" where its claim does not rely on
+# that constant.
+RESPONSES = {
+    #                    not smooth     2/beta         declared beta  declared L
+    "pnsgd":             ("warn",       "warn",        "warn",        "warn"),
+    "sc_snowball":       ("warn",       "warn",        "warn",        "warn"),
+    "sc_weighted_sgd":   ("warn",       "warn",        "warn",        "warn"),
+    "phased_sgd":        ("warn",       StepSizeError, StepSizeError, StepSizeError),
+    "phased_erm":        ("ok",         "ok",          "ok",          "warn"),
+    "sensitivity_probe": (ValueError,   ValueError,    ValueError,    ValueError),
+}
+COLUMNS = ("not smooth", "2/beta", "declared beta", "declared L")
+
+
+def _expect(response, column, run):
+    """Run ``run()`` and check that it gives ``response`` to a defect whose
+    message contains ``column``."""
+    if response == "ok":
+        assert run() is not None
+    elif response == "warn":
+        with pytest.warns(UserWarning, match=column):
+            assert run() is None
+    else:
+        with pytest.raises(response, match=column):
+            run()
+
+
+class TestPrivacyPreconditions:
+    """One check, LossFamily.support_defect, decides every claim's
+    preconditions; each caller keeps its own response to a defect."""
+
+    @pytest.mark.parametrize("caller", RESPONSES)
+    @pytest.mark.parametrize("column", COLUMNS)
+    def test_response_to_each_defect(self, caller, column):
+        response = RESPONSES[caller][COLUMNS.index(column)]
+        cases = _defect_cases()
+        assert _claim(caller, *cases["ok"]) is not None
+        # the "declared L" case is the data at 100 in d = 4: gradients reach
+        # |x| + 1 = 201 over the unit ball
+        pattern = "the data give L = 201 > declared L = 2" if column == "declared L" else column
+        _expect(response, pattern, lambda: _claim(caller, *cases[column]))
+
+    @pytest.mark.parametrize("caller", [c for c in RESPONSES if c != "phased_erm"])
+    def test_one_relative_tolerance_on_the_step(self, caller):
+        # eta = (2/beta)(1 - 1e-11) is accepted and (2/beta)(1 + 1e-11) is not
+        dist, _ = _defect_cases()["ok"]
+        assert _claim(caller, dist, 0.25 * (1.0 - 1e-11)) is not None
+        response = RESPONSES[caller][COLUMNS.index("2/beta")]
+        _expect(response, "2/beta", lambda: _claim(caller, dist, 0.25 * (1.0 + 1e-11)))
 
 
 class TestRunRecordSerialization:
