@@ -24,6 +24,7 @@ from .schedules import (
     Schedule,
     constant_step,
     jnn_steps,
+    snowball_expand,
     snowball_runs,
 )
 
@@ -85,8 +86,7 @@ def _snowball_plan(n: int, d: int, rho: float, multiplier: float) -> np.ndarray:
         T = int(starts[j]) + (n - int(totals[whole - 1])) // int(values[j])
     if T == 0:
         raise ValueError(f"n = {n} cannot fund even one step at d = {d}, rho = {rho}")
-    counts = np.clip(np.minimum(ends, T) - starts, 0, None)
-    return np.concatenate((head[:T], np.repeat(values, counts)))[::-1]
+    return snowball_expand((head, values, ends), T)
 
 
 @dataclass(frozen=True)

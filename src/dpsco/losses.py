@@ -200,10 +200,10 @@ def _unit_rows(raw: np.ndarray) -> np.ndarray:
 class SyntheticDistribution:
     """A loss family plus a data sampler with known population structure.
 
-    ``minimizer`` / ``optimum`` are the closed-form population minimizer over
-    the domain and its loss value, or ``None`` when only numeric estimation is
-    available. ``population_loss`` evaluates the exact population loss when
-    ``has_closed_form`` is true.
+    ``minimizer`` is the closed-form population minimizer over the domain.
+    When ``has_closed_form`` is true (every sampler but the logistic one),
+    ``population_loss`` evaluates the exact population loss and ``optimum``
+    is its value at the minimizer; otherwise ``optimum`` is ``None``.
     """
 
     name: str
@@ -212,7 +212,6 @@ class SyntheticDistribution:
     sampler: str
     params: dict[str, Any] = field(default_factory=dict)
     minimizer: np.ndarray | None = None
-    optimum: float | None = None
 
     @property
     def dimension(self) -> int:
@@ -220,7 +219,11 @@ class SyntheticDistribution:
 
     @property
     def has_closed_form(self) -> bool:
-        return self.optimum is not None
+        return self.sampler != "sphere_logistic"
+
+    @property
+    def optimum(self) -> float | None:
+        return self.population_loss(self.minimizer) if self.has_closed_form else None
 
     def sample_dataset(self, n: int, rng_seed: int) -> Dataset:
         """Draw ``n`` i.i.d. examples; deterministic given the seed."""
@@ -297,13 +300,11 @@ def _sup_distance(domain: ConvexDomain, point: np.ndarray) -> float:
 def quadratic_point_mass(domain: ConvexDomain, center) -> SyntheticDistribution:
     """Quadratic loss with all mass at one point; F* = 0 when the point is feasible."""
     c = np.asarray(center, dtype=np.float64).reshape(-1)
-    w_star = project(domain, c)
     loss = LossFamily(QUADRATIC, lipschitz=max(_sup_distance(domain, c), 1e-12),
                       smoothness=1.0, strong_convexity=1.0)
     return SyntheticDistribution(
         name="quadratic_point_mass", loss=loss, domain=domain, sampler="point_mass",
-        params={"center": c}, minimizer=w_star,
-        optimum=0.5 * float(np.sum((w_star - c) ** 2)),
+        params={"center": c}, minimizer=project(domain, c),
     )
 
 
@@ -317,13 +318,11 @@ def quadratic_sphere(domain: ConvexDomain, center, data_radius: float) -> Synthe
     r = float(data_radius)
     if r <= 0:
         raise ValueError("data_radius must be positive")
-    w_star = project(domain, mu)
     loss = LossFamily(QUADRATIC, lipschitz=_sup_distance(domain, mu) + r,
                       smoothness=1.0, strong_convexity=1.0)
     return SyntheticDistribution(
         name="quadratic_sphere", loss=loss, domain=domain, sampler="sphere",
-        params={"center": mu, "radius": r}, minimizer=w_star,
-        optimum=0.5 * float(np.sum((w_star - mu) ** 2)) + 0.5 * r * r,
+        params={"center": mu, "radius": r}, minimizer=project(domain, mu),
     )
 
 
@@ -333,12 +332,10 @@ def quadratic_gaussian(domain: ConvexDomain, mean, sigma: float) -> SyntheticDis
     s = float(sigma)
     if s <= 0:
         raise ValueError("sigma must be positive")
-    w_star = project(domain, mu)
     loss = LossFamily(QUADRATIC, lipschitz=math.inf, smoothness=1.0, strong_convexity=1.0)
     return SyntheticDistribution(
         name="quadratic_gaussian", loss=loss, domain=domain, sampler="gaussian",
-        params={"mean": mu, "sigma": s}, minimizer=w_star,
-        optimum=0.5 * float(np.sum((w_star - mu) ** 2)) + 0.5 * domain.dimension * s * s,
+        params={"mean": mu, "sigma": s}, minimizer=project(domain, mu),
     )
 
 
@@ -356,17 +353,13 @@ def absolute_deviation_uniform(
     if h <= 0:
         raise ValueError("half_width must be positive")
     m = float(median)
-    w_star = project(domain, np.array([m]))
     loss = LossFamily(ABSOLUTE_DEVIATION, lipschitz=1.0, smoothness=math.inf,
                       strong_convexity=0.0)
-    # F* = h / 2 exactly when the population median is feasible
-    t = abs(float(w_star[0]) - m)
-    optimum = h / 2.0 if t == 0.0 else ((t * t + h * h) / (2.0 * h) if t <= h else t)
     return SyntheticDistribution(
         name="absolute_deviation_uniform", loss=loss, domain=domain,
         sampler="uniform_targets",
         params={"feature": np.array([1.0]), "median": m, "half_width": h},
-        minimizer=w_star, optimum=optimum,
+        minimizer=project(domain, np.array([m])),
     )
 
 
@@ -381,14 +374,11 @@ def linear_regression_sphere(
     sup_w = _sup_distance(domain, wt)
     loss = LossFamily(LINEAR_REGRESSION, lipschitz=r * (r * sup_w + s),
                       smoothness=r * r, strong_convexity=0.0)
-    w_star = project(domain, wt)
-    d = domain.dimension
     return SyntheticDistribution(
         name="linear_regression_sphere", loss=loss, domain=domain,
         sampler="sphere_regression",
         params={"feature_radius": r, "w_true": wt, "noise_half_width": s},
-        minimizer=w_star,
-        optimum=(r * r / (2.0 * d)) * float(np.sum((w_star - wt) ** 2)) + s * s / 6.0,
+        minimizer=project(domain, wt),
     )
 
 
@@ -406,5 +396,5 @@ def logistic_sphere(domain: ConvexDomain, feature_radius: float, w_ref) -> Synth
     return SyntheticDistribution(
         name="logistic_sphere", loss=loss, domain=domain, sampler="sphere_logistic",
         params={"feature_radius": r, "w_ref": wr},
-        minimizer=project(domain, wr), optimum=None,
+        minimizer=project(domain, wr),
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -70,14 +71,11 @@ class NoiseStream:
 
     def gaussian(self, dim: int) -> np.ndarray:
         """Next standard-normal vector of the given dimension (a read-only view)."""
-        block, offset = divmod(self.index, _NOISE_BLOCK)
-        self.index += 1
-        return self._load_block(dim, block)[offset]
+        return self.gaussians(dim, 1)[0]
 
     def gaussians(self, dim: int, count: int) -> np.ndarray:
         """The next ``count`` draws as the rows of a read-only (count, dim)
-        array, equal to ``count`` successive :meth:`gaussian` calls; a view of
-        the cached block when they all fall in one block."""
+        array; a view of the cached block when they all fall in one block."""
         block, offset = divmod(self.index, _NOISE_BLOCK)
         self.index += int(count)
         rows = []
@@ -128,12 +126,21 @@ class RunRecord:
     declared_budget: PrivacyBudget | ApproxDP | None
 
 
+def _warn(message: str) -> None:
+    """Warn at the line that called into this module, however deep the
+    helper that warns."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_globals is globals():
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
+
+
 def _start_point(domain: ConvexDomain, w0) -> np.ndarray:
     w = np.asarray(w0, dtype=np.float64).reshape(-1)
     if w.shape[0] != domain.dimension:
         raise ValueError(f"w0 dimension {w.shape[0]} != domain dimension {domain.dimension}")
     if not domain.contains(w):
-        warnings.warn("starting point outside the domain; projecting", stacklevel=3)
+        _warn("starting point outside the domain; projecting")
         w = project(domain, w)
     return w
 
@@ -402,21 +409,30 @@ def pnsgd(
     step (a loss that is not smooth, a step above 2/beta, data above the
     declared beta or L) voids that value: the run warns and declares none.
     """
+    return _claimed_pass(data, loss, domain, w0, schedule, noise)
+
+
+def _claimed_pass(data, loss, domain, w0, schedule, noise, weights=None):
+    """The body of :func:`pnsgd`, :func:`sc_weighted_sgd` and
+    :func:`sc_snowball`: one pass over ``schedule`` that declares
+    ``pai_rho(schedule, L)``, or warns and declares none on a defect at the
+    largest step. With ``weights`` it also returns the weighted average of
+    the iterates."""
     total = schedule.total_samples()
     if len(data) != total:
         raise DataSizeError(f"dataset has {len(data)} examples, schedule consumes {total}")
     reason = loss.support_defect(data, domain, float(schedule.step_sizes.max()))
     if reason is not None:
-        warnings.warn(f"{reason}; the privacy budget relies on the declared constants, "
-                      "so none is declared", stacklevel=2)
-    w, _ = _sgd_pass(data, loss, domain, _start_point(domain, w0), schedule.step_sizes,
-                     schedule.batch_sizes, schedule.noise_scales, noise)
+        _warn(f"{reason}; the privacy budget relies on the declared constants, "
+              "so none is declared")
+    w, weighted = _sgd_pass(data, loss, domain, _start_point(domain, w0), schedule.step_sizes,
+                            schedule.batch_sizes, schedule.noise_scales, noise, weights)
     return RunRecord(
         final_iterate=w,
-        weighted_average=None,
+        weighted_average=None if weights is None else weighted / float(np.sum(weights)),
         gradient_evaluations=total,
         phase_log=(PhaseRecord(1, total, float(schedule.noise_scales.max()), w),),
-        rng_seed=noise.seed,
+        rng_seed=None if noise is None else noise.seed,
         declared_budget=pai_rho(schedule, loss.lipschitz) if reason is None else None,
     )
 
@@ -477,40 +493,61 @@ def phased_sgd(
     that is not smooth the run warns and declares none; eta > 2/beta, or data
     above the declared beta or L, raise :class:`StepSizeError`.
     """
-    n = len(data)
-    if n < 2:
-        raise DataSizeError(f"need at least 2 examples, got {n}")
     if not (0.0 < eta < math.inf and rho > 0.0):
         raise ValueError("eta must be positive and finite, and rho positive")
     defect = loss.support_defect(data, domain, eta)
     if defect is not None and math.isfinite(loss.smoothness):
         raise StepSizeError(f"{defect}: sensitivity bound inapplicable")
     if defect is not None:
-        warnings.warn(f"{defect}; the 2 L eta sensitivity bound does not hold, "
-                      "so no privacy budget is declared", stacklevel=2)
+        _warn(f"{defect}; the 2 L eta sensitivity bound does not hold, "
+              "so no privacy budget is declared")
     L = loss.lipschitz
+
+    def solve(i, block, w, eta_i):
+        ni = len(block)
+        avg = _sgd_pass(block, loss, domain, w, np.full(ni, eta_i), weights=np.ones(ni))[1] / ni
+        return avg, ni
+
+    return _localize(data, domain, w0, eta, noise, solve,
+                     lambda eta_i: sigma_scale * 4.0 * L * eta_i / rho,
+                     PrivacyBudget(rho) if defect is None and sigma_scale >= 1.0 else None)
+
+
+def _localize(data, domain, w0, eta, noise, solve, sigma, budget):
+    """The phase loop of :func:`phased_sgd` and :func:`phased_erm`. Phase i of
+    ``phase_plan(n, eta)`` hands the next n_i examples (disjoint, in order)
+    and the previous output w to ``solve(i, block, w, eta_i)``, which returns
+    a candidate and its oracle calls, and releases the candidate perturbed by
+    ``sigma(eta_i)`` times one draw of ``noise`` (drawn also at sigma_i = 0).
+    Projection is privacy-free post-processing and only moves the iterate
+    closer to any feasible comparator."""
+    n = len(data)
+    if n < 2:
+        raise DataSizeError(f"need at least 2 examples, got {n}")
     w = _start_point(domain, w0)
-    plan = phase_plan(n, eta)
     log = []
-    offset = 0
-    for i, (ni, eta_i) in enumerate(plan, start=1):
-        avg = _sgd_pass(data.subset(offset, offset + ni), loss, domain, w, np.full(ni, eta_i),
-                        weights=np.ones(ni))[1] / ni
+    offset = evals = 0
+    for i, (ni, eta_i) in enumerate(phase_plan(n, eta), start=1):
+        cand, used = solve(i, data.subset(offset, offset + ni), w, eta_i)
         offset += ni
-        sigma_i = sigma_scale * 4.0 * L * eta_i / rho
-        xi = noise.gaussian(domain.dimension)  # drawn also at sigma_i = 0
-        # Projection is privacy-free post-processing and only moves the
-        # iterate closer to any feasible comparator.
-        w = project(domain, avg + sigma_i * xi if sigma_i > 0.0 else avg)
+        evals += used
+        sigma_i = sigma(eta_i)
+        xi = noise.gaussian(domain.dimension)
+        w = project(domain, cand + sigma_i * xi if sigma_i > 0.0 else cand)
         log.append(PhaseRecord(i, ni, sigma_i, w))
     return RunRecord(
         final_iterate=w,
         weighted_average=None,
-        gradient_evaluations=offset,
+        gradient_evaluations=evals,
         phase_log=tuple(log),
         rng_seed=noise.seed,
-        declared_budget=PrivacyBudget(rho) if defect is None and sigma_scale >= 1.0 else None,
+        declared_budget=budget,
     )
+
+
+# phased_erm's inner SGD gives up after this many times n_i^2 max(1, ln(1/delta))
+# oracle calls in a phase.
+_INNER_BUDGET = 8.0
 
 
 def phased_erm(
@@ -524,7 +561,6 @@ def phased_erm(
     noise: NoiseStream,
     inner: str = "sgd",
     sigma_scale: float = 1.0,
-    budget_constant: float = 8.0,
 ) -> RunRecord:
     """Localization for possibly non-smooth losses via regularized ERM phases.
 
@@ -546,14 +582,11 @@ def phased_erm(
         "sgd" runs strongly convex SGD (step 1/(lam_i s), suffix averaging)
         and repeats with fresh randomness until the certificate
         |subgrad F_i(w)|^2 / (2 lam_i) <= L^2 eta_i / n_i passes, within a
-        per-phase budget of ``budget_constant * n_i^2 * max(1, ln(1/delta))``
-        oracle calls (certificate evaluations included). "exact" solves the
-        phase objective in closed form (quadratic family, or 1-D absolute
+        per-phase budget of 8 n_i^2 max(1, ln(1/delta)) oracle calls
+        (certificate evaluations included). "exact" solves the phase
+        objective in closed form (quadratic family, or 1-D absolute
         deviation) and makes no oracle calls.
     """
-    n = len(data)
-    if n < 2:
-        raise DataSizeError(f"need at least 2 examples, got {n}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if not (0.0 < eta < math.inf and epsilon > 0.0):
@@ -562,40 +595,23 @@ def phased_erm(
         raise ValueError(f"unknown inner solver {inner!r}")
     defect = loss.support_defect(data, domain)
     if defect is not None:
-        warnings.warn(f"{defect}; the noise is calibrated to the declared L, "
-                      "so no privacy budget is declared", stacklevel=2)
+        _warn(f"{defect}; the noise is calibrated to the declared L, "
+              "so no privacy budget is declared")
     L = loss.lipschitz
-    w = _start_point(domain, w0)
-    plan = phase_plan(n, eta)
-    log = []
-    offset = 0
-    evals = 0
-    for i, (ni, eta_i) in enumerate(plan, start=1):
-        block = data.subset(offset, offset + ni)
-        offset += ni
+
+    def solve(i, block, w, eta_i):
+        ni = len(block)
         lam_i = 2.0 / (eta_i * ni)
-        gap = L * L * eta_i / ni
         if inner == "exact":
-            cand = _exact_regularized_erm(loss, domain, block, w, lam_i)
-        else:
-            budget = math.ceil(budget_constant * ni * ni * max(1.0, math.log(1.0 / delta)))
-            cand, used = _certified_sgd_erm(
-                loss, domain, block, w, lam_i, gap, budget, noise.fork(i)
-            )
-            evals += used
-        sigma_i = sigma_scale * 4.0 * L * (eta_i / epsilon) * math.sqrt(math.log(1.0 / delta))
-        xi = noise.gaussian(domain.dimension)  # drawn also at sigma_i = 0
-        w = project(domain, cand + sigma_i * xi if sigma_i > 0.0 else cand)
-        log.append(PhaseRecord(i, ni, sigma_i, w))
-    return RunRecord(
-        final_iterate=w,
-        weighted_average=None,
-        gradient_evaluations=evals,
-        phase_log=tuple(log),
-        rng_seed=noise.seed,
-        declared_budget=(ApproxDP(epsilon, 2.0 * delta)
-                         if defect is None and sigma_scale >= 1.0 else None),
-    )
+            return _exact_regularized_erm(loss, domain, block, w, lam_i), 0
+        budget = math.ceil(_INNER_BUDGET * ni * ni * max(1.0, math.log(1.0 / delta)))
+        return _certified_sgd_erm(loss, domain, block, w, lam_i, L * L * eta_i / ni, budget,
+                                  noise.fork(i))
+
+    return _localize(
+        data, domain, w0, eta, noise, solve,
+        lambda eta_i: sigma_scale * 4.0 * L * (eta_i / epsilon) * math.sqrt(math.log(1.0 / delta)),
+        ApproxDP(epsilon, 2.0 * delta) if defect is None and sigma_scale >= 1.0 else None)
 
 
 def _exact_regularized_erm(loss, domain, block, w_prev, lam):
@@ -758,7 +774,7 @@ def sc_reduction(
     k = max(1, math.ceil(math.log2(log2n)))
     sizes = [math.floor(2.0 ** (i - 2) * n / log2n) for i in range(1, k + 1)]
     if any(s < 1 for s in sizes):
-        warnings.warn("dropping empty localization phases", stacklevel=2)
+        _warn("dropping empty localization phases")
         sizes = [s for s in sizes if s >= 1]
     if not sizes:
         raise DataSizeError(f"n = {n} too small for any localization phase")
@@ -815,36 +831,25 @@ def sc_weighted_sgd(
     that :meth:`LossFamily.support_defect` finds at eta (such as eta > 2/beta)
     makes the run warn and declare no budget.
     """
+    lam, eta = _strongly_convex_step(loss, T, eta)
+    if eta > 1.0 / (2.0 * lam) + 1e-15:
+        raise StepSizeError(f"eta = {eta} > 1/(2 lam) = {1.0 / (2.0 * lam)}")
+    if noise_scale > 0 and noise is None:
+        raise ValueError("noisy run requires a NoiseStream")
+    return _claimed_pass(data, loss, domain, w0, Schedule.constant(T, 1, eta, noise_scale),
+                         noise, weights=sc_weights(T, eta, lam))
+
+
+def _strongly_convex_step(loss, T, eta):
+    """The family's lam > 0 and eta, by default 2 ln(T) / (lam T)."""
     lam = loss.strong_convexity
     if lam <= 0:
-        raise ValueError("sc_weighted_sgd requires a strongly convex family")
-    if len(data) != T:
-        raise DataSizeError(f"dataset has {len(data)} examples, need T = {T}")
+        raise ValueError("the strongly convex optimizers require a strongly convex family")
     if eta is None:
         if T < 2:
             raise ValueError("default step size needs T >= 2; pass eta explicitly")
         eta = 2.0 * math.log(T) / (lam * T)
-    if eta > 1.0 / (2.0 * lam) + 1e-15:
-        raise StepSizeError(f"eta = {eta} > 1/(2 lam) = {1.0 / (2.0 * lam)}")
-    reason = loss.support_defect(data, domain, eta)
-    if reason is not None:
-        warnings.warn(f"{reason}; the privacy budget relies on the declared constants, "
-                      "so none is declared", stacklevel=2)
-    if noise_scale > 0 and noise is None:
-        raise ValueError("noisy run requires a NoiseStream")
-    gamma = sc_weights(T, eta, lam)
-    w, weighted = _sgd_pass(data, loss, domain, _start_point(domain, w0), np.full(T, eta),
-                            sigmas=np.full(T, noise_scale), noise=noise, weights=gamma)
-    weighted /= float(np.sum(gamma))
-    schedule = Schedule.constant(T, 1, eta, noise_scale)
-    return RunRecord(
-        final_iterate=w,
-        weighted_average=weighted,
-        gradient_evaluations=T,
-        phase_log=(PhaseRecord(1, T, noise_scale, w),),
-        rng_seed=None if noise is None else noise.seed,
-        declared_budget=pai_rho(schedule, loss.lipschitz) if reason is None else None,
-    )
+    return lam, eta
 
 
 def sc_snowball(
@@ -867,19 +872,13 @@ def sc_snowball(
     (overridable for ablations). Where :func:`pnsgd` finds a defect (such as
     eta > 2/beta) the run warns and declares no budget.
     """
-    lam = loss.strong_convexity
-    if lam <= 0:
-        raise ValueError("sc_snowball requires a strongly convex family")
+    _, eta = _strongly_convex_step(loss, T, eta)
     if d != domain.dimension:
         raise ValueError(f"d = {d} != domain dimension {domain.dimension}")
-    if eta is None:
-        if T < 2:
-            raise ValueError("default step size needs T >= 2; pass eta explicitly")
-        eta = 2.0 * math.log(T) / (lam * T)
     if sigma is None:
         sigma = loss.lipschitz / math.sqrt(d)
     schedule = Schedule(snowball_batches(T, d, rho), np.full(T, eta), np.full(T, sigma))
-    return pnsgd(data, loss, domain, w0, schedule, noise)
+    return _claimed_pass(data, loss, domain, w0, schedule, noise)
 
 
 def run_record_to_json(record: RunRecord) -> str:

@@ -265,30 +265,26 @@ def snowball_runs(n: int, d: int, rho: float,
             np.append(last.astype(np.int64), n))
 
 
+def snowball_expand(runs, T: int) -> np.ndarray:
+    """B_1..B_T, B_t = c_{T-t+1}, as an int64 array, from the ``(head, values,
+    ends)`` that :func:`snowball_runs` gives for some n >= T."""
+    head, values, ends = runs
+    starts = np.concatenate(([len(head)], ends[:-1]))
+    counts = np.clip(np.minimum(ends, T) - starts, 0, None)
+    return np.concatenate((head[:T], np.repeat(values, counts)))[::-1]
+
+
 def snowball_batches(T: int, d: int, rho: float,
                      multiplier: float = MULTIPLIER_SZ) -> tuple[int, ...]:
     """Growing batch sizes B_t = ceil(multiplier * sqrt(d / (T - t + 1)) / rho).
 
     The schedule equalizes per-example privacy under amplification by
     iteration; the total satisfies sum B_t <= T + 2 * multiplier * sqrt(dT) / rho.
-    B_t is c_r of :func:`snowball_runs` at r = T - t + 1. A list is filled
-    with the longest run's value; every other run, and the head, then
-    overwrites its part with one slice assignment.
+    B_t is c_r of :func:`snowball_runs` at r = T - t + 1.
     """
     if T < 1 or d < 1:
         raise ValueError("T and d must be >= 1")
-    head, values, ends = snowball_runs(T, d, rho, multiplier)
-    h = len(head)
-    if h == T:
-        return tuple(head[::-1].tolist())
-    starts = np.concatenate(([h], ends[:-1]))
-    longest = int(np.argmax(ends - starts))
-    out = [int(values[longest])] * T
-    for j, (value, start, end) in enumerate(zip(values.tolist(), starts.tolist(), ends.tolist())):
-        if j != longest:
-            out[T - end:T - start] = [value] * (end - start)
-    out[T - h:] = head[::-1].tolist()
-    return tuple(out)
+    return tuple(snowball_expand(snowball_runs(T, d, rho, multiplier), T).tolist())
 
 
 def constant_step(T: int, D: float, L_G: float) -> tuple[float, ...]:

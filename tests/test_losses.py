@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpsco.geometry import ConvexDomain, DimensionMismatchError
 from dpsco.losses import (
@@ -239,6 +241,44 @@ class TestPopulationLoss:
             g = dist.loss.batch_grad(dist.minimizer, data)
             L = dist.loss.lipschitz
             assert np.linalg.norm(g) <= 3.0 * L / math.sqrt(n)
+
+
+# The five closed-form constructors, each from a domain, a centre (mean,
+# median, w_true) and a positive scale (radius, sigma, half width).
+CLOSED_FORMS = {
+    "quadratic_point_mass": lambda domain, c, s: quadratic_point_mass(domain, c),
+    "quadratic_sphere": quadratic_sphere,
+    "quadratic_gaussian": quadratic_gaussian,
+    "absolute_deviation_uniform": lambda domain, c, s: absolute_deviation_uniform(
+        domain, c[0], s),
+    "linear_regression_sphere": lambda domain, c, s: linear_regression_sphere(
+        domain, s, c, s / 2.0),
+}
+coordinates = st.floats(-3.0, 3.0)
+scales = st.floats(0.01, 3.0)
+
+
+@st.composite
+def closed_form_distributions(draw):
+    """A closed-form distribution over a random ball or box in d <= 8, whose
+    centre may lie outside it."""
+    name = draw(st.sampled_from(sorted(CLOSED_FORMS)))
+    d = 1 if name == "absolute_deviation_uniform" else draw(st.integers(1, 8))
+    vector = st.lists(coordinates, min_size=d, max_size=d).map(np.array)
+    if draw(st.booleans()):
+        domain = ConvexDomain.ball(draw(vector), draw(scales))
+    else:
+        lower = draw(vector)
+        domain = ConvexDomain.box(lower, lower + draw(st.lists(scales, min_size=d, max_size=d)))
+    return CLOSED_FORMS[name](domain, draw(vector), draw(scales))
+
+
+@settings(deadline=None, max_examples=200)
+@given(closed_form_distributions())
+@example(linear_regression_sphere(ConvexDomain.ball(np.zeros(8), 1.0), 1.0, np.full(8, 1.3), 0.1))
+@example(absolute_deviation_uniform(ConvexDomain.ball([0.0], 1.0), 0.3, 0.1))
+def test_optimum_is_the_loss_at_the_minimizer(dist):
+    assert dist.excess_loss(dist.minimizer) == 0.0
 
 
 def _extremal_point(kind, domain, x):

@@ -3,6 +3,7 @@ phase noise calibration, and determinism."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -658,10 +659,10 @@ def _defect_cases():
     }
 
 
-def _claim(caller, dist, eta):
+def _claim(caller, dist, eta, w0=np.zeros(4)):
     """The budget ``caller`` declares for a run on a sample of ``dist`` at
     step ``eta`` (sensitivity_probe's report)."""
-    loss, w0 = dist.loss, np.zeros(4)
+    loss = dist.loss
     if caller == "sensitivity_probe":
         return sensitivity_probe(dist, n=16, eta=eta, num_pairs=2, seed=0)
     if caller == "sc_snowball":
@@ -731,6 +732,33 @@ class TestPrivacyPreconditions:
         assert _claim(caller, dist, 0.25 * (1.0 - 1e-11)) is not None
         response = RESPONSES[caller][COLUMNS.index("2/beta")]
         _expect(response, "2/beta", lambda: _claim(caller, dist, 0.25 * (1.0 + 1e-11)))
+
+
+class TestWarningAttribution:
+    @pytest.mark.parametrize("caller", ["pnsgd", "psgd", "phased_sgd", "phased_erm",
+                                        "sc_weighted_sgd", "sc_snowball", "sc_reduction"])
+    def test_warnings_name_the_calling_line(self, caller):
+        # a start outside the domain, and data beyond the declared L (for
+        # phased_sgd, which raises on that, a loss that is not smooth)
+        outside = np.array([2.0, 0.0, 0.0, 0.0])
+        cases = _defect_cases()
+        dist, eta = cases["not smooth" if caller == "phased_sgd" else "declared L"]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            if caller == "psgd":
+                psgd(dist.sample_dataset(8, 1), dist.loss, BALL4, outside, [eta] * 8)
+            elif caller == "sc_reduction":
+                sc_reduction(dist.sample_dataset(64, 1), dist.loss, BALL4, outside,
+                             lambda data, loss, domain, w, noise: pnsgd(
+                                 data, loss, domain, w,
+                                 Schedule.constant(len(data), 1, eta, 0.5), noise),
+                             NoiseStream(2))
+            else:
+                _claim(caller, dist, eta, w0=outside)
+        messages = [str(w.message) for w in seen]
+        assert any("projecting" in m for m in messages)
+        assert caller == "psgd" or any("declared" in m for m in messages)
+        assert {w.filename for w in seen} == {__file__}
 
 
 class TestRunRecordSerialization:
