@@ -127,6 +127,55 @@ def gaussian_mechanism_budget(sensitivity: float, sigma: float) -> PrivacyBudget
     return PrivacyBudget(sensitivity / sigma)
 
 
+def _gaussian_delta(mu: float, epsilon: float) -> float:
+    """The exact delta(epsilon) of a Gaussian mechanism with mu = sensitivity /
+    sigma, Phi(-epsilon/mu + mu/2) - e^epsilon Phi(-epsilon/mu - mu/2)
+    (Balle and Wang, arXiv 1805.06530), overstated by a bound on its rounding.
+    The second term is taken in logs, so e^epsilon never overflows; where its
+    Phi underflows it is dropped, which also overstates delta."""
+    def phi(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    if mu == 0.0:
+        return 0.0
+    b = -epsilon / mu - mu / 2.0
+    first, tail = phi(b + mu), phi(b)
+    if tail == 0.0:
+        return first
+    # erfc, log and exp each err by a few ulps, the exponent by ulps of its
+    # terms, and Phi(x) by about |x| ulps of x from its rounded argument; the
+    # two terms nearly cancel where delta is far below them
+    slack = (16.0 + epsilon - math.log(tail) + 4.0 * b * (b - 1.0)) * 2.0**-52 * first
+    return first - math.exp(epsilon + math.log(tail)) + slack
+
+
+def gaussian_sigma(sensitivity: float, epsilon: float, delta: float) -> float:
+    """The smallest sigma (to float precision) for which releasing a value of
+    L2-sensitivity ``sensitivity`` plus N(0, sigma^2 I) is (epsilon,
+    delta)-DP, found by bisection on mu = sensitivity / sigma in the exact
+    curve of :func:`_gaussian_delta`, which grows with mu. Any release is
+    (epsilon, 1)-DP, so delta >= 1 needs no noise."""
+    if not (sensitivity >= 0.0 and epsilon > 0.0 and delta > 0.0):
+        raise ValueError("sensitivity must be nonnegative, and epsilon and delta positive")
+    if sensitivity == 0.0 or epsilon == math.inf or delta >= 1.0:
+        return 0.0
+    lo, hi = 0.0, 1.0  # delta(lo) <= delta < delta(hi)
+    while _gaussian_delta(hi, epsilon) <= delta:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = (lo + hi) / 2.0
+        if mid in (lo, hi):
+            break
+        if _gaussian_delta(mid, epsilon) <= delta:
+            lo = mid
+        else:
+            hi = mid
+    sigma = sensitivity / lo
+    while _gaussian_delta(sensitivity / sigma, epsilon) > delta:  # the division rounded
+        sigma = math.nextafter(sigma, math.inf)
+    return sigma
+
+
 def compose(budgets) -> PrivacyBudget:
     """Sequential composition: the curves alpha * rho_i^2 / 2 add, so the
     composed budget is rho = sqrt(sum rho_i^2)."""

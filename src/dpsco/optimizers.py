@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .accountant import ApproxDP, PrivacyBudget, pai_rho
+from .accountant import ApproxDP, PrivacyBudget, gaussian_sigma, pai_rho
 from .geometry import ConvexDomain, DimensionMismatchError, project
 from .losses import ABSOLUTE_DEVIATION, LINEAR_REGRESSION, QUADRATIC, Dataset, LossFamily
 from .schedules import Schedule, phase_plan, sc_weights, snowball_batches
@@ -571,7 +571,9 @@ def phased_erm(
 
     which is lam_i-strongly convex for lam_i = 2 / (eta_i n_i), to
     suboptimality L^2 eta_i / n_i, then releases the result perturbed by
-    N(0, sigma_i^2 I) with sigma_i = 4 L (eta_i / epsilon) sqrt(ln(1/delta)).
+    N(0, sigma_i^2 I), with sigma_i the smallest scale for which the Gaussian
+    mechanism is (epsilon, 2 delta)-DP at sensitivity 3 L eta_i (L eta_i for
+    the exact inner solver; :func:`dpsco.accountant.gaussian_sigma`).
     Consecutive disjoint blocks follow the same geometric plan as
     :func:`phased_sgd`. The declared guarantee is (epsilon, 2 delta)-DP; with
     ``sigma_scale`` below 1 (a reduced-noise ablation), or on data whose
@@ -608,9 +610,12 @@ def phased_erm(
         return _certified_sgd_erm(loss, domain, block, w, lam_i, L * L * eta_i / ni, budget,
                                   noise.fork(i))
 
+    # the exact minimizer moves by at most L eta_i when one example changes,
+    # and a certified candidate lies within L eta_i of it: 3 L eta_i in all
+    sensitivity = 3.0 * L if inner == "sgd" else L
     return _localize(
         data, domain, w0, eta, noise, solve,
-        lambda eta_i: sigma_scale * 4.0 * L * (eta_i / epsilon) * math.sqrt(math.log(1.0 / delta)),
+        lambda eta_i: sigma_scale * gaussian_sigma(sensitivity * eta_i, epsilon, 2.0 * delta),
         ApproxDP(epsilon, 2.0 * delta) if defect is None and sigma_scale >= 1.0 else None)
 
 

@@ -9,15 +9,20 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from dpsco.accountant import (
+    ApproxDP,
     PrivacyBudget,
     compose,
     gaussian_mechanism_budget,
     gaussian_renyi,
+    gaussian_sigma,
     pai_rho,
     rdp_to_dp,
     rdp_to_dp_general,
 )
-from dpsco.schedules import Schedule, constant_step, snowball_batches
+from dpsco.geometry import ConvexDomain
+from dpsco.losses import quadratic_sphere
+from dpsco.optimizers import NoiseStream, phased_erm
+from dpsco.schedules import Schedule, constant_step, phase_plan, snowball_batches
 from shift_allocation import (
     InvalidAllocationError,
     ShiftSequence,
@@ -287,6 +292,62 @@ class TestGaussianMechanism:
 
     def test_simple_ratio(self):
         assert gaussian_mechanism_budget(2.0, 4.0).rho == 0.5
+
+
+def hockey_stick_quadrature(mu: float, epsilon: float) -> float:
+    """Independent oracle: the (epsilon, delta) curve of the Gaussian
+    mechanism, the integral of max(0, p - e^epsilon q) for p = N(mu, 1) and
+    q = N(0, 1), which is positive past x = epsilon/mu + mu/2."""
+
+    def integrand(x):
+        return (math.exp(-0.5 * (x - mu) ** 2) / math.sqrt(2 * math.pi)
+                * -math.expm1(epsilon - mu * x + mu * mu / 2.0))
+
+    start = epsilon / mu + mu / 2.0
+    value, _ = integrate.quad(integrand, start, max(start, mu) + 40.0, epsabs=0.0,
+                              epsrel=1e-12, limit=400)
+    return value
+
+
+class TestGaussianSigma:
+    @pytest.mark.parametrize("epsilon", [0.1, 1.0, 4.0, 8.0, 16.0])
+    @pytest.mark.parametrize("delta", [1e-10, 2e-5, 0.1])
+    def test_smallest_sigma_meeting_delta(self, epsilon, delta):
+        sigma = gaussian_sigma(2.5, epsilon, delta)
+        assert hockey_stick_quadrature(2.5 / sigma, epsilon) <= delta * (1 + 1e-9)
+        assert hockey_stick_quadrature(2.5 / (sigma * (1 - 1e-6)), epsilon) > delta
+
+    def test_edges(self):
+        assert gaussian_sigma(0.0, 1.0, 1e-5) == 0.0
+        assert gaussian_sigma(1.0, math.inf, 1e-5) == 0.0
+        assert gaussian_sigma(1.0, 1.0, 1.0) == 0.0
+        assert 0.0 < gaussian_sigma(1.0, 1e4, 1e-5) < math.inf  # e^epsilon overflows
+        # the two terms of the curve cancel in float64 here: sigma stays safe
+        sigma = gaussian_sigma(1.0, 1e-12, 1e-300)
+        assert hockey_stick_quadrature(1.0 / sigma, 1e-12) <= 1e-300
+        for bad in ((-1.0, 1.0, 1e-5), (1.0, 0.0, 1e-5), (1.0, 1.0, 0.0), (math.nan, 1.0, 0.1)):
+            with pytest.raises(ValueError):
+                gaussian_sigma(*bad)
+
+    @pytest.mark.parametrize("inner, factor", [("sgd", 3.0), ("exact", 1.0)])
+    @pytest.mark.parametrize("epsilon", [1.0, 4.0, 8.0, 16.0])
+    def test_phased_erm_meets_its_declared_delta(self, inner, factor, epsilon):
+        # every phase releases a candidate of sensitivity factor * L * eta_i
+        # plus N(0, sigma_i^2 I): at the declared epsilon its divergence is
+        # the declared 2 delta. Noise of 4 L eta_i sqrt(ln(1/delta)) / epsilon
+        # gave 2.07 times 2 delta at epsilon 8 with the certified inner SGD
+        domain = ConvexDomain.ball([0.0, 0.0], 1.0)
+        dist = quadratic_sphere(domain, [0.0, 0.0], 1.0)
+        n, eta, delta = 32, 0.25, 1e-5
+        data = dist.sample_dataset(n, rng_seed=8)
+        rec = phased_erm(data, dist.loss, domain, [0.0, 0.0], eta, epsilon, delta,
+                         NoiseStream(3), inner=inner)
+        assert rec.declared_budget == ApproxDP(epsilon, 2 * delta)
+        L = dist.loss.lipschitz
+        assert len(rec.phase_log) == len(phase_plan(n, eta)) == 5
+        for entry, (_, eta_i) in zip(rec.phase_log, phase_plan(n, eta)):
+            got = hockey_stick_quadrature(factor * L * eta_i / entry.noise_scale, epsilon)
+            assert 2 * delta * (1 - 1e-9) <= got <= 2 * delta * (1 + 1e-9)
 
 
 class TestCompose:

@@ -1,17 +1,19 @@
 """The schedule layer against its float64 predecessors, kept here as oracles.
 
-`Schedule` converts batch sizes straight to int64 and a list or tuple in few
-runs of equal entries at the cost of its runs, `pai_rho` takes one mask-free
-pass in place, and `jnn_steps` and `snowball_batches` build their lists run
-by run. The earlier implementations below (float64 round trip, boolean
-masks, ``np.repeat``, the float expression at every step) give the same
-arrays, the same rho and the same lists wherever they were exact.
+`Schedule` converts batch sizes straight to int64 and packs a list or tuple
+with ``struct`` in fixed windows, `pai_rho` takes one mask-free pass in place,
+and `jnn_steps` and `snowball_batches` build their lists run by run. The
+earlier implementations below (float64 round trip, boolean masks,
+``np.repeat``, the float expression at every step) give the same arrays, the
+same rho and the same lists wherever they were exact.
 """
 
 import array
-import bisect
 import json
 import math
+import struct
+import threading
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -344,8 +346,7 @@ def test_repeated_field_refusals():
 @st.composite
 def run_fields(draw, values):
     """Entries from ``values`` in runs, ascending, descending or unsorted:
-    either a few runs long enough to convert run by run, or many short
-    runs past the cap of one run per 64 entries."""
+    either a few long runs or many short ones."""
     if draw(st.booleans(), label="short runs"):
         k, lengths = draw(st.integers(2, 80)), st.integers(1, 3)
     else:
@@ -430,28 +431,104 @@ def _counting(calls, fn):
 
 
 def test_run_built_fields_skip_the_entrywise_conversion(monkeypatch):
-    """The accounting fields at T = 10^6 never reach array.array or
-    np.fromiter; a strictly increasing field gives up after the cap's
-    bisections and takes np.fromiter."""
-    T = 10**6
-    run_built = (tuple(snowball_batches(T, 256, 0.25, MULTIPLIER_JNN)), tuple(jnn_steps(T, 1.0)),
-                 (0.75,) * T)
+    """The accounting fields at T = 10^6, and strictly increasing fields at
+    T = 10^5, are packed window by window: they never reach array.array or
+    np.fromiter."""
+    run_built = (snowball_batches(10**6, 256, 0.25, MULTIPLIER_JNN), jnn_steps(10**6, 1.0),
+                 (0.75,) * 10**6)
+    T = 10**5
+    increasing = (tuple(range(1, T + 1)), tuple(np.linspace(0.5, 1.0, T).tolist()), (0.75,) * T)
     calls = []
     monkeypatch.setattr(schedules, "array", SimpleNamespace(array=_counting(calls, array.array)))
     monkeypatch.setattr(np, "fromiter", _counting(calls, np.fromiter))
-    monkeypatch.setattr(bisect, "bisect_right", _counting(calls, bisect.bisect_right))
-    sched = Schedule(*run_built)
-    assert "array" not in calls and "fromiter" not in calls
-    assert 3 <= calls.count("bisect_right") <= 3 * (1 + T // 64)
-    calls.clear()
-    T = 10**5
-    fields = (tuple(range(1, T + 1)), tuple(np.linspace(0.5, 1.0, T).tolist()), (0.75,) * T)
-    increasing = Schedule(*fields)
-    assert calls.count("array") == 0 and calls.count("fromiter") == 2
-    assert calls.count("bisect_right") <= 2 * (1 + T // 64) + 1
+    monkeypatch.setattr(struct, "Struct", _counting(calls, struct.Struct))
+    built = [Schedule(*fields) for fields in (run_built, increasing)]
+    windows = 3 * -(-10**6 // schedules._PACK) + 3 * -(-T // schedules._PACK)
+    assert calls == ["Struct"] * windows
     monkeypatch.undo()
-    _assert_same_schedule(increasing, oracle_schedule_arrays(*fields))
-    _assert_same_schedule(sched, oracle_schedule_arrays(*run_built))
+    for sched, fields in zip(built, (run_built, increasing)):
+        _assert_same_schedule(sched, oracle_schedule_arrays(*fields))
+
+
+PACK = schedules._PACK
+WINDOW_EDGES = (PACK - 1, PACK, PACK + 1, 2 * PACK + 3)
+
+
+@pytest.mark.parametrize("container", [list, tuple])
+@pytest.mark.parametrize("T", WINDOW_EDGES)
+def test_packed_fields_at_window_edges(T, container):
+    """Both codes, at lengths around the window: int batch sizes ("q") and
+    float fields ("d") give the round trip's arrays."""
+    rng = np.random.default_rng(T)
+    lists = (container(rng.integers(1, 2**46, T).tolist()),  # the total fits in int64
+             container(rng.uniform(0.0, 1e6, T).tolist()),
+             container(rng.exponential(1.0, T).tolist()))
+    _assert_same_schedule(Schedule(*lists), oracle_schedule_arrays(*lists))
+
+
+@pytest.mark.parametrize("T", WINDOW_EDGES)
+def test_packed_fields_keep_every_bit(T):
+    """Ints past 2^53 convert exactly as batch sizes and as float() does in a
+    float field, at both ends of the first window and at the end; -0.0 keeps
+    its sign in any window."""
+    big = {0: 2**53 + 1, PACK - 1: 2**53 + 3, T - 2: 2**55 + 1, T - 1: 2**61 + 1}
+    batches = [big.get(t, 1) for t in range(T)]
+    lists = [batches, [0.5] * (T - 2) + [-0.0, 0.0], [0.0, -0.0] + batches[2:]]
+    sched = Schedule(*lists)
+    assert sched.batch_sizes.tolist() == batches
+    assert np.signbit(sched.step_sizes).tolist() == [False] * (T - 2) + [True, False]
+    assert np.signbit(sched.noise_scales).tolist() == [False, True] + [False] * (T - 2)
+    assert sched.noise_scales[2:].tolist() == [float(b) for b in batches[2:]]
+
+
+INTRUDER_CASES = [(field, at) for field, value in enumerate((3.0, 0.5, 1.0))
+                  for at in range(len(_intruders(value)) + 2)]
+
+
+@pytest.mark.parametrize("field, at", INTRUDER_CASES)
+def test_packed_intruder_in_the_last_window(field, at):
+    """One of ``_intruders``, None or 2^63 as the last entry of a field of
+    three windows: the same arrays or the same refusal as the round trip (as
+    the exact oracle, for an int batch size past float64)."""
+    T = 2 * PACK + 3
+    lists = [[3] * T, [0.5] * T, [1.0] * T]
+    entry = (_intruders(float(lists[field][0])) + [None, 2**63])[at]
+    lists[field][-1] = entry
+    beyond = field == 0 and type(entry) is int and entry >= 2**53
+    oracle = _exact_oracle if beyond else oracle_schedule_arrays
+    assert _outcome(lambda: Schedule(*lists)) == _outcome(lambda: oracle(*lists))
+
+
+def test_refused_array_entry_leaves_the_warning_filters():
+    before = list(warnings.filters)
+    with pytest.raises(InvalidScheduleError, match="step sizes must be a sequence"):
+        Schedule([1, 1], [0.5, np.array([0.5])], [1.0, 1.0])
+    assert warnings.filters == before
+
+
+def test_packing_leaves_other_threads_warnings_alone():
+    """Schedules built in one thread leave the warnings of another as they
+    are; an "error" filter around the packing raised every one of them."""
+    class Probe(Warning):
+        pass
+
+    done, built = threading.Event(), []
+
+    def build():
+        while not done.is_set():
+            built.append(Schedule((3,) * 5000, (0.5,) * 5000, (1.0,) * 5000).num_steps)
+
+    builder = threading.Thread(target=build)
+    builder.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", Probe)
+            while len(built) < 50 and builder.is_alive():  # across many thread switches
+                warnings.warn("probe", Probe)
+    finally:
+        done.set()
+        builder.join(timeout=60)
+    assert not builder.is_alive() and len(built) >= 50
 
 
 @pytest.mark.parametrize("T", [1, 3, 1000])
