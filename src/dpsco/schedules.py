@@ -34,16 +34,12 @@ _INT64_MAX = 2**63 - 1
 # its arguments without a copy: 5 ns per entry, against 14 for struct.pack.
 _PACK = 2**15
 
-# numpy 2.4 refuses a scalar of a one-element array, and struct with it; with an
-# older numpy nothing is packed (a warning filter would act in every thread)
-_PACKS = np.lib.NumpyVersion(np.__version__) >= "2.4.0"
-
 
 def _packed(values, code: str) -> np.ndarray | None:
     """A fresh float64 (``code`` "d") or int64 ("q") vector holding a list or
     tuple of real numbers (of integers in int64 for "q"), packed by ``struct``;
     None when the general conversion must decide."""
-    if not _PACKS or type(values) not in (list, tuple):
+    if type(values) not in (list, tuple):
         return None
     out = np.empty(len(values), np.float64 if code == "d" else np.int64)
     try:

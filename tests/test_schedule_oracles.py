@@ -12,8 +12,6 @@ import array
 import json
 import math
 import struct
-import threading
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -497,38 +495,6 @@ def test_packed_intruder_in_the_last_window(field, at):
     beyond = field == 0 and type(entry) is int and entry >= 2**53
     oracle = _exact_oracle if beyond else oracle_schedule_arrays
     assert _outcome(lambda: Schedule(*lists)) == _outcome(lambda: oracle(*lists))
-
-
-def test_refused_array_entry_leaves_the_warning_filters():
-    before = list(warnings.filters)
-    with pytest.raises(InvalidScheduleError, match="step sizes must be a sequence"):
-        Schedule([1, 1], [0.5, np.array([0.5])], [1.0, 1.0])
-    assert warnings.filters == before
-
-
-def test_packing_leaves_other_threads_warnings_alone():
-    """Schedules built in one thread leave the warnings of another as they
-    are; an "error" filter around the packing raised every one of them."""
-    class Probe(Warning):
-        pass
-
-    done, built = threading.Event(), []
-
-    def build():
-        while not done.is_set():
-            built.append(Schedule((3,) * 5000, (0.5,) * 5000, (1.0,) * 5000).num_steps)
-
-    builder = threading.Thread(target=build)
-    builder.start()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", Probe)
-            while len(built) < 50 and builder.is_alive():  # across many thread switches
-                warnings.warn("probe", Probe)
-    finally:
-        done.set()
-        builder.join(timeout=60)
-    assert not builder.is_alive() and len(built) >= 50
 
 
 @pytest.mark.parametrize("T", [1, 3, 1000])
