@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 from .accountant import (
     ApproxDP,
     PrivacyBudget,
-    compose,
-    gaussian_mechanism_budget,
     gaussian_renyi,
     pai_rho,
     rdp_to_dp,
@@ -44,7 +42,6 @@ from .optimizers import (
     phased_sgd,
     pnsgd,
     psgd,
-    run_record_to_json,
     sc_reduction,
     sc_snowball,
     sc_weighted_sgd,

@@ -32,11 +32,6 @@ class PrivacyBudget:
     def is_infinite(self) -> bool:
         return math.isinf(self.rho)
 
-    def epsilon_at(self, alpha: float) -> float:
-        if alpha < 1:
-            raise ValueError(f"alpha must be >= 1, got {alpha}")
-        return alpha * self.rho * self.rho / 2.0
-
 
 @dataclass(frozen=True)
 class ApproxDP:
@@ -116,17 +111,6 @@ def pai_rho(schedule: Schedule, lipschitz: float) -> PrivacyBudget:
     return PrivacyBudget(2.0 * lipschitz * worst)
 
 
-def gaussian_mechanism_budget(sensitivity: float, sigma: float) -> PrivacyBudget:
-    """Output perturbation: releasing A(S) + N(0, sigma^2 I) for an algorithm
-    with L2-sensitivity ``sensitivity`` satisfies the curve with
-    rho = sensitivity / sigma."""
-    if sensitivity < 0:
-        raise ValueError("sensitivity must be nonnegative")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return PrivacyBudget(sensitivity / sigma)
-
-
 def _gaussian_delta(mu: float, epsilon: float) -> float:
     """The exact delta(epsilon) of a Gaussian mechanism with mu = sensitivity /
     sigma, Phi(-epsilon/mu + mu/2) - e^epsilon Phi(-epsilon/mu - mu/2)
@@ -174,17 +158,6 @@ def gaussian_sigma(sensitivity: float, epsilon: float, delta: float) -> float:
     while _gaussian_delta(sensitivity / sigma, epsilon) > delta:  # the division rounded
         sigma = math.nextafter(sigma, math.inf)
     return sigma
-
-
-def compose(budgets) -> PrivacyBudget:
-    """Sequential composition: the curves alpha * rho_i^2 / 2 add, so the
-    composed budget is rho = sqrt(sum rho_i^2)."""
-    total = 0.0
-    for b in budgets:
-        if b.is_infinite:
-            return PrivacyBudget(math.inf)
-        total += b.rho * b.rho
-    return PrivacyBudget(math.sqrt(total))
 
 
 def rdp_to_dp(budget: PrivacyBudget, delta: float) -> float:

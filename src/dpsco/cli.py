@@ -158,7 +158,7 @@ def cmd_run(args) -> int:
         "seed_rule": "SeedSequence(seed, spawn_key=(grid_index, trial, 0|1)) -> data|noise seed",
         "partial": False,
     }
-    results = []
+    results, failure = [], None
     try:
         for gi, point in enumerate(cfg["grid"]):
             domain = _build_domain(cfg["domain"], point[1])
@@ -168,17 +168,16 @@ def cmd_run(args) -> int:
                 cfg["seed"], sigma_scale=cfg["sigma_scale"], grid_index_base=gi,
             )
     except Exception as exc:  # noqa: BLE001 - flush partial results, then report
+        failure = exc
         manifest["partial"] = True
         manifest["error"] = f"{type(exc).__name__}: {exc}"
-        sweep_to_csv(results, cfg["output"])
-        with open(str(cfg["output"]) + ".manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
 
     sweep_to_csv(results, cfg["output"])
     with open(str(cfg["output"]) + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
+    if failure is not None:
+        print(f"runtime error: {failure}", file=sys.stderr)
+        return EXIT_RUNTIME
     print(f"wrote {len(results)} rows to {cfg['output']}")
     return EXIT_OK
 

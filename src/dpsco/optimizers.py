@@ -14,7 +14,6 @@ tests) exact.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import warnings
@@ -29,9 +28,6 @@ from .losses import ABSOLUTE_DEVIATION, LINEAR_REGRESSION, QUADRATIC, Dataset, L
 from .schedules import Schedule, phase_plan, sc_weights, snowball_batches
 
 _NOISE_BLOCK = 256
-
-# Iterates are elided from serialized run records above this dimension.
-_SERIALIZE_DIM_LIMIT = 64
 
 
 class DataSizeError(ValueError):
@@ -145,8 +141,8 @@ def _start_point(domain: ConvexDomain, w0) -> np.ndarray:
     return w
 
 
-# Lower bound on P_j = prod_{i<=j} (1 - eta_i) within one closed-form call
-# (log P_j >= -600), so that P_j and pull_i / P_i stay normal floats.
+# Lower bound on P_j = prod_{i<=j} (1 - eta_i) between restarts of the closed
+# form (log P_j >= -600), so that P_j and pull_i / P_i stay normal floats.
 _PRODUCT_FLOOR = math.exp(-600.0)
 
 
@@ -163,23 +159,28 @@ def _quadratic_chunk(w, eta, pull, domain, center):
     """The unprojected iterates of w_j = (1 - eta_j) w_{j-1} + pull_j (w_0 = w)
     in closed form, w_j = P_j (w + sum_{i<=j} pull_i / P_i) with
     P_j = prod_{i<=j} (1 - eta_i), as the longest prefix of rows that ends
-    before the first eta_j outside (0, 1), before the first P_j below
-    ``_PRODUCT_FLOOR`` and before the first iterate outside the domain: up to
-    there projection is the identity. P is the cumulative product of the
-    loop's own factors 1 - eta_i (relative error below k ulp however small P
-    gets)."""
+    before the first eta_j outside (0, 1) and before the first iterate outside
+    the domain: up to there projection is the identity. P is the cumulative
+    product of the loop's own factors 1 - eta_i (relative error below k ulp
+    however small P gets); before the first P_j below ``_PRODUCT_FLOOR`` the
+    form restarts from the last iterate, with nothing cut."""
     valid = (eta > 0.0) & (eta < 1.0)
     m = len(eta) if valid.all() else int(valid.argmin())
-    p = np.cumprod(1.0 - eta[:m])[:, None]
-    if m and p[-1, 0] < _PRODUCT_FLOOR:  # P_1 >= 2^-53 never is
-        m = int(np.argmax(p[:, 0] < _PRODUCT_FLOOR))
-        p = p[:m]
-    rows = pull[:m] / p
-    rows[:1] += w
-    np.cumsum(rows, axis=0, out=rows)
-    rows *= p
-    inside = _inside(rows, domain, center)
-    return rows if inside.all() else rows[:inside.argmin()]
+    parts, lo = [], 0
+    while True:
+        p = np.cumprod(1.0 - eta[lo:m])[:, None]
+        if len(p) and p[-1, 0] < _PRODUCT_FLOOR:  # P_1 >= 2^-53 never is
+            p = p[:int(np.argmax(p[:, 0] < _PRODUCT_FLOOR))]
+        hi = lo + len(p)
+        rows = pull[lo:hi] / p
+        rows[:1] += w
+        np.cumsum(rows, axis=0, out=rows)
+        rows *= p
+        inside = _inside(rows, domain, center)
+        parts.append(rows if inside.all() else rows[:inside.argmin()])
+        if hi == m or len(parts[-1]) < len(rows):
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        w, lo = rows[-1], hi
 
 
 # The least-squares closed form takes its steps in blocks of _BLOCK and
@@ -583,11 +584,12 @@ def phased_erm(
     inner:
         "sgd" runs strongly convex SGD (step 1/(lam_i s), suffix averaging)
         and repeats with fresh randomness until the certificate
-        |subgrad F_i(w)|^2 / (2 lam_i) <= L^2 eta_i / n_i passes, within a
-        per-phase budget of 8 n_i^2 max(1, ln(1/delta)) oracle calls
-        (certificate evaluations included). "exact" solves the phase
-        objective in closed form (quadratic family, or 1-D absolute
-        deviation) and makes no oracle calls.
+        <g, w - u> - (lam_i / 2) |w - u|^2 <= L^2 eta_i / n_i passes (g a
+        subgradient of F_i at w, u = proj(w - g / lam_i); the left side bounds
+        F_i(w) - min F_i over the domain), within a per-phase budget of
+        8 n_i^2 max(1, ln(1/delta)) oracle calls (certificate evaluations
+        included). "exact" solves the phase objective in closed form
+        (quadratic family, or 1-D absolute deviation) and makes no oracle calls.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -671,36 +673,40 @@ def _exact_absdev_1d(domain, block, w_prev, lam):
     return project(domain, np.array([best_w]))
 
 
+def _gap_bound(loss, domain, block, w, w_prev, lam):
+    """<g, w - u> - (lam / 2) |w - u|^2 for g a subgradient at w of the phase
+    objective F = mean f + (lam / 2) |. - w_prev|^2 and u = proj_K(w - g / lam):
+    the largest F(w) - F(v) over v in K that lam-strong convexity allows, so a
+    bound on F(w) - min_K F; |g|^2 / (2 lam) where u = w - g / lam."""
+    g = loss.batch_grad(w, block) + lam * (w - w_prev)
+    step = w - project(domain, w - g / lam)
+    return float(g.dot(step)) - 0.5 * lam * float(step.dot(step))
+
+
 def _certified_sgd_erm(loss, domain, block, w_prev, lam, gap, budget, rng_stream):
     """Strongly convex SGD on the phase objective, repeated with fresh
-    randomness until the strong-convexity gap certificate passes.
+    randomness until :func:`_gap_bound` is at most ``gap``.
 
     Returns (candidate, oracle calls used). Each stochastic step costs one
     f-gradient; each certificate evaluation costs len(block).
     """
     ni = len(block)
     attempt_steps = max(2 * ni * ni, 16)
-    used = 0
-    attempt = 0
-    best_gap = math.inf
-    threshold = math.sqrt(2.0 * lam * gap)
+    used = attempt = 0
+    best = math.inf
     while used + attempt_steps + ni <= budget:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=rng_stream.seed, spawn_key=(attempt,))
         )
         cand = _sgd_attempt(loss, domain, block, w_prev, lam, attempt_steps, rng)
-        used += attempt_steps
-        g = loss.batch_grad(cand, block) + lam * (cand - w_prev)
-        used += ni
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= threshold:
+        used += attempt_steps + ni
+        bound = _gap_bound(loss, domain, block, cand, w_prev, lam)
+        if bound <= gap:
             return cand, used
-        best_gap = min(best_gap, gnorm)
+        best = min(best, bound)
         attempt += 1
-    raise InnerSolveBudgetError(
-        f"certificate |grad| <= {threshold:.3g} not met within {budget} oracle calls "
-        f"(best {best_gap:.3g} after {attempt} attempts)"
-    )
+    raise InnerSolveBudgetError(f"certificate gap <= {gap:.3g} not met within {budget} oracle "
+                                f"calls (best {best:.3g} after {attempt} attempts)")
 
 
 _INDEX_CHUNK = 1 << 16
@@ -885,40 +891,3 @@ def sc_snowball(
     schedule = Schedule(snowball_batches(T, d, rho), np.full(T, eta), np.full(T, sigma))
     return _claimed_pass(data, loss, domain, w0, schedule, noise)
 
-
-def run_record_to_json(record: RunRecord) -> str:
-    """Serialize a run record; iterates above dimension 64 are elided to
-    norms to bound file size."""
-
-    def vec(v):
-        if v is None:
-            return None
-        if v.shape[0] > _SERIALIZE_DIM_LIMIT:
-            return {"dimension": int(v.shape[0]), "norm": float(np.linalg.norm(v))}
-        return [float(x) for x in v]
-
-    budget = record.declared_budget
-    if isinstance(budget, PrivacyBudget):
-        budget_obj = {"kind": "rdp", "rho": budget.rho}
-    elif isinstance(budget, ApproxDP):
-        budget_obj = {"kind": "approx_dp", "epsilon": budget.epsilon, "delta": budget.delta}
-    else:
-        budget_obj = None
-    return json.dumps(
-        {
-            "final_iterate": vec(record.final_iterate),
-            "weighted_average": vec(record.weighted_average),
-            "gradient_evaluations": record.gradient_evaluations,
-            "phases": [
-                {
-                    "index": p.index,
-                    "samples": p.samples,
-                    "noise_scale": None if math.isnan(p.noise_scale) else p.noise_scale,
-                    "iterate": vec(p.iterate),
-                }
-                for p in record.phase_log
-            ],
-            "rng_seed": record.rng_seed,
-            "declared_budget": budget_obj,
-        }
-    )

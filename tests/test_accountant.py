@@ -11,8 +11,6 @@ from scipy import integrate
 from dpsco.accountant import (
     ApproxDP,
     PrivacyBudget,
-    compose,
-    gaussian_mechanism_budget,
     gaussian_renyi,
     gaussian_sigma,
     pai_rho,
@@ -281,19 +279,6 @@ class TestShiftAllocation:
             pai_divergence_general(seq, [1.0, 1.0], 2.0)
 
 
-class TestGaussianMechanism:
-    def test_zero_sensitivity(self):
-        assert gaussian_mechanism_budget(0.0, 1.0).rho == 0.0
-
-    def test_noise_calibrated_to_target(self):
-        rho0 = 0.7
-        gamma = 3.0
-        assert gaussian_mechanism_budget(gamma, gamma / rho0).rho == pytest.approx(rho0, rel=1e-15)
-
-    def test_simple_ratio(self):
-        assert gaussian_mechanism_budget(2.0, 4.0).rho == 0.5
-
-
 def hockey_stick_quadrature(mu: float, epsilon: float) -> float:
     """Independent oracle: the (epsilon, delta) curve of the Gaussian
     mechanism, the integral of max(0, p - e^epsilon q) for p = N(mu, 1) and
@@ -348,28 +333,6 @@ class TestGaussianSigma:
         for entry, (_, eta_i) in zip(rec.phase_log, phase_plan(n, eta)):
             got = hockey_stick_quadrature(factor * L * eta_i / entry.noise_scale, epsilon)
             assert 2 * delta * (1 - 1e-9) <= got <= 2 * delta * (1 + 1e-9)
-
-
-class TestCompose:
-    def test_single_budget_identity(self):
-        assert compose([PrivacyBudget(0.8)]).rho == 0.8
-
-    def test_three_four_five(self):
-        assert compose([PrivacyBudget(3.0), PrivacyBudget(4.0)]).rho == pytest.approx(5.0)
-
-    def test_k_equal_budgets(self):
-        assert compose([PrivacyBudget(0.5)] * 9).rho == pytest.approx(1.5, rel=1e-12)
-
-    def test_commutative_associative(self):
-        a, b, c = PrivacyBudget(0.3), PrivacyBudget(1.1), PrivacyBudget(0.05)
-        ab_c = compose([compose([a, b]), c]).rho
-        a_bc = compose([a, compose([b, c])]).rho
-        cba = compose([c, b, a]).rho
-        assert ab_c == pytest.approx(a_bc, rel=1e-12)
-        assert ab_c == pytest.approx(cba, rel=1e-12)
-
-    def test_infinite_absorbs(self):
-        assert compose([PrivacyBudget(1.0), PrivacyBudget(math.inf)]).is_infinite
 
 
 class TestPrivacyBudget:
@@ -433,9 +396,3 @@ class TestRdpToDp:
         with pytest.warns(UserWarning):
             value = rdp_to_dp(budget, 1e-2)
         assert value == pytest.approx(50.0 + 10.0 * math.sqrt(2.0 * math.log(100.0)))
-
-    def test_epsilon_curve(self):
-        budget = PrivacyBudget(2.0)
-        assert budget.epsilon_at(3.0) == 6.0
-        with pytest.raises(ValueError):
-            budget.epsilon_at(0.5)

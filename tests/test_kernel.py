@@ -9,13 +9,13 @@ sigma = 0 steps, noise streams that start off a block boundary, and schedules
 whose steps and batches straddle the 256-draw noise blocks and the kernel's
 chunks of up to 2048 steps. The quadratic cases below also drive the
 closed-form chunk: projection firing mid-chunk, box domains, the cuts before
-eta = 0 and eta >= 1 steps and before products of (1 - eta) below the floor
-exp(-600), and the weighted passes over several chunks. A spy checks that the
-closed form takes at least as many steps as it did with 256-step chunks that
-declined instead of cutting, except where an offer longer than 256 steps
-meets the floor, and one protocol test checks the offer rule that both closed
-forms share. The linear-regression cases drive the closed-form least-squares
-offers, taken in 16-step blocks, the same way:
+eta = 0 and eta >= 1 steps, the restarts before products of (1 - eta) below
+the floor exp(-600), and the weighted passes over several chunks. A spy
+checks that the closed form takes at least as many steps as it did with
+256-step chunks that declined instead of cutting, and one protocol test
+checks the offer rule that both closed forms share. The linear-regression
+cases drive the closed-form least-squares offers, taken in 16-step blocks,
+the same way:
 projection firing mid-offer, a start on the boundary, noise kicks, offers
 that cross noise blocks and end in a ragged block, the weighted passes, the cuts before
 eta |a|^2 outside [0, 2] and before a batch of two, and a non-finite
@@ -358,26 +358,20 @@ def test_closed_form_cuts_before_steps_outside_the_unit_interval_and_tiny_produc
                                    rtol=0, atol=TOL)
         eta[0] = bad
         assert len(_quadratic_chunk(start, eta, pull, domain, None)) == 0
-    # (1 - 0.95)^j falls below the floor exp(-600) at j = 201; 0.1^256 = exp(-589) does not
+    # (1 - 0.95)^j falls below the floor exp(-600) at j = 201, where the form
+    # restarts from the 200th iterate instead of cutting; 0.1^256 = exp(-589) does not
     eta = np.full(256, 0.95)
     rows = _quadratic_chunk(start, eta, pull, domain, None)
-    assert len(rows) == 200
-    np.testing.assert_allclose(rows, _chunk_reference(start, eta, pull)[:200], rtol=0, atol=TOL)
+    np.testing.assert_allclose(rows, _chunk_reference(start, eta, pull), rtol=0, atol=TOL)
     assert len(_quadratic_chunk(start, np.full(256, 0.9), 0.9 * pull / 0.01, domain, None)) == 256
-
-
-def _floor_cut(eta):
-    """Rows before the first product of (1 - eta) below the floor exp(-600)."""
-    low = np.cumprod(1.0 - eta) < math.exp(-600.0)
-    return int(low.argmax()) if low.any() else len(eta)
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 2048), dim=st.integers(1, 8),
        eta_exponent=st.floats(-8.0, -0.01), scale_exponent=st.floats(-3.0, 2.0))
 def test_closed_form_equals_the_recurrence(seed, k, dim, eta_exponent, scale_exponent):
-    # inside a ball too large to bind, the closed form is the recurrence up
-    # to the floor cut
+    # inside a ball too large to bind, the closed form is the recurrence,
+    # also past products of (1 - eta) below the floor
     rng = np.random.default_rng(seed)
     if seed % 2:  # steps anywhere in (0, 1), or log-uniform small ones
         eta = rng.uniform(10.0 ** eta_exponent, 1.0 - 1e-9, k)
@@ -388,9 +382,7 @@ def test_closed_form_equals_the_recurrence(seed, k, dim, eta_exponent, scale_exp
     w = scale * rng.standard_normal(dim)
     domain = ConvexDomain.ball(np.zeros(dim), 1e9)
     rows = _quadratic_chunk(w, eta, pull, domain, None)
-    m = _floor_cut(eta)
-    assert len(rows) == m
-    np.testing.assert_allclose(rows, _chunk_reference(w, eta[:m], pull[:m]), rtol=0,
+    np.testing.assert_allclose(rows, _chunk_reference(w, eta, pull), rtol=0,
                                atol=TOL * max(1.0, scale))
 
 
@@ -531,9 +523,9 @@ def test_closed_form_takes_no_fewer_steps_than_256_step_chunks(case, monkeypatch
             cuts = sum(rows < offered for offered, rows in calls)
     if case == "eta=0.9":
         # (0.1)^256 = exp(-589) stays above the floor, so 256-step chunks
-        # took every step; longer offers are cut about every 260 steps, and
-        # after each cut the loop runs to the offer's next 64-step mark
-        assert taken["before"] == T and 0 < T - taken["now"] < 64 * cuts
+        # took every step; longer offers restart their product about every
+        # 260 steps and cut nothing
+        assert taken["before"] == taken["now"] == T and cuts == 0
         return
     assert taken["now"] >= taken["before"]
     if case != "projection":  # the declined chunks are now cut
