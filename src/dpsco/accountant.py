@@ -111,26 +111,50 @@ def pai_rho(schedule: Schedule, lipschitz: float) -> PrivacyBudget:
     return PrivacyBudget(2.0 * lipschitz * worst)
 
 
+# Below this argument log Phi comes from its asymptotic series, whose first
+# _TAIL_TERMS terms leave a relative error below 2e-19 there; above it Phi is
+# at least 5.7e-300, a normal float, and erfc gives it to a few ulps.
+_TAIL = -37.0
+_TAIL_TERMS = 8
+
+
+def _log_phi(x: float) -> tuple[float, float]:
+    """log Phi(x) and a bound on the relative error of Phi that its formula
+    leaves out. Below ``_TAIL`` it is the asymptotic series
+    Phi(x) = e^(-x^2/2) / (-x sqrt(2 pi)) * sum_k (-1)^k (2k - 1)!! / x^(2k),
+    whose remainder after K terms is smaller than the first term left out
+    (Abramowitz and Stegun 7.1.24)."""
+    if x >= _TAIL:
+        return math.log(0.5 * math.erfc(-x / math.sqrt(2.0))), 0.0
+    q = 1.0 / (x * x)
+    term = total = 1.0
+    for k in range(1, _TAIL_TERMS):
+        term *= -(2 * k - 1) * q
+        total += term
+    left_out = abs(term) * (2 * _TAIL_TERMS - 1) * q
+    log_phi = -0.5 * x * x - math.log(-x) - 0.5 * math.log(2.0 * math.pi) + math.log(total)
+    return log_phi, left_out / (total - left_out)
+
+
 def _gaussian_delta(mu: float, epsilon: float) -> float:
     """The exact delta(epsilon) of a Gaussian mechanism with mu = sensitivity /
     sigma, Phi(-epsilon/mu + mu/2) - e^epsilon Phi(-epsilon/mu - mu/2)
-    (Balle and Wang, arXiv 1805.06530), overstated by a bound on its rounding.
-    The second term is taken in logs, so e^epsilon never overflows; where its
-    Phi underflows it is dropped, which also overstates delta."""
-    def phi(x):
-        return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
+    (Balle and Wang, arXiv 1805.06530), overstated by a bound on its rounding
+    and on the truncation of :func:`_log_phi`. The second term is taken in
+    logs, so e^epsilon never overflows and Phi never underflows."""
     if mu == 0.0:
         return 0.0
     b = -epsilon / mu - mu / 2.0
-    first, tail = phi(b + mu), phi(b)
-    if tail == 0.0:
-        return first
+    first = 0.5 * math.erfc(-(b + mu) / math.sqrt(2.0))
+    if first == 0.0:  # delta is below the first term
+        return 0.0
+    log_tail, truncation = _log_phi(b)
     # erfc, log and exp each err by a few ulps, the exponent by ulps of its
     # terms, and Phi(x) by about |x| ulps of x from its rounded argument; the
     # two terms nearly cancel where delta is far below them
-    slack = (16.0 + epsilon - math.log(tail) + 4.0 * b * (b - 1.0)) * 2.0**-52 * first
-    return first - math.exp(epsilon + math.log(tail)) + slack
+    slack = ((16.0 + epsilon - log_tail + 4.0 * b * (b - 1.0)) * 2.0**-52
+             + 2.0 * truncation) * first
+    return first - math.exp(epsilon + log_tail) + slack
 
 
 def gaussian_sigma(sensitivity: float, epsilon: float, delta: float) -> float:

@@ -98,17 +98,28 @@ class SweepAlgorithm:
     bound: Callable[[SyntheticDistribution, int, int, float], float]
 
 
+def _trial_noise(noise_seed: int, d: int, T: int, sigma_scale: float) -> NoiseStream:
+    """The noise stream of a growing-batch trial of T steps. A noisy trial
+    draws its first draws on a second CPU while its caller samples the data
+    (:meth:`NoiseStream.prefetch`); the draws are the same either way."""
+    noise = NoiseStream(noise_seed)
+    if sigma_scale > 0:
+        noise.prefetch(d, T)
+    return noise
+
+
 def _run_snowball(multiplier: float, steps_builder):
     def run(dist, n, d, rho, data_seed, noise_seed, sigma_scale):
         D = dist.domain.diameter
         L = dist.loss.lipschitz
         batches = _snowball_plan(n, d, rho, multiplier)
         T = len(batches)
+        noise = _trial_noise(noise_seed, d, T, sigma_scale)
         schedule = Schedule(batches, steps_builder(T, D, L),
                             np.full(T, sigma_scale * L / math.sqrt(d)))
         data = dist.sample_dataset(schedule.total_samples(), data_seed)
         return pnsgd(data, dist.loss, dist.domain, default_start(dist.domain),
-                     schedule, NoiseStream(noise_seed))
+                     schedule, noise)
 
     return run
 
@@ -143,9 +154,10 @@ def _bound_phased_sgd(dist, n, d, rho):
 def _run_sc_snowball(dist, n, d, rho, data_seed, noise_seed, sigma_scale):
     L = dist.loss.lipschitz
     batches = _snowball_plan(n, d, rho, MULTIPLIER_SZ)
+    noise = _trial_noise(noise_seed, d, len(batches), sigma_scale)
     data = dist.sample_dataset(int(batches.sum()), data_seed)
     return sc_snowball(data, dist.loss, dist.domain, default_start(dist.domain),
-                       len(batches), d, rho, NoiseStream(noise_seed),
+                       len(batches), d, rho, noise,
                        sigma=sigma_scale * L / math.sqrt(d))
 
 

@@ -15,7 +15,10 @@ tests) exact.
 from __future__ import annotations
 
 import math
+import operator
+import os
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -28,6 +31,36 @@ from .losses import ABSOLUTE_DEVIATION, LINEAR_REGRESSION, QUADRATIC, Dataset, L
 from .schedules import Schedule, phase_plan, sc_weights, snowball_batches
 
 _NOISE_BLOCK = 256
+# Most float64 values a prefetch holds (4 MiB), which bounds the memory a run
+# keeps beside its data; draws past them are made on demand.
+_PREFETCH_ENTRIES = 2**19
+
+
+def _whole(value, least: int, name: str) -> int:
+    """``value`` as an int, refused with ValueError unless it is an integer
+    of at least ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _draw_blocks(seed: int, dim: int, block: int, out: np.ndarray) -> None:
+    """Fill ``out`` with blocks ``block``, ``block + 1``, ... of dimension
+    ``dim`` of the stream ``seed``, 256 rows each."""
+    for start in range(0, len(out), _NOISE_BLOCK):
+        key = np.random.SeedSequence(entropy=seed, spawn_key=(dim, block + start // _NOISE_BLOCK))
+        np.random.Generator(np.random.Philox(seed=key)).standard_normal(
+            out=out[start:start + _NOISE_BLOCK])
 
 
 class DataSizeError(ValueError):
@@ -47,23 +80,18 @@ class NoiseStream:
 
     Draws are produced in blocks of 256; block b for dimension d comes from a
     generator keyed by (seed, d, b), so streams with equal seeds yield
-    identical draws independent of when or by whom they are consumed.
+    identical draws independent of when or by whom they are consumed, and of
+    which thread drew them: :meth:`prefetch` draws the same blocks on a worker
+    thread.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self.index = 0
-        self._block_id: tuple[int, int] | None = None
-        self._block: np.ndarray | None = None
-
-    def _load_block(self, dim: int, block: int) -> np.ndarray:
-        if self._block_id != (dim, block):
-            ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(dim, block))
-            gen = np.random.Generator(np.random.Philox(seed=ss))
-            self._block = gen.standard_normal((_NOISE_BLOCK, dim))
-            self._block.flags.writeable = False  # draws are views; callers must not edit the cache
-            self._block_id = (dim, block)
-        return self._block
+        # the blocks drawn last, as (dim, first block, read-only rows), and
+        # while a prefetch fills them, its thread and what it raised
+        self._held: tuple[int, int, np.ndarray] | None = None
+        self._worker: tuple[threading.Thread, list] | None = None
 
     def gaussian(self, dim: int) -> np.ndarray:
         """Next standard-normal vector of the given dimension (a read-only view)."""
@@ -71,22 +99,66 @@ class NoiseStream:
 
     def gaussians(self, dim: int, count: int) -> np.ndarray:
         """The next ``count`` draws as the rows of a read-only (count, dim)
-        array; a view of the cached block when they all fall in one block."""
-        block, offset = divmod(self.index, _NOISE_BLOCK)
-        self.index += int(count)
-        rows = []
-        while count > 0:
-            take = min(count, _NOISE_BLOCK - offset)
-            rows.append(self._load_block(dim, block)[offset:offset + take])
-            block, offset, count = block + 1, 0, count - take
-        if len(rows) == 1:
-            return rows[0]
-        out = np.concatenate(rows) if rows else np.empty((0, dim))
-        out.flags.writeable = False
-        return out
+        view of the blocks that hold them: the blocks drawn last where they
+        cover the request, else the request's blocks drawn now."""
+        dim, count = _whole(dim, 1, "dim"), _whole(count, 0, "count")
+        first = self.index // _NOISE_BLOCK
+        end = max(-(-(self.index + count) // _NOISE_BLOCK), first + 1)
+        held, raised = self._held, self._wait()
+        covered = held is not None and held[0] == dim and (
+            held[1] <= first and end <= held[1] + len(held[2]) // _NOISE_BLOCK)
+        if not covered:  # what a prefetch raised goes with its draws, not needed here
+            held = (dim, first, np.empty(((end - first) * _NOISE_BLOCK, dim)))
+            _draw_blocks(self.seed, dim, first, held[2])
+            self._held = held
+        elif raised is not None:
+            self._held = None
+            raise raised
+        rows = held[2]
+        rows.flags.writeable = False  # draws are views; callers must not edit them
+        lo = self.index - held[1] * _NOISE_BLOCK
+        self.index += count
+        return rows[lo:lo + count]
+
+    def prefetch(self, dim: int, count: int) -> None:
+        """Start drawing the blocks of the next ``count`` draws of dimension
+        ``dim`` on a worker thread, as many whole blocks as fit in
+        ``_PREFETCH_ENTRIES`` values, where this process may use two CPUs or
+        more (on one the worker would only delay its caller). numpy fills the
+        blocks with the interpreter lock released, so the caller's own numpy
+        work, such as sampling the data, runs meanwhile. The first
+        :meth:`gaussians` request inside these blocks waits for the worker and
+        raises what it raised."""
+        dim, count = _whole(dim, 1, "dim"), _whole(count, 0, "count")
+        first = self.index // _NOISE_BLOCK
+        end = min(-(-(self.index + count) // _NOISE_BLOCK),
+                  first + _PREFETCH_ENTRIES // (_NOISE_BLOCK * dim))
+        if end <= first or _usable_cpus() < 2:
+            return
+        self._wait()
+        rows, raised = np.empty(((end - first) * _NOISE_BLOCK, dim)), []
+
+        def work():
+            try:
+                _draw_blocks(self.seed, dim, first, rows)
+            except Exception as exc:  # raised again by the request that needs these draws
+                raised.append(exc)
+
+        thread = threading.Thread(target=work, name="dpsco-noise-prefetch")
+        thread.start()
+        self._held, self._worker = (dim, first, rows), (thread, raised)
+
+    def _wait(self) -> Exception | None:
+        """Wait for the prefetch worker, if one runs; what it raised."""
+        if self._worker is None:
+            return None
+        thread, raised = self._worker
+        self._worker = None
+        thread.join()
+        return raised[0] if raised else None
 
     def skip(self, count: int) -> None:
-        self.index += int(count)
+        self.index += _whole(count, 0, "count")
 
     def fork(self, tag: int) -> "NoiseStream":
         """Independent stream derived deterministically from this one's seed."""

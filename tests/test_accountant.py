@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import log_ndtr
 
 from dpsco.accountant import (
     ApproxDP,
@@ -333,6 +334,17 @@ class TestGaussianSigma:
         for entry, (_, eta_i) in zip(rec.phase_log, phase_plan(n, eta)):
             got = hockey_stick_quadrature(factor * L * eta_i / entry.noise_scale, epsilon)
             assert 2 * delta * (1 - 1e-9) <= got <= 2 * delta * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("epsilon, delta", [(100.0, 1e-300), (800.0, 1e-300), (800.0, 2e-5)])
+def test_gaussian_sigma_is_tight_where_the_second_phi_underflows(epsilon, delta):
+    # Phi(-epsilon/mu - mu/2) is below the smallest float here; dropping its
+    # term gave a true delta of 0.066, 0.32 and 0.89 of the target
+    mu = 1.0 / gaussian_sigma(1.0, epsilon, delta)
+    b = -epsilon / mu - mu / 2.0
+    head, tail = float(log_ndtr(b + mu)), float(log_ndtr(b))
+    true_delta = math.exp(head) * -math.expm1(epsilon + tail - head)
+    assert 1.0 - 1e-9 <= true_delta / delta <= 1.0
 
 
 class TestPrivacyBudget:

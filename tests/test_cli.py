@@ -3,10 +3,12 @@
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
 
+from dpsco import optimizers
 from dpsco.cli import build_parser, main
 
 
@@ -28,6 +30,9 @@ def sweep_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return cfg, path
+
+
+GROWING_BATCH = ("snowball_sz", "snowball_jnn", "sc_snowball")
 
 
 class TestRun:
@@ -172,6 +177,36 @@ class TestRun:
         cfg, path = sweep_config
         path.write_text(json.dumps({**cfg, "overrides": {"sigma_scale": 0.0}}))
         assert run_cli(["run", "--config", path]) == 0
+
+    @pytest.mark.parametrize("algorithm", GROWING_BATCH)
+    def test_noise_prefetch_leaves_the_csv_byte_identical(self, sweep_config, algorithm,
+                                                          monkeypatch, started_threads):
+        # each trial prefetches its noise where two CPUs are usable: all of
+        # it, or (with a 3-block cap) the first blocks; on one CPU none
+        cfg, path = sweep_config
+        path.write_text(json.dumps({**cfg, "algorithm": algorithm,
+                                    "grid": [{"n": 4096, "d": 2, "rho": 1.0}]}))
+        runs = []
+        for cpus, cap in ((2, optimizers._PREFETCH_ENTRIES), (2, 3 * 256 * 2),
+                          (1, optimizers._PREFETCH_ENTRIES)):
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+                patch.setattr(optimizers, "_PREFETCH_ENTRIES", cap)
+                assert run_cli(["run", "--config", path]) == 0
+            runs.append((Path(cfg["output"]).read_bytes(), len(started_threads)))
+        assert runs[0][0] == runs[1][0] == runs[2][0]
+        assert [count for _, count in runs] == [3, 6, 6]
+
+    @pytest.mark.parametrize("algorithm", GROWING_BATCH)
+    def test_noiseless_trials_start_no_thread(self, sweep_config, algorithm, monkeypatch,
+                                              started_threads):
+        cfg, path = sweep_config
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        path.write_text(json.dumps({**cfg, "algorithm": algorithm,
+                                    "grid": [{"n": 1024, "d": 2, "rho": 1.0}],
+                                    "overrides": {"sigma_scale": 0.0}}))
+        assert run_cli(["run", "--config", path]) == 0
+        assert started_threads == []
 
 
 class TestAccount:

@@ -3,13 +3,16 @@ phase noise calibration, and determinism."""
 
 import dataclasses
 import math
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dpsco import optimizers
 from dpsco.accountant import ApproxDP, PrivacyBudget, pai_rho
 from dpsco.empirics import sensitivity_probe
 from dpsco.geometry import ConvexDomain, check_contraction, project
@@ -66,6 +69,25 @@ def _phase_objective(loss, block, w_prev, lam):
     return lambda v: loss.batch_value(v, block) + 0.5 * lam * float(np.sum((v - w_prev) ** 2))
 
 
+def _keyed_draws(seed, dim):
+    """Draws start..start + count - 1 of dimension dim as the stream keys
+    them: draw k is row k % 256 of a 256-row standard-normal block from
+    Philox seeded by SeedSequence(seed, spawn_key=(dim, k // 256))."""
+    blocks = {}
+
+    def draws(start, count):
+        rows = np.empty((count, dim))
+        for i, k in enumerate(range(start, start + count)):
+            if k // 256 not in blocks:
+                key = np.random.SeedSequence(entropy=seed, spawn_key=(dim, k // 256))
+                blocks[k // 256] = np.random.Generator(np.random.Philox(key)).standard_normal(
+                    (256, dim))
+            rows[i] = blocks[k // 256][k % 256]
+        return rows
+
+    return draws
+
+
 class TestNoiseStream:
     def test_draw_is_pure_in_seed_and_index(self):
         a = NoiseStream(123)
@@ -95,6 +117,97 @@ class TestNoiseStream:
         f2 = NoiseStream(7).fork(1).gaussian(2)
         np.testing.assert_array_equal(f1, f2)
         assert not np.allclose(f1, NoiseStream(7).fork(2).gaussian(2))
+
+    def test_negative_or_fractional_counts_and_small_dims_are_refused(self):
+        s = NoiseStream(5)
+        s.skip(10)
+        calls = (lambda: s.gaussians(4, -3), lambda: s.skip(-20), lambda: s.gaussians(4, 2.5),
+                 lambda: s.skip(1.5), lambda: s.gaussians(0, 3), lambda: s.gaussians(-1, 3),
+                 lambda: s.gaussians(2.0, 3), lambda: s.prefetch(4, -1))
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+            assert s.index == 10
+        want = NoiseStream(5)
+        want.skip(np.int64(10))
+        np.testing.assert_array_equal(s.gaussians(4, np.int64(3)), want.gaussians(4, 3))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), dim=st.sampled_from((1, 2, 3, 4, 5, 6, 64)),
+           start=st.integers(0, 700), ahead=st.integers(0, 1500), cap=st.integers(0, 1100),
+           requests=st.lists(st.tuples(st.sampled_from(("draw", "skip", "other")),
+                                       st.integers(0, 600)), min_size=1, max_size=5))
+    # the prefetched blocks end inside the first request
+    @example(seed=1, dim=3, start=0, ahead=1000, cap=512, requests=[("draw", 600)])
+    # a skip past the prefetched blocks
+    @example(seed=2, dim=5, start=100, ahead=600, cap=256,
+             requests=[("draw", 50), ("skip", 400), ("draw", 10)])
+    # a request at another dimension first
+    @example(seed=3, dim=64, start=0, ahead=600, cap=1024, requests=[("other", 5), ("draw", 5)])
+    def test_prefetched_draws_equal_draws_on_demand(self, seed, dim, start, ahead, cap,
+                                                     requests):
+        other = dim % 6 + 1
+        oracle = {d: _keyed_draws(seed, d) for d in (dim, other)}
+        with mock.patch.object(optimizers, "_PREFETCH_ENTRIES", cap * dim), \
+                mock.patch.object(optimizers, "_usable_cpus", lambda: 2):
+            fetched, plain = NoiseStream(seed), NoiseStream(seed)
+            fetched.skip(start)
+            plain.skip(start)
+            fetched.prefetch(dim, ahead)
+            for kind, count in requests:
+                if kind == "skip":
+                    fetched.skip(count)
+                    plain.skip(count)
+                else:
+                    d = dim if kind == "draw" else other
+                    want = oracle[d](plain.index, count)
+                    np.testing.assert_array_equal(plain.gaussians(d, count), want)
+                    got = fetched.gaussians(d, count)
+                    np.testing.assert_array_equal(got, want)
+                    assert not got.flags.writeable
+                assert fetched.index == plain.index
+
+    @pytest.mark.parametrize("dim", (3, 16, 4096))
+    def test_a_prefetch_holds_at_most_its_cap(self, dim, monkeypatch):
+        filled, draw_blocks = [], optimizers._draw_blocks
+        monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(optimizers, "_draw_blocks",
+                            lambda seed, d, block, out: (filled.append(out.size),
+                                                         draw_blocks(seed, d, block, out))[1])
+        noise = NoiseStream(1)
+        noise.skip(100)
+        noise.prefetch(dim, 10**6)
+        noise.gaussian(dim)
+        cap = optimizers._PREFETCH_ENTRIES
+        if dim > cap // 256:  # not one block fits: drawn on demand
+            assert filled == [256 * dim]
+        else:
+            assert len(filled) == 1 and cap - 256 * dim < filled[0] <= cap
+
+    def test_a_prefetch_failure_is_raised_by_the_request_that_needs_it(self, monkeypatch,
+                                                                       started_threads):
+        class EntropyError(RuntimeError):
+            pass
+
+        def broken(*args, **kwargs):
+            raise EntropyError("no entropy")
+
+        hooked = []
+        monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        noise = NoiseStream(4)
+        noise.skip(7)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "SeedSequence", broken)
+            noise.prefetch(3, 600)
+            assert len(started_threads) == 1
+            started_threads[0].join(2.0)  # the worker has raised
+            with pytest.raises(EntropyError):
+                noise.gaussians(3, 10)
+        assert hooked == [] and noise.index == 7
+        want = NoiseStream(4)
+        want.skip(7)
+        np.testing.assert_array_equal(noise.gaussians(3, 10), want.gaussians(3, 10))
 
 
 class TestPnsgd:
