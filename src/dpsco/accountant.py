@@ -17,6 +17,9 @@ import numpy as np
 
 from .schedules import Schedule
 
+# The smallest normal float64: a square below it is rounded on the subnormal grid.
+_TINY = float(np.finfo(np.float64).tiny)
+
 
 @dataclass(frozen=True)
 class PrivacyBudget:
@@ -63,11 +66,16 @@ def gaussian_renyi(shift: float, sigma: float, alpha: float) -> float:
 def _worst_term(eta: np.ndarray, products: np.ndarray, batches: np.ndarray) -> float | None:
     """max_t eta_t / (B_t * sqrt(sum_{s >= t} products_s^2)), in the buffer
     ``products``: the suffix sums are accumulated back-to-front in place, then
-    each step's term is taken in place. None if the sums overflow."""
+    each step's term is taken in place. None if the sums overflow, or if a
+    positive one is subnormal, where a square's rounding can lift it by half."""
     np.square(products, out=products)
     backward = products[::-1]
     np.cumsum(backward, out=backward)
     if not math.isfinite(products[0]):  # the largest suffix sum
+        return None
+    # backward is non-decreasing: the sums in (0, tiny) lie between these
+    if (np.searchsorted(backward, 0.0, side="right")
+            != np.searchsorted(backward, _TINY, side="left")):
         return None
     np.sqrt(products, out=products)
     products *= batches
@@ -89,23 +97,26 @@ def pai_rho(schedule: Schedule, lipschitz: float) -> PrivacyBudget:
     there). A zero step contributes nothing, whatever the later noise; a zero
     noise suffix under a nonzero step makes the budget infinite.
 
-    If the sums overflow float64, they are taken again over
-    eta_t sigma_t / (max eta * m), where m makes the largest 1, and the
-    terms are divided back. A product that underflows there only shrinks a
-    denominator, so the budget can only grow.
+    If the sums overflow float64, underflow to 0 under a nonzero step, or a
+    positive one is subnormal (its squares rounded by up to half their size,
+    either way), they are taken again over eta_t sigma_t / (max eta * m),
+    where m makes the largest 1, and the terms are divided back. Where that
+    pass still has a positive subnormal sum, or a step over a sum that
+    underflowed to 0, the budget is infinite: it is never below the exact one.
     """
     if lipschitz < 0:
         raise ValueError("lipschitz must be nonnegative")
     eta, sigma, batches = schedule.step_sizes, schedule.noise_scales, schedule.batch_sizes
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         worst = _worst_term(eta, np.multiply(eta, sigma), batches)
-        if worst is None:
+        if worst is None or worst == math.inf:
             eta_max = float(eta.max())
             products = eta / eta_max
             products *= sigma
             top = float(products.max())
             products /= top
-            worst = _worst_term(eta, products, batches) / eta_max / top
+            worst = _worst_term(eta, products, batches)
+            worst = math.inf if worst is None else worst / eta_max / top
     if worst == 0.0 or worst == math.inf:  # L does not enter; abs turns -0.0 into 0.0
         return PrivacyBudget(abs(worst))
     return PrivacyBudget(2.0 * lipschitz * worst)

@@ -33,7 +33,7 @@ from .empirics import (
     sensitivity_probe,
     sweep_to_csv,
 )
-from .geometry import ConvexDomain, check_contraction, gradient_step_map
+from .geometry import RATIO_TOL, ConvexDomain, check_contraction, gradient_step_map
 from .losses import (
     SyntheticDistribution,
     absolute_deviation_uniform,
@@ -216,10 +216,15 @@ def cmd_counterexample(args) -> int:
         return EXIT_CONFIG
     ks = args.k if args.k else default_k_grid(args.steps)
     rows = []
-    for k in ks:
-        report = counterexample_exact(args.steps, k, args.sigma, args.offset)
-        emp = counterexample_empirical(args.steps, k, args.sigma, args.trials, args.seed)
-        rows.append((report, emp.accuracy))
+    try:
+        for k in ks:
+            report = counterexample_exact(args.steps, k, args.sigma, args.offset)
+            emp = counterexample_empirical(args.steps, k, args.sigma, args.trials,
+                                           args.seed, args.offset)
+            rows.append((report, emp.accuracy))
+    except ValueError as exc:
+        print(f"counterexample refused: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     counterexample_to_csv(rows, args.output)
     print(f"wrote {len(rows)} rows to {args.output}")
     return EXIT_OK
@@ -252,8 +257,7 @@ def cmd_contraction_check(args) -> int:
         gradient_step_map(grad_fn, args.eta), domain, args.pairs, args.seed
     )
     print(f"max_ratio: {report.max_ratio:.12g}")
-    threshold = 1.0 + 1e-9
-    print("contractive" if report.max_ratio <= threshold else "NOT contractive")
+    print("contractive" if report.max_ratio <= 1.0 + RATIO_TOL else "NOT contractive")
     return EXIT_OK
 
 

@@ -24,8 +24,7 @@ from .schedules import (
     Schedule,
     constant_step,
     jnn_steps,
-    snowball_expand,
-    snowball_runs,
+    snowball_sizes,
 )
 
 SWEEP_CSV_COLUMNS = ("n", "d", "rho", "algorithm", "trials", "mean", "std_err", "bound", "ratio")
@@ -66,27 +65,15 @@ def _snowball_plan(n: int, d: int, rho: float, multiplier: float) -> np.ndarray:
     n samples, equal to ``snowball_batches(T, d, rho, multiplier)`` for that T.
 
     B_t depends only on r = T - t + 1, so a schedule's total is a prefix sum of
-    c_r, which ``snowball_runs`` gives as a head and runs of equal values;
-    T is where that sum passes n.
+    the sizes c_r of :func:`snowball_sizes`, and T is where that sum passes n.
+    c_r is non-increasing, so with c_1 <= n every prefix sum is at most n^2
+    and int64 holds it.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    head, values, ends = snowball_runs(n, d, rho, multiplier)
-    h = len(head)
-    starts = np.concatenate(([h], ends[:-1]))
-    # the total after each head entry, then after each whole run
-    totals = np.cumsum(np.concatenate((head, values * (ends - starts))))
-    whole = int(np.searchsorted(totals, n, side="right"))
-    if whole < h:
-        T = whole
-    elif whole == totals.size:
-        T = n
-    else:  # run j is funded in part: as many steps as its value divides the rest
-        j = whole - h
-        T = int(starts[j]) + (n - int(totals[whole - 1])) // int(values[j])
+    c = snowball_sizes(n, d, rho, multiplier)
+    T = int(np.searchsorted(np.cumsum(c), n, side="right")) if c.size and c[0] <= n else 0
     if T == 0:
         raise ValueError(f"n = {n} cannot fund even one step at d = {d}, rho = {rho}")
-    return snowball_expand((head, values, ends), T)
+    return c[T - 1::-1]
 
 
 @dataclass(frozen=True)
@@ -263,17 +250,16 @@ def sensitivity_probe(
     eta: float,
     num_pairs: int,
     seed: int,
-    algorithm=None,
-    w0=None,
 ) -> ProbeReport:
     """Empirical L2-sensitivity of a noiseless one-pass SGD run.
 
     Generates ``num_pairs`` neighboring dataset pairs (one uniformly chosen
-    example replaced by a fresh draw), executes the algorithm on both, and
-    reports the largest final-iterate or average-iterate distance next to the
-    analytic bound 2 L eta. Raises :class:`ValueError`, where that bound does
-    not hold, for any defect :meth:`LossFamily.support_defect` finds at eta:
-    the loss's and the step's before sampling, the data's in each pair.
+    example replaced by a fresh draw), runs :func:`psgd` at step ``eta`` from
+    :func:`default_start` on both, and reports the largest final-iterate or
+    average-iterate distance next to the analytic bound 2 L eta. Raises
+    :class:`ValueError`, where that bound does not hold, for any defect
+    :meth:`LossFamily.support_defect` finds at eta: the loss's and the step's
+    before sampling, the data's in each pair.
     """
     def refuse(sample):
         defect = dist.loss.support_defect(sample, dist.domain, eta)
@@ -281,10 +267,7 @@ def sensitivity_probe(
             raise ValueError(f"{defect}: bound inapplicable")
 
     refuse(Dataset(np.empty((0, dist.dimension))))
-    if algorithm is None:
-        def algorithm(data, loss, domain, start):
-            return psgd(data, loss, domain, start, [eta] * len(data))
-    start = default_start(dist.domain) if w0 is None else np.asarray(w0, dtype=np.float64)
+    start = default_start(dist.domain)
     worst = 0.0
     for pair in range(num_pairs):
         data_seed = _derive_seeds(seed, pair, 0)
@@ -296,13 +279,10 @@ def sensitivity_probe(
         neighbor = data.replace(j, fresh)
         refuse(data)
         refuse(neighbor)
-        rec_a = algorithm(data, dist.loss, dist.domain, start)
-        rec_b = algorithm(neighbor, dist.loss, dist.domain, start)
-        worst = max(worst, float(np.linalg.norm(rec_a.final_iterate - rec_b.final_iterate)))
-        if rec_a.weighted_average is not None and rec_b.weighted_average is not None:
-            worst = max(
-                worst, float(np.linalg.norm(rec_a.weighted_average - rec_b.weighted_average))
-            )
+        rec_a = psgd(data, dist.loss, dist.domain, start, [eta] * n)
+        rec_b = psgd(neighbor, dist.loss, dist.domain, start, [eta] * n)
+        worst = max(worst, float(np.linalg.norm(rec_a.final_iterate - rec_b.final_iterate)),
+                    float(np.linalg.norm(rec_a.weighted_average - rec_b.weighted_average)))
     return ProbeReport(max_observed=worst, bound=2.0 * dist.loss.lipschitz * eta,
                        pairs=num_pairs)
 
@@ -345,22 +325,11 @@ def _average_moments(T: int, k: int, sigma: float, x0_offset: float) -> tuple[fl
     return k * x0_offset / T, sigma * sigma * (k * (k + 1) * (2 * k + 1) / 6.0 + (T - k)) / (T * T)
 
 
-def counterexample_exact(
-    T: int, k: int, sigma: float, x0_offset: float, oco: bool = False
-) -> CounterexampleReport:
-    """Exact mean shift and variance of the average iterate.
-
-    With ``oco`` the report describes the online-convex variant of the same
-    process, whose average is the same Gaussian scaled by the step size
-    eta = 1/sqrt(T); divergences are scale-invariant so they are unchanged.
-    """
+def counterexample_exact(T: int, k: int, sigma: float, x0_offset: float) -> CounterexampleReport:
+    """Exact mean shift and variance of the average iterate."""
     shift, variance = _average_moments(T, k, sigma, x0_offset)
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if oco:
-        eta = 1.0 / math.sqrt(T)
-        shift *= eta
-        variance *= eta * eta
     return CounterexampleReport(
         T=T, k=k, sigma=sigma, x0_offset=x0_offset, mean_shift=shift, variance=variance
     )

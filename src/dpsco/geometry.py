@@ -86,11 +86,12 @@ class ConvexDomain:
             return self.center - self.radius, self.center + self.radius
         return self.lower, self.upper
 
-    def contains(self, point, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, point) -> bool:
         p = _as_vector(point, dim=self.dimension)
         if self.kind == "ball":
-            return float(np.linalg.norm(p - self.center)) <= self.radius * (1.0 + tol)
-        return bool(np.all(p >= self.lower - tol) and np.all(p <= self.upper + tol))
+            return float(np.linalg.norm(p - self.center)) <= self.radius * (1.0 + MEMBERSHIP_TOL)
+        return bool(np.all(p >= self.lower - MEMBERSHIP_TOL)
+                    and np.all(p <= self.upper + MEMBERSHIP_TOL))
 
 
 def project(domain: ConvexDomain, point) -> np.ndarray:

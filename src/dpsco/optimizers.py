@@ -848,7 +848,7 @@ def sc_reduction(
     Runs ``inner`` k = ceil(log2 log2 n) times on disjoint consecutive blocks
     of sizes n_i = floor(2^(i-2) n / log2 n), each initialized at the previous
     output. Blocks are disjoint, so the overall budget equals the worst phase
-    budget. Phases whose block would be empty are dropped with a warning.
+    budget.
     """
     n = len(data)
     if n < 4:
@@ -856,12 +856,6 @@ def sc_reduction(
     log2n = math.log2(n)
     k = max(1, math.ceil(math.log2(log2n)))
     sizes = [math.floor(2.0 ** (i - 2) * n / log2n) for i in range(1, k + 1)]
-    if any(s < 1 for s in sizes):
-        _warn("dropping empty localization phases")
-        sizes = [s for s in sizes if s >= 1]
-    if not sizes:
-        raise DataSizeError(f"n = {n} too small for any localization phase")
-    assert sum(sizes) <= n
     w = _start_point(domain, w0)
     log = []
     offset = 0

@@ -190,27 +190,26 @@ class Schedule:
         return cls(*fields)
 
 
-# snowball_runs computes every c_r while n is at most _DIRECT_MAX, and past
+# snowball_sizes computes every c_r while n is at most _DIRECT_MAX, and past
 # it every c_r before the runs of equal values reach _RUN_MIN steps.
 _DIRECT_MAX = 16384
 _RUN_MIN = 64
 
 
-def snowball_runs(n: int, d: int, rho: float,
-                  multiplier: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c_r = ceil(multiplier * sqrt(d / r) / rho) for r = 1..n, the batch size
-    of a snowball step with r steps left, at the cost of its distinct values.
+def snowball_sizes(n: int, d: int, rho: float, multiplier: float) -> np.ndarray:
+    """c_r = ceil(multiplier * sqrt(d / r) / rho) for r = 1..n as an int64
+    array: the batch size of a snowball step with r steps left.
 
-    Returns ``(head, values, ends)``: ``head`` holds c_1..c_h (int64), and
-    past it c_r = values[j] for ends[j-1] < r <= ends[j], where ends[-1] = h
-    before the first run and the last run ends at n. Every float operation in
-    c_r is monotone, so c_r is non-increasing in r. The head is where c_r
-    falls fast, r <= (_RUN_MIN * c_1 / 2)^(2/3); there every c_r is computed.
-    Past it each run's last r is found by a vectorized bisection on the same
-    expression, so the work is O(h + runs * log n) rather than O(n).
-    ``rho`` and ``multiplier`` must be positive and finite, and c_1 must fit
-    in int64.
+    Every float operation in c_r is monotone, so c_r is non-increasing in r.
+    The head, r <= h = (_RUN_MIN * c_1 / 2)^(2/3), is where c_r falls fast;
+    there every c_r is computed. Past it each run of equal values ends where a
+    vectorized bisection on the same expression puts it, and the runs are
+    repeated out, so the float work is O(h + runs * log n) rather than O(n).
+    ``d`` must be >= 1, ``rho`` and ``multiplier`` positive and finite, and
+    c_1 must fit in int64.
     """
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if not 0.0 < rho < math.inf:
         raise ValueError("rho must be positive and finite")
     if not 0.0 < multiplier < math.inf:
@@ -228,7 +227,7 @@ def snowball_runs(n: int, d: int, rho: float,
             h = min(n, math.ceil((_RUN_MIN * scale / 2.0) ** (2.0 / 3.0)))
     head = np.ceil(raw(np.arange(1, h + 1, dtype=np.float64))).astype(np.int64)
     if h == n:
-        return head, np.empty(0, np.int64), np.empty(0, np.int64)
+        return head
     top, low = np.ceil(raw(np.array([h + 1.0, float(n)])))
     # for each value k in (c_n, c_{h+1}], the last r > h with c_r >= k,
     # that is with raw(r) > k - 1
@@ -240,18 +239,11 @@ def snowball_runs(n: int, d: int, rho: float,
         above = raw(mid) > below
         last = np.where(above, mid, last)
         past = np.where(above, past, mid)
-    # a value that c_r skips gets an empty run
-    return (head, np.arange(int(top), int(low) - 1, -1, dtype=np.int64),
-            np.append(last.astype(np.int64), n))
-
-
-def snowball_expand(runs, T: int) -> np.ndarray:
-    """B_1..B_T, B_t = c_{T-t+1}, as an int64 array, from the ``(head, values,
-    ends)`` that :func:`snowball_runs` gives for some n >= T."""
-    head, values, ends = runs
-    starts = np.concatenate(([len(head)], ends[:-1]))
-    counts = np.clip(np.minimum(ends, T) - starts, 0, None)
-    return np.concatenate((head[:T], np.repeat(values, counts)))[::-1]
+    # value k covers the r past the last of k + 1 up to its own last (none
+    # if c_r skips k), and c_n the rest up to n
+    counts = np.diff(last.astype(np.int64), prepend=h, append=n)
+    return np.concatenate(
+        (head, np.repeat(np.arange(int(top), int(low) - 1, -1, dtype=np.int64), counts)))
 
 
 def snowball_batches(T: int, d: int, rho: float,
@@ -260,13 +252,13 @@ def snowball_batches(T: int, d: int, rho: float,
 
     The schedule equalizes per-example privacy under amplification by
     iteration; the total satisfies sum B_t <= T + 2 * multiplier * sqrt(dT) / rho.
-    B_t is c_r of :func:`snowball_runs` at r = T - t + 1.
+    B_t is c_r of :func:`snowball_sizes` at r = T - t + 1.
     """
-    if T < 1 or d < 1:
-        raise ValueError("T and d must be >= 1")
-    runs = snowball_runs(T, d, rho, multiplier)
+    if T < 1:
+        raise ValueError("T must be >= 1")
     # faster than tuple(tolist()); the array is freed before the tuple is built
-    return struct.Struct(f"{T}q").unpack(snowball_expand(runs, T).tobytes())
+    return struct.Struct(f"{T}q").unpack(
+        snowball_sizes(T, d, rho, multiplier)[::-1].tobytes())
 
 
 def constant_step(T: int, D: float, L_G: float) -> tuple[float, ...]:

@@ -1,6 +1,7 @@
 """Analytic accountant against independent numerical oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from dpsco.accountant import (
 )
 from dpsco.geometry import ConvexDomain
 from dpsco.losses import quadratic_sphere
-from dpsco.optimizers import NoiseStream, phased_erm
+from dpsco.optimizers import NoiseStream, phased_erm, pnsgd
 from dpsco.schedules import Schedule, constant_step, phase_plan, snowball_batches
 from shift_allocation import (
     InvalidAllocationError,
@@ -160,6 +161,65 @@ class TestPaiRho:
             assert pai_rho(Schedule(tuple(batches), etas, tuple(bigger_s)), 1.0).rho <= base + 1e-15
 
 
+def fraction_rho_squared(schedule: Schedule) -> Fraction | None:
+    """(rho / 2L)^2 = max_t eta_t^2 / (B_t^2 sum_{s >= t} eta_s^2 sigma_s^2) in
+    exact rationals; None where a step is taken over a zero noise suffix."""
+    eta = [Fraction(float(e)) for e in schedule.step_sizes]
+    sigma = [Fraction(float(s)) for s in schedule.noise_scales]
+    worst, suffix = Fraction(0), Fraction(0)
+    for t in reversed(range(schedule.num_steps)):
+        suffix += (eta[t] * sigma[t]) ** 2
+        if eta[t] == 0:
+            continue
+        if suffix == 0:
+            return None
+        worst = max(worst, eta[t] ** 2 / (int(schedule.batch_sizes[t]) ** 2 * suffix))
+    return worst
+
+
+@st.composite
+def subnormal_schedules(draw):
+    """1-5 steps whose products eta_t sigma_t square to subnormals: eta_t
+    log-uniform in [1e-170, 1e-150] (or 0), sigma_t in [1e-3, 10], B_t in 1-3,
+    and optionally a first step of normal size."""
+    T = draw(st.integers(1, 5))
+    eta = draw(st.lists(st.one_of(st.just(0.0), st.floats(-170.0, -150.0).map(
+        lambda x: 10.0 ** x)), min_size=T, max_size=T))
+    if draw(st.booleans()):
+        eta[0] = draw(st.floats(1e-3, 1.0))
+    sigma = draw(st.lists(st.floats(-3.0, 1.0).map(lambda x: 10.0 ** x), min_size=T, max_size=T))
+    return Schedule(draw(st.lists(st.integers(1, 3), min_size=T, max_size=T)), eta, sigma)
+
+
+class TestPaiRhoNeverUnderstates:
+    """A square rounded onto the subnormal grid can grow by half its size, so
+    a subnormal suffix sum can lower a term; pai_rho must not."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(subnormal_schedules())
+    def test_rho_is_infinite_or_at_least_the_exact_value(self, sched):
+        got = pai_rho(sched, 1.0).rho
+        exact = fraction_rho_squared(sched)
+        if exact is None or got == math.inf:
+            assert got == math.inf
+            return
+        assert (Fraction(got) / 2) ** 2 >= exact * Fraction(1.0 - 1e-12) ** 2
+
+    def test_one_subnormal_square(self):
+        # (eta sigma)^2 = 7.66e-324 rounds up to 1.0e-323; rho = 2L / (B sigma) = 2
+        sched = Schedule([1], [2.76731232616402e-162], [1.0])
+        assert pai_rho(sched, 1.0).rho == 2.0
+        dist = quadratic_sphere(ConvexDomain.ball([0.0], 1.0), [0.0], 1.0)
+        record = pnsgd(dist.sample_dataset(1, 0), dist.loss, dist.domain, [0.0], sched,
+                       NoiseStream(0))
+        assert dist.loss.lipschitz == 2.0 and record.declared_budget.rho == 4.0
+
+    def test_square_that_underflows_to_zero(self):
+        # (2.2e-309)^2 is 0 in float64; rescaled, the last step's term is 1
+        sched = Schedule([1] * 13, [0.0] * 12 + [2.2e-309], [1.0] * 13)
+        assert pai_rho(sched, 1.5).rho == 3.0
+
+
 def exact_affine_rho(schedule: Schedule, lipschitz: float, contractions) -> list[float]:
     """Independent oracle: the exact privacy loss mu_t of the affine noisy
     iteration w_t = c_t w_{t-1} + a_t + eta_t sigma_t xi_t, whose neighbours
@@ -217,8 +277,8 @@ class TestExactAffineOracle:
             pai_rho(sched, L).rho * (1.0 + 1e-12))
 
     # Steps of at least 1e-6 keep every eta_s^2 sigma_s^2 a normal float:
-    # where it underflows, pai_rho's suffix sums lose it and the budget can
-    # come out larger than the exact value (infinite at eta = 2.2e-309).
+    # where the suffix sums stay subnormal even after rescaling, pai_rho
+    # returns an infinite budget rather than the exact value.
     @settings(max_examples=300, deadline=None)
     @given(affine_cases(step=st.floats(1e-3, 1.0)))
     def test_rho_is_the_exact_loss_at_the_extremal_contractions(self, case):

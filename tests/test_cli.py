@@ -385,6 +385,35 @@ class TestCounterexample:
                         "--k", 11, "--trials", 200, "--seed", 0,
                         "--output", tmp_path / "x.csv"]) == 2
 
+    def test_accuracy_is_simulated_at_the_offset(self, tmp_path):
+        # at X_0 = +-1 the average is told apart in 0.999875 of 8000 trials;
+        # at the row's offset 0.05 Phi(shift / std) is 0.579
+        out = tmp_path / "ce.csv"
+        trials = 4000
+        assert run_cli(["counterexample", "--steps", 64, "--sigma", 0.125, "--k", 8,
+                        "--offset", 0.05, "--trials", trials, "--seed", 0,
+                        "--output", out]) == 0
+        header, row = out.read_text().strip().splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        shift, variance = float(cols["shift"]), float(cols["variance"])
+        predicted = 0.5 * (1.0 + math.erf(shift / math.sqrt(2.0 * variance)))
+        assert abs(float(cols["accuracy"]) - predicted) <= 3.0 / math.sqrt(trials)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--sigma", 0, "sigma must be positive"),
+        ("--trials", 50, "trials must be >= 100"),
+        ("--steps", 0, "k must be in"),
+    ])
+    def test_refused_flags_exit_2_without_a_csv(self, tmp_path, capsys, flag, value, message):
+        args = {"--steps": 16, "--sigma": 0.5, "--trials": 200}
+        args[flag] = value
+        out = tmp_path / "ce.csv"
+        flags = [str(a) for item in args.items() for a in item]
+        assert run_cli(["counterexample", *flags, "--seed", 0, "--output", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("counterexample refused: ") and message in err
+        assert not out.exists()
+
 
 class TestProbesAndChecks:
     def test_probe_sensitivity_ok(self, capsys):

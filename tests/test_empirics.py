@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpsco import schedules
 from dpsco.accountant import gaussian_renyi
 from dpsco.empirics import (
     ALGORITHMS,
@@ -105,6 +106,43 @@ class TestSweepPlumbing:
         got = _snowball_plan(n, d, rho, multiplier)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [16384, 16385, 2**15])
+    @pytest.mark.parametrize("d, rho", [(16, 1.0), (256, 0.25), (10**6, 1e-3)])
+    def test_snowball_plan_on_both_sides_of_the_direct_sizes(self, n, d, rho):
+        # n <= _DIRECT_MAX computes every c_r; past it the runs are bisected.
+        # At d = 10^6, rho = 1e-3, c_1 = 2e6 > n funds no step.
+        try:
+            want = oracle_snowball_plan(n, d, rho, MULTIPLIER_SZ)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match="cannot fund") as got:
+                _snowball_plan(n, d, rho, MULTIPLIER_SZ)
+            assert str(got.value) == str(exc) and d == 10**6
+            return
+        np.testing.assert_array_equal(_snowball_plan(n, d, rho, MULTIPLIER_SZ), want)
+
+    def test_snowball_plan_with_c1_far_above_T(self):
+        # c_1 = 2e6: n = 2^22 funds T = 2 steps, sized past the head by runs
+        got = _snowball_plan(2**22, 10**6, 1e-3, MULTIPLIER_SZ)
+        np.testing.assert_array_equal(
+            got, oracle_snowball_plan(2**22, 10**6, 1e-3, MULTIPLIER_SZ))
+        assert len(got) == 2
+
+    @pytest.mark.parametrize("n", [16385, 2**15])
+    def test_snowball_plan_over_empty_runs(self, n, monkeypatch):
+        # past the head c_r falls by at most 1/64 a step, so no value is
+        # skipped there; a head of one step makes the bisection skip values
+        monkeypatch.setattr(schedules, "_RUN_MIN", 2.0**-20)
+        np.testing.assert_array_equal(
+            _snowball_plan(n, 16, 0.05, MULTIPLIER_SZ),
+            oracle_snowball_plan(n, 16, 0.05, MULTIPLIER_SZ))
+
+    @pytest.mark.parametrize("multiplier", [1e18, 2.0**61, 3e18])
+    def test_snowball_plan_refuses_sizes_whose_sum_overflows(self, multiplier):
+        # c_1 + c_2 passed int64 and wrapped negative, funding a schedule
+        # whose total was about 2e19 at n = 30
+        with pytest.raises(ValueError, match="cannot fund"):
+            _snowball_plan(30, 4, 1.0, multiplier)
 
     def test_snowball_plan_at_scale(self):
         # n = 2^20 at d = 16: the binary search's largest case, T = 1 048 484
@@ -287,13 +325,6 @@ class TestCounterexampleExact:
             counterexample_exact(5, 6, 1.0, 1.0)
         with pytest.raises(ValueError):
             counterexample_exact(5, 0, 1.0, 1.0)
-
-    def test_oco_flag_scales_location_not_divergence(self):
-        plain = counterexample_exact(100, 10, 0.1, 1.0)
-        oco = counterexample_exact(100, 10, 0.1, 1.0, oco=True)
-        assert oco.mean_shift == pytest.approx(plain.mean_shift / 10.0, rel=1e-12)
-        assert oco.variance == pytest.approx(plain.variance / 100.0, rel=1e-12)
-        assert oco.rdp_average(2.0) == pytest.approx(plain.rdp_average(2.0), rel=1e-12)
 
 
 class TestCounterexampleEmpirical:

@@ -250,11 +250,25 @@ def test_snowball_batches_equal_float_expression(T, d, rho, multiplier):
     (2 * 10**5, 10**6, 1e-3, MULTIPLIER_SZ),  # hundreds of short runs past the head
     (2 * 10**5, 1, 1e2, MULTIPLIER_JNN),  # one run of ones
     (2 * 10**5, 256, 0.25, MULTIPLIER_JNN),
+    (16384, 16, 1.0, MULTIPLIER_SZ),  # the last T whose sizes are all computed
     (16385, 16, 1.0, MULTIPLIER_SZ),  # one step past the directly computed sizes
+    (2**15, 16, 1.0, MULTIPLIER_SZ),
+    (16384, 10**6, 1e-3, MULTIPLIER_SZ),  # c_1 = 2e6 >> T on both sides
+    (16385, 10**6, 1e-3, MULTIPLIER_SZ),
+    (2**15, 10**6, 1e-3, MULTIPLIER_SZ),
 ])
 def test_snowball_batches_equal_float_expression_at_scale(T, d, rho, multiplier):
     assert snowball_batches(T, d, rho, multiplier) == oracle_snowball_batches(
         T, d, rho, multiplier)
+
+
+@pytest.mark.parametrize("T", [16385, 2**15])
+def test_snowball_batches_over_empty_runs(T, monkeypatch):
+    # past the head c_r falls by at most 1/64 a step, so no value is skipped
+    # there; a head of one step makes the bisection skip values
+    monkeypatch.setattr(schedules, "_RUN_MIN", 2.0**-20)
+    assert snowball_batches(T, 10**4, 1e-3) == oracle_snowball_batches(
+        T, 10**4, 1e-3, MULTIPLIER_SZ)
 
 
 # Entries a repeated field can hold besides its own value: each either equals
