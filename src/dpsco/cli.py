@@ -8,6 +8,12 @@ named in the config or on the command line - a missing seed is an error.
 
 Exit codes: 0 success, 2 usage or config error, 3 runtime invariant violation
 (partial results are flushed with a ``partial`` manifest flag).
+
+The CLI owns its process, so :func:`main` also sets one process-wide policy
+that importing the library does not: under glibc it pins malloc's mmap and
+trim thresholds (see :func:`_pin_malloc_thresholds`), so the megabytes each
+sweep trial or accounting query frees are reused, not returned to the kernel
+and faulted in again by the next one.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -49,47 +56,76 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
+# glibc's mallopt parameters, and the ceilings its dynamic thresholds climb to
+# on 64-bit: mmap at 32 MiB (DEFAULT_MMAP_THRESHOLD_MAX), trim at twice that
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
 
 class ConfigError(ValueError):
     pass
 
 
+def _number(spec: dict, key: str, default: float | None = None) -> float:
+    """``spec[key]``, or ``default`` when absent, as a float: a finite int or
+    float, not a bool, a string or null."""
+    if key not in spec and default is None:
+        raise ConfigError(f"missing field {key!r}")
+    value = spec.get(key, default)
+    if not (type(value) in (int, float) and math.isfinite(value)):
+        raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _vector(spec: dict, key: str, d: int, default: float | None = None) -> np.ndarray:
+    """``spec[key]`` as a d-vector: one number for every coordinate, or a
+    list of d numbers."""
+    value = spec.get(key, default)
+    if not isinstance(value, list):
+        return np.full(d, _number(spec, key, default))
+    if len(value) != d:
+        raise ConfigError(f"{key!r} must have d = {d} entries, got {len(value)}")
+    return np.array([_number({key: entry}, key) for entry in value])
+
+
+def _object(spec, name: str) -> dict:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be an object, got {spec!r}")
+    return spec
+
+
 def _build_domain(spec: dict, d: int) -> ConvexDomain:
-    kind = spec.get("kind", "ball")
+    kind = _object(spec, "domain").get("kind", "ball")
     if kind == "ball":
-        center = spec.get("center", 0.0)
-        center = np.full(d, float(center)) if np.isscalar(center) else np.asarray(center)
-        return ConvexDomain.ball(center, float(spec.get("radius", 1.0)))
+        return ConvexDomain.ball(_vector(spec, "center", d, 0.0), _number(spec, "radius", 1.0))
     if kind == "box":
-        lower = spec["lower"]
-        upper = spec["upper"]
-        lower = np.full(d, float(lower)) if np.isscalar(lower) else np.asarray(lower)
-        upper = np.full(d, float(upper)) if np.isscalar(upper) else np.asarray(upper)
-        return ConvexDomain.box(lower, upper)
+        return ConvexDomain.box(_vector(spec, "lower", d), _vector(spec, "upper", d))
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 
 def _build_distribution(spec: dict, domain: ConvexDomain) -> SyntheticDistribution:
-    family = spec.get("family")
+    family = _object(spec, "loss").get("family")
     d = domain.dimension
     if family == "quadratic_sphere":
-        center = np.full(d, float(spec.get("center", 0.0)))
-        return quadratic_sphere(domain, center, float(spec.get("data_radius", 1.0)))
+        return quadratic_sphere(domain, np.full(d, _number(spec, "center", 0.0)),
+                                _number(spec, "data_radius", 1.0))
     if family == "quadratic_point_mass":
-        return quadratic_point_mass(domain, np.full(d, float(spec.get("center", 0.0))))
+        return quadratic_point_mass(domain, np.full(d, _number(spec, "center", 0.0)))
     if family == "quadratic_gaussian":
-        return quadratic_gaussian(domain, np.full(d, float(spec.get("mean", 0.0))),
-                                  float(spec.get("sigma", 1.0)))
+        return quadratic_gaussian(domain, np.full(d, _number(spec, "mean", 0.0)),
+                                  _number(spec, "sigma", 1.0))
     if family == "absolute_deviation_uniform":
-        return absolute_deviation_uniform(domain, float(spec.get("median", 0.0)),
-                                          float(spec.get("half_width", 1.0)))
+        return absolute_deviation_uniform(domain, _number(spec, "median", 0.0),
+                                          _number(spec, "half_width", 1.0))
     if family == "linear_regression_sphere":
-        w_true = np.full(d, float(spec.get("w_true", 0.0)))
-        return linear_regression_sphere(domain, float(spec.get("feature_radius", 1.0)),
-                                        w_true, float(spec.get("noise_half_width", 0.0)))
+        return linear_regression_sphere(domain, _number(spec, "feature_radius", 1.0),
+                                        np.full(d, _number(spec, "w_true", 0.0)),
+                                        _number(spec, "noise_half_width", 0.0))
     if family == "logistic_sphere":
-        w_ref = np.full(d, float(spec.get("w_ref", 0.0)))
-        return logistic_sphere(domain, float(spec.get("feature_radius", 1.0)), w_ref)
+        return logistic_sphere(domain, _number(spec, "feature_radius", 1.0),
+                               np.full(d, _number(spec, "w_ref", 0.0)))
     raise ConfigError(f"unknown or missing loss family {family!r}")
 
 
@@ -126,10 +162,9 @@ def _parse_run_config(obj: dict) -> dict:
         raise ConfigError(f"trials must be an integer >= 2, got {trials!r}")
     if not (_is_integer(seed) and seed >= 0):
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    overrides = obj.get("overrides", {})
-    sigma_scale = float(overrides.get("sigma_scale", 1.0))
-    if not (math.isfinite(sigma_scale) and sigma_scale >= 0.0):
-        raise ConfigError(f"overrides.sigma_scale must be finite and >= 0, got {sigma_scale}")
+    sigma_scale = _number(_object(obj.get("overrides", {}), "overrides"), "sigma_scale", 1.0)
+    if sigma_scale < 0.0:
+        raise ConfigError(f"overrides.sigma_scale must be >= 0, got {sigma_scale}")
     return {
         "algorithm": obj["algorithm"],
         "loss": obj["loss"],
@@ -147,6 +182,10 @@ def cmd_run(args) -> int:
         with open(args.config) as fh:
             raw = fh.read()
         cfg = _parse_run_config(json.loads(raw))
+        # every grid point's problem is built before the first trial, so a bad
+        # domain or loss is a config error that writes nothing
+        problems = [_build_distribution(cfg["loss"], _build_domain(cfg["domain"], d))
+                    for _, d, _ in cfg["grid"]]
     except (OSError, json.JSONDecodeError, ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -160,9 +199,7 @@ def cmd_run(args) -> int:
     }
     results, failure = [], None
     try:
-        for gi, point in enumerate(cfg["grid"]):
-            domain = _build_domain(cfg["domain"], point[1])
-            dist = _build_distribution(cfg["loss"], domain)
+        for gi, (point, dist) in enumerate(zip(cfg["grid"], problems)):
             results += excess_loss_sweep(
                 dist, cfg["algorithm"], [point], cfg["trials"],
                 cfg["seed"], sigma_scale=cfg["sigma_scale"], grid_index_base=gi,
@@ -231,7 +268,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_probe_sensitivity(args) -> int:
-    domain = _build_domain({"kind": "ball", "radius": args.radius}, args.dimension)
+    domain = ConvexDomain.ball(np.zeros(args.dimension), args.radius)
     if args.family == "quadratic":
         center = np.zeros(args.dimension)
         dist = quadratic_sphere(domain, center, args.data_radius)
@@ -251,7 +288,7 @@ def cmd_probe_sensitivity(args) -> int:
 
 
 def cmd_contraction_check(args) -> int:
-    domain = _build_domain({"kind": "ball", "radius": args.radius}, args.dimension)
+    domain = ConvexDomain.ball(np.zeros(args.dimension), args.radius)
     grad_fn = lambda w: args.beta * w  # noqa: E731 - gradient of (beta/2) |w|^2
     report = check_contraction(
         gradient_step_map(grad_fn, args.eta), domain, args.pairs, args.seed
@@ -316,7 +353,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _pin_malloc_thresholds() -> None:
+    """Set glibc's mmap threshold to 32 MiB and its trim threshold to 64 MiB,
+    once per process; elsewhere do nothing.
+
+    By default glibc raises both only after a large free (trim = 2 x the
+    largest mmap'd chunk freed so far), so a process that frees a few MiB at a
+    time hands them back to the kernel and pays about a page fault per 4 KiB
+    to take them again. The pinned values are the ceilings that rule climbs
+    to, set at once. ``ctypes`` is imported here, so importing this module
+    costs no more than before.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        libc = None
+    if not (libc or "").startswith("glibc"):
+        return
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "account" and not args.delta:

@@ -198,7 +198,8 @@ _RUN_MIN = 64
 
 def snowball_sizes(n: int, d: int, rho: float, multiplier: float) -> np.ndarray:
     """c_r = ceil(multiplier * sqrt(d / r) / rho) for r = 1..n as an int64
-    array: the batch size of a snowball step with r steps left.
+    array: the batch size of a snowball step with r steps left. c_r is at
+    least 1, also where the expression underflows to 0.
 
     Every float operation in c_r is monotone, so c_r is non-increasing in r.
     The head, r <= h = (_RUN_MIN * c_1 / 2)^(2/3), is where c_r falls fast;
@@ -220,15 +221,16 @@ def snowball_sizes(n: int, d: int, rho: float, multiplier: float) -> np.ndarray:
     def raw(r):
         return multiplier * np.sqrt(d / r) / rho
 
+    def size(r):  # the ceiling of a positive number, even where raw underflows to 0
+        return np.maximum(np.ceil(raw(r)), 1.0)
+
     h = n
     if n > _DIRECT_MAX:
-        scale = float(np.ceil(raw(np.ones(1)))[0])
-        if 0.0 < scale < math.inf:
-            h = min(n, math.ceil((_RUN_MIN * scale / 2.0) ** (2.0 / 3.0)))
-    head = np.ceil(raw(np.arange(1, h + 1, dtype=np.float64))).astype(np.int64)
+        h = min(n, math.ceil((_RUN_MIN * float(size(1.0)) / 2.0) ** (2.0 / 3.0)))
+    head = size(np.arange(1, h + 1, dtype=np.float64)).astype(np.int64)
     if h == n:
         return head
-    top, low = np.ceil(raw(np.array([h + 1.0, float(n)])))
+    top, low = size(np.array([h + 1.0, float(n)]))
     # for each value k in (c_n, c_{h+1}], the last r > h with c_r >= k,
     # that is with raw(r) > k - 1
     below = np.arange(top - 1.0, low - 1.0, -1.0)

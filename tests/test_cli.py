@@ -1,14 +1,18 @@
 """CLI adapters: config parsing, exit codes, artifact determinism."""
 
+import ctypes
 import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from dpsco import optimizers
+import dpsco
+from dpsco import cli, optimizers
 from dpsco.cli import build_parser, main
 
 
@@ -165,6 +169,50 @@ class TestRun:
         assert field in capsys.readouterr().err
         assert not Path(cfg["output"]).exists()
         assert not Path(cfg["output"] + ".manifest.json").exists()
+
+    @pytest.mark.parametrize("change", [
+        {"overrides": [1]},
+        {"overrides": {"sigma_scale": None}},
+        {"overrides": {"sigma_scale": True}},
+        {"domain": {"kind": "ball", "radius": "x"}},
+        {"domain": {"kind": "ball", "radius": 1.0, "center": [0.0, 0.0, 0.0]}},
+        {"domain": {"kind": "box", "lower": -1.0}},
+        {"domain": {"kind": "box", "lower": [-1.0, None], "upper": 1.0}},
+        {"domain": [{"kind": "ball"}]},
+        {"loss": {"family": "no_such_family"}},
+        {"loss": {"family": "quadratic_sphere", "data_radius": -1.0}},
+    ], ids=["overrides list", "null sigma_scale", "true sigma_scale", "string radius",
+            "center of wrong length", "box without upper", "null box bound", "domain list",
+            "unknown family", "negative data radius"])
+    def test_bad_problem_exits_2_and_writes_nothing(self, tmp_path, sweep_config, capsys,
+                                                    change):
+        # these ended in a traceback (exit 1), ran (true as 1.0), or failed at
+        # the first trial with exit 3, an empty CSV and a partial manifest
+        cfg, _ = sweep_config
+        bad = tmp_path / "bad7.json"
+        bad.write_text(json.dumps({**cfg, **change}))
+        assert run_cli(["run", "--config", bad]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not Path(cfg["output"]).exists()
+        assert not Path(cfg["output"] + ".manifest.json").exists()
+
+    def test_problem_of_every_grid_point_is_checked_before_the_first_trial(
+            self, tmp_path, sweep_config, capsys):
+        # absolute deviation is 1-D: the second grid point's problem is refused
+        cfg, _ = sweep_config
+        bad = tmp_path / "bad8.json"
+        bad.write_text(json.dumps({**cfg, "loss": {"family": "absolute_deviation_uniform"},
+                                   "grid": [{"n": 64, "d": 1, "rho": 1.0},
+                                            {"n": 64, "d": 2, "rho": 1.0}]}))
+        assert run_cli(["run", "--config", bad]) == 2
+        assert "1-D" in capsys.readouterr().err
+        assert not Path(cfg["output"]).exists()
+
+    def test_box_domain_given_by_lists_runs(self, sweep_config):
+        cfg, path = sweep_config
+        path.write_text(json.dumps({**cfg, "domain": {"kind": "box", "lower": [-1, -0.5],
+                                                      "upper": 1.0}}))
+        assert run_cli(["run", "--config", path]) == 0
 
     def test_grid_counts_written_as_whole_floats_run(self, sweep_config):
         cfg, path = sweep_config
@@ -349,6 +397,63 @@ class TestAccount:
         assert outs[0].count("eps=") == 2
         assert run_cli(["account", "--schedule", sched, "--lipschitz", 1.0]) == 2
         assert build_parser() is build_parser()
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# After one `dpsco account`, four 8 MiB arrays are allocated and freed six
+# times; prints the minor page faults of each pass.
+FAULTS_PER_PASS = """
+import json, resource, sys
+import numpy as np
+from dpsco import cli
+assert cli.main(["account", "--schedule", sys.argv[1], "--lipschitz", "1",
+                 "--delta", "1e-5"]) == 0
+faults = []
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(1 << 20) for _ in range(4)]
+    del arrays
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+class TestMallocPolicy:
+    @pytest.mark.skipif(not _glibc(), reason="the thresholds are glibc's")
+    def test_freed_megabytes_are_reused_without_page_faults(self, tmp_path):
+        # with glibc's dynamic thresholds each pass faulted its 32 MiB in
+        # again (about 2000 faults a pass); pinned, only the first pass does
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps({"B": [1, 2], "eta": [0.5, 0.5], "sigma": [1.0, 2.0]}))
+        src = str(Path(dpsco.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run([sys.executable, "-c", FAULTS_PER_PASS, str(sched)], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        faults = json.loads(out.stdout.strip().splitlines()[-1])
+        assert len(faults) == 6 and all(f < 100 for f in faults[1:]), faults
+
+    def test_without_glibc_main_sets_nothing_and_runs(self, tmp_path, monkeypatch, capsys):
+        def no_libc(name):
+            raise AssertionError("mallopt looked up without glibc")
+
+        monkeypatch.setattr(os, "confstr", lambda name: None)
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        cli._pin_malloc_thresholds.cache_clear()
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps({"B": [1], "eta": [1.0], "sigma": [1.0]}))
+        try:
+            assert run_cli(["account", "--schedule", sched, "--lipschitz", 1.0,
+                            "--delta", 1e-5]) == 0
+        finally:
+            cli._pin_malloc_thresholds.cache_clear()
+        assert "rho: " in capsys.readouterr().out
 
 
 class TestCounterexample:

@@ -56,9 +56,10 @@ def oracle_largest_feasible_steps(n, d, rho, multiplier):
 
 
 def oracle_snowball_plan(n, d, rho, multiplier):
-    """The prefix-sum plan over every c_r, r = 1..n, before runs."""
+    """The prefix-sum plan over every c_r, r = 1..n, before runs; c_r is at
+    least 1 where the expression underflows to 0."""
     r = np.arange(1, n + 1, dtype=np.float64)
-    c = np.ceil(multiplier * np.sqrt(d / r) / rho).astype(np.int64)
+    c = np.maximum(1, np.ceil(multiplier * np.sqrt(d / r) / rho)).astype(np.int64)
     T = int(np.searchsorted(np.cumsum(c), n, side="right"))
     if T == 0:
         raise ValueError(f"n = {n} cannot fund even one step at d = {d}, rho = {rho}")

@@ -83,10 +83,11 @@ def oracle_pai_rho(schedule: Schedule, lipschitz: float) -> float:
 
 
 def oracle_snowball_batches(T: int, d: int, rho: float, multiplier: float) -> tuple[int, ...]:
-    """The float expression at every one of the T steps."""
+    """The float expression at every one of the T steps, at least 1 where it
+    underflows to 0."""
     remaining = np.arange(T, 0, -1, dtype=np.float64)  # T - t + 1 for t = 1..T
     raw = multiplier * np.sqrt(d / remaining) / rho
-    return tuple(np.ceil(raw).astype(np.int64).tolist())
+    return tuple(np.maximum(1, np.ceil(raw)).astype(np.int64).tolist())
 
 
 def oracle_jnn_steps(T: int, c: float) -> tuple[float, ...]:

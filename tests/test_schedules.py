@@ -212,6 +212,21 @@ class TestSnowballBatches:
             with pytest.raises(ValueError, match=message):
                 _snowball_plan(30, 4, rho, multiplier)
 
+    def test_underflowing_sizes_are_one(self):
+        # multiplier * sqrt(d / r) / rho underflows to 0, whose ceiling gave
+        # sizes of 0 that Schedule refused; c_r is the ceiling of a positive
+        # number, so it is at least 1
+        assert snowball_batches(3, 1, 1e200, 1e-200) == (1, 1, 1)
+        np.testing.assert_array_equal(_snowball_plan(5, 1, 1e300, 1e-300), np.ones(5))
+        Schedule(snowball_batches(3, 1, 1e200, 1e-200), (0.1,) * 3, (1.0,) * 3)
+
+    @pytest.mark.parametrize("T", [100, 16385, 10**6])
+    def test_sizes_that_underflow_part_way_are_one(self, T):
+        # on the subnormal grid c_1 = 2, c_r = 1 up to r = 15 and the
+        # expression is 0 from r = 16 on; both the directly computed sizes
+        # and the runs past them read 1 there
+        assert snowball_batches(T, 1, 5e-324, 1e-323) == (1,) * (T - 1) + (2,)
+
     def test_largest_size_that_fits_int64(self):
         # c_1 = 2^62 fits and is kept exactly; c_1 = 2^63 does not fit
         with warnings.catch_warnings():
