@@ -16,13 +16,7 @@ from .accountant import (
     rdp_to_dp,
     rdp_to_dp_general,
 )
-from .geometry import (
-    ContractionReport,
-    ConvexDomain,
-    check_contraction,
-    gradient_step_map,
-    project,
-)
+from .geometry import ConvexDomain, project
 from .losses import (
     Dataset,
     LossFamily,

@@ -1,13 +1,15 @@
 """Command-line front end: config-driven sweeps, accounting queries, the
-averaging counterexample, sensitivity probes, and contraction checks.
+averaging counterexample, and sensitivity probes.
 
 No numerical logic lives here; every subcommand is a thin adapter over the
 library. Experiment sweeps are driven by JSON configs (they have too many
 axes for flags); quick queries use flags. All randomness flows from seeds
 named in the config or on the command line - a missing seed is an error.
 
-Exit codes: 0 success, 2 usage or config error, 3 runtime invariant violation
-(partial results are flushed with a ``partial`` manifest flag).
+Exit codes: 0 success; 2 usage error, or a refusal: any ``ValueError`` or
+``OSError`` a subcommand raises is printed by :func:`main` as one line,
+``<command> refused: <message>``; 3 runtime invariant violation (a sweep
+flushes partial results with a ``partial`` manifest flag).
 
 The CLI owns its process, so :func:`main` also sets one process-wide policy
 that importing the library does not: under glibc it pins malloc's mmap and
@@ -40,7 +42,7 @@ from .empirics import (
     sensitivity_probe,
     sweep_to_csv,
 )
-from .geometry import RATIO_TOL, ConvexDomain, check_contraction, gradient_step_map
+from .geometry import ConvexDomain
 from .losses import (
     SyntheticDistribution,
     absolute_deviation_uniform,
@@ -64,18 +66,14 @@ _MMAP_THRESHOLD = 32 << 20
 _TRIM_THRESHOLD = 64 << 20
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _number(spec: dict, key: str, default: float | None = None) -> float:
     """``spec[key]``, or ``default`` when absent, as a float: a finite int or
     float, not a bool, a string or null."""
     if key not in spec and default is None:
-        raise ConfigError(f"missing field {key!r}")
+        raise ValueError(f"missing field {key!r}")
     value = spec.get(key, default)
     if not (type(value) in (int, float) and math.isfinite(value)):
-        raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
+        raise ValueError(f"{key!r} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -86,13 +84,13 @@ def _vector(spec: dict, key: str, d: int, default: float | None = None) -> np.nd
     if not isinstance(value, list):
         return np.full(d, _number(spec, key, default))
     if len(value) != d:
-        raise ConfigError(f"{key!r} must have d = {d} entries, got {len(value)}")
+        raise ValueError(f"{key!r} must have d = {d} entries, got {len(value)}")
     return np.array([_number({key: entry}, key) for entry in value])
 
 
 def _object(spec, name: str) -> dict:
     if not isinstance(spec, dict):
-        raise ConfigError(f"{name} must be an object, got {spec!r}")
+        raise ValueError(f"{name} must be an object, got {spec!r}")
     return spec
 
 
@@ -102,7 +100,7 @@ def _build_domain(spec: dict, d: int) -> ConvexDomain:
         return ConvexDomain.ball(_vector(spec, "center", d, 0.0), _number(spec, "radius", 1.0))
     if kind == "box":
         return ConvexDomain.box(_vector(spec, "lower", d), _vector(spec, "upper", d))
-    raise ConfigError(f"unknown domain kind {kind!r}")
+    raise ValueError(f"unknown domain kind {kind!r}")
 
 
 def _build_distribution(spec: dict, domain: ConvexDomain) -> SyntheticDistribution:
@@ -126,7 +124,7 @@ def _build_distribution(spec: dict, domain: ConvexDomain) -> SyntheticDistributi
     if family == "logistic_sphere":
         return logistic_sphere(domain, _number(spec, "feature_radius", 1.0),
                                np.full(d, _number(spec, "w_ref", 0.0)))
-    raise ConfigError(f"unknown or missing loss family {family!r}")
+    raise ValueError(f"unknown or missing loss family {family!r}")
 
 
 def _is_integer(value) -> bool:
@@ -137,34 +135,34 @@ def _is_integer(value) -> bool:
 def _parse_run_config(obj: dict) -> dict:
     for key in ("algorithm", "loss", "domain", "grid", "trials", "seed", "output"):
         if key not in obj:
-            raise ConfigError(f"config is missing required field {key!r}")
+            raise ValueError(f"config is missing required field {key!r}")
     if obj["algorithm"] not in ALGORITHMS:
-        raise ConfigError(
+        raise ValueError(
             f"unknown algorithm {obj['algorithm']!r}; known: {sorted(ALGORITHMS)}"
         )
     grid = obj["grid"]
     if not isinstance(grid, list) or not grid:
-        raise ConfigError("grid must be a nonempty list")
+        raise ValueError("grid must be a nonempty list")
     parsed_grid = []
     for entry in grid:
         try:
             point = [entry[key] for key in ("n", "d", "rho")]
         except (KeyError, TypeError) as exc:
-            raise ConfigError(f"grid entry {entry!r} must have n, d, rho") from exc
+            raise ValueError(f"grid entry {entry!r} must have n, d, rho") from exc
         n, d, rho = point
         if not (_is_integer(n) and _is_integer(d) and min(n, d) >= 1
                 and type(rho) in (int, float) and math.isfinite(rho) and rho > 0):
-            raise ConfigError(f"grid entry {entry!r}: n and d must be integers >= 1, "
+            raise ValueError(f"grid entry {entry!r}: n and d must be integers >= 1, "
                               "rho finite and > 0")
         parsed_grid.append((int(n), int(d), float(rho)))
     trials, seed = obj["trials"], obj["seed"]
     if not (_is_integer(trials) and trials >= 2):
-        raise ConfigError(f"trials must be an integer >= 2, got {trials!r}")
+        raise ValueError(f"trials must be an integer >= 2, got {trials!r}")
     if not (_is_integer(seed) and seed >= 0):
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     sigma_scale = _number(_object(obj.get("overrides", {}), "overrides"), "sigma_scale", 1.0)
     if sigma_scale < 0.0:
-        raise ConfigError(f"overrides.sigma_scale must be >= 0, got {sigma_scale}")
+        raise ValueError(f"overrides.sigma_scale must be >= 0, got {sigma_scale}")
     return {
         "algorithm": obj["algorithm"],
         "loss": obj["loss"],
@@ -178,17 +176,13 @@ def _parse_run_config(obj: dict) -> dict:
 
 
 def cmd_run(args) -> int:
-    try:
-        with open(args.config) as fh:
-            raw = fh.read()
-        cfg = _parse_run_config(json.loads(raw))
-        # every grid point's problem is built before the first trial, so a bad
-        # domain or loss is a config error that writes nothing
-        problems = [_build_distribution(cfg["loss"], _build_domain(cfg["domain"], d))
-                    for _, d, _ in cfg["grid"]]
-    except (OSError, json.JSONDecodeError, ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with open(args.config) as fh:
+        raw = fh.read()
+    cfg = _parse_run_config(json.loads(raw))
+    # every grid point's problem is built before the first trial, so a bad
+    # domain or loss is refused before anything is written
+    problems = [_build_distribution(cfg["loss"], _build_domain(cfg["domain"], d))
+                for _, d, _ in cfg["grid"]]
 
     manifest = {
         "config": json.loads(raw),
@@ -221,18 +215,14 @@ def cmd_run(args) -> int:
 
 def cmd_account(args) -> int:
     if not (math.isfinite(args.lipschitz) and args.lipschitz >= 0.0):
-        print(f"--lipschitz must be finite and >= 0, got {args.lipschitz}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError(f"--lipschitz must be finite and >= 0, got {args.lipschitz}")
+    if not args.delta:
+        raise ValueError("at least one --delta is required")
     for delta in args.delta:
         if not 0.0 < delta < 1.0:
-            print(f"--delta must lie in (0, 1), got {delta}", file=sys.stderr)
-            return EXIT_CONFIG
-    try:
-        with open(args.schedule) as fh:
-            schedule = Schedule.from_json(fh.read())
-    except (OSError, ValueError) as exc:
-        print(f"schedule error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+            raise ValueError(f"--delta must lie in (0, 1), got {delta}")
+    with open(args.schedule) as fh:
+        schedule = Schedule.from_json(fh.read())
     budget = pai_rho(schedule, args.lipschitz)
     if budget.is_infinite:
         print("rho: infinite (some step has zero noise)")
@@ -248,20 +238,12 @@ def cmd_account(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    if args.k and any(k > args.steps or k < 1 for k in args.k):
-        print("k values must lie in [1, T]", file=sys.stderr)
-        return EXIT_CONFIG
-    ks = args.k if args.k else default_k_grid(args.steps)
     rows = []
-    try:
-        for k in ks:
-            report = counterexample_exact(args.steps, k, args.sigma, args.offset)
-            emp = counterexample_empirical(args.steps, k, args.sigma, args.trials,
-                                           args.seed, args.offset)
-            rows.append((report, emp.accuracy))
-    except ValueError as exc:
-        print(f"counterexample refused: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    for k in args.k or default_k_grid(args.steps):
+        report = counterexample_exact(args.steps, k, args.sigma, args.offset)
+        emp = counterexample_empirical(args.steps, k, args.sigma, args.trials,
+                                       args.seed, args.offset)
+        rows.append((report, emp.accuracy))
     counterexample_to_csv(rows, args.output)
     print(f"wrote {len(rows)} rows to {args.output}")
     return EXIT_OK
@@ -270,32 +252,13 @@ def cmd_counterexample(args) -> int:
 def cmd_probe_sensitivity(args) -> int:
     domain = ConvexDomain.ball(np.zeros(args.dimension), args.radius)
     if args.family == "quadratic":
-        center = np.zeros(args.dimension)
-        dist = quadratic_sphere(domain, center, args.data_radius)
-    elif args.family == "logistic":
-        dist = logistic_sphere(domain, args.data_radius, np.zeros(args.dimension))
+        dist = quadratic_sphere(domain, np.zeros(args.dimension), args.data_radius)
     else:
-        print(f"unknown family {args.family!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        report = sensitivity_probe(dist, args.n, args.eta, args.pairs, args.seed)
-    except ValueError as exc:
-        print(f"probe refused: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        dist = logistic_sphere(domain, args.data_radius, np.zeros(args.dimension))
+    report = sensitivity_probe(dist, args.n, args.eta, args.pairs, args.seed)
     print(f"max_observed: {report.max_observed:.12g}")
     print(f"bound_2Leta:  {report.bound:.12g}")
     return EXIT_OK if report.max_observed <= report.bound + 1e-9 else EXIT_RUNTIME
-
-
-def cmd_contraction_check(args) -> int:
-    domain = ConvexDomain.ball(np.zeros(args.dimension), args.radius)
-    grad_fn = lambda w: args.beta * w  # noqa: E731 - gradient of (beta/2) |w|^2
-    report = check_contraction(
-        gradient_step_map(grad_fn, args.eta), domain, args.pairs, args.seed
-    )
-    print(f"max_ratio: {report.max_ratio:.12g}")
-    print("contractive" if report.max_ratio <= 1.0 + RATIO_TOL else "NOT contractive")
-    return EXIT_OK
 
 
 @functools.cache
@@ -331,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ce.set_defaults(func=cmd_counterexample)
 
     p_probe = sub.add_parser("probe-sensitivity", help="empirical L2-sensitivity probe")
-    p_probe.add_argument("--family", default="quadratic")
+    p_probe.add_argument("--family", choices=("quadratic", "logistic"), default="quadratic")
     p_probe.add_argument("--n", type=int, default=32)
     p_probe.add_argument("--pairs", type=int, default=100)
     p_probe.add_argument("--eta", type=float, required=True)
@@ -340,15 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--radius", type=float, default=1.0)
     p_probe.add_argument("--data-radius", type=float, default=1.0)
     p_probe.set_defaults(func=cmd_probe_sensitivity)
-
-    p_con = sub.add_parser("contraction-check", help="sampled contraction ratio of a gradient step")
-    p_con.add_argument("--beta", type=float, required=True)
-    p_con.add_argument("--eta", type=float, required=True)
-    p_con.add_argument("--dimension", type=int, default=2)
-    p_con.add_argument("--radius", type=float, default=1.0)
-    p_con.add_argument("--pairs", type=int, default=500)
-    p_con.add_argument("--seed", type=int, required=True)
-    p_con.set_defaults(func=cmd_contraction_check)
 
     return parser
 
@@ -384,10 +338,11 @@ def main(argv=None) -> int:
     _pin_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "account" and not args.delta:
-        print("at least one --delta is required", file=sys.stderr)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"{args.command} refused: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -326,10 +326,15 @@ def _average_moments(T: int, k: int, sigma: float, x0_offset: float) -> tuple[fl
 
 
 def counterexample_exact(T: int, k: int, sigma: float, x0_offset: float) -> CounterexampleReport:
-    """Exact mean shift and variance of the average iterate."""
+    """Exact mean shift and variance of the average iterate. The Renyi
+    divergences divide by sigma^2 and square the offset, so both squares must
+    be positive and finite."""
     shift, variance = _average_moments(T, k, sigma, x0_offset)
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    if not (0.0 < sigma * sigma < math.inf and 0.0 < x0_offset * x0_offset < math.inf):
+        raise ValueError(f"sigma = {sigma} and offset = {x0_offset} must square to "
+                         "positive finite numbers")
     return CounterexampleReport(
         T=T, k=k, sigma=sigma, x0_offset=x0_offset, mean_shift=shift, variance=variance
     )
@@ -390,6 +395,8 @@ def counterexample_to_csv(rows, path) -> None:
 
 def default_k_grid(T: int) -> list[int]:
     """k in {1, ceil(T^(1/3)), ceil(sqrt(T)), ceil(T^(2/3)), T}, deduplicated."""
+    if T < 1:
+        raise ValueError(f"k must be in [1, T], and T = {T} has none")
     ks = [1, math.ceil(T ** (1.0 / 3.0)), math.ceil(math.sqrt(T)),
           math.ceil(T ** (2.0 / 3.0)), T]
     out = []

@@ -1,4 +1,4 @@
-"""Convex feasible sets, exact Euclidean projections, and contraction checks.
+"""Convex feasible sets and their exact Euclidean projections.
 
 Only Euclidean balls and axis-aligned boxes are supported: both admit exact
 closed-form projections, which keeps every downstream privacy argument free of
@@ -7,20 +7,14 @@ projection error. All operations are pure functions of their inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 # Membership is checked to 1e-12 (absolute per coordinate for boxes, relative
-# in norm for balls); contraction ratios to 1e-9. Double precision throughout.
+# in norm for balls). Double precision throughout.
 MEMBERSHIP_TOL = 1e-12
-RATIO_TOL = 1e-9
-
-# Pairs closer than this are skipped in ratio estimates (0/0 guard).
-_MIN_PAIR_SEPARATION = 1e-9
-
-PointMap = Callable[[np.ndarray], np.ndarray]
 
 
 class DimensionMismatchError(ValueError):
@@ -42,8 +36,9 @@ def _as_vector(x, dim: int | None = None) -> np.ndarray:
 class ConvexDomain:
     """A Euclidean ball or an axis-aligned box in R^d.
 
-    Construct via :meth:`ball` or :meth:`box`. ``diameter`` is the Euclidean
-    diameter: ``2 * radius`` for balls, ``norm(upper - lower)`` for boxes.
+    Construct via :meth:`ball` or :meth:`box`; both refuse a NaN, infinite
+    or empty bound. ``diameter`` is the Euclidean diameter: ``2 * radius`` for
+    balls, ``norm(upper - lower)`` for boxes.
     """
 
     kind: str
@@ -56,16 +51,19 @@ class ConvexDomain:
     def ball(cls, center, radius: float) -> "ConvexDomain":
         c = _as_vector(center)
         r = float(radius)
-        if r <= 0:
-            raise ValueError(f"ball radius must be positive, got {r}")
+        # a norm squares its entries, so the radius must square to a finite number
+        if not (r > 0.0 and r * r < math.inf):
+            raise ValueError(f"ball radius must be positive with a finite square, got {r}")
+        if not (c.size and np.isfinite(c).all()):
+            raise ValueError(f"ball center must be finite, of dimension >= 1, got {c}")
         return cls(kind="ball", center=c, radius=r)
 
     @classmethod
     def box(cls, lower, upper) -> "ConvexDomain":
         lo = _as_vector(lower)
         up = _as_vector(upper, dim=lo.shape[0])
-        if np.any(lo > up):
-            raise ValueError("box requires lower <= upper coordinatewise")
+        if not (lo.size and np.isfinite(lo).all() and np.isfinite(up).all() and np.all(lo <= up)):
+            raise ValueError("box requires finite lower <= upper coordinatewise, dimension >= 1")
         return cls(kind="box", lower=lo, upper=up)
 
     @property
@@ -108,59 +106,3 @@ def project(domain: ConvexDomain, point) -> np.ndarray:
             return p
         return domain.center + offset * (domain.radius / dist)
     return np.clip(p, domain.lower, domain.upper)
-
-
-def gradient_step_map(grad_fn: Callable[[np.ndarray], np.ndarray], eta: float) -> PointMap:
-    """Return the map ``w -> w - eta * grad_fn(w)`` as a composable function.
-
-    Contractivity (which holds for convex beta-smooth objectives whenever
-    ``eta <= 2 / beta``) is not enforced here; use :func:`check_contraction`
-    to falsify it for a concrete map.
-    """
-    if eta < 0:
-        raise ValueError(f"step size must be nonnegative, got {eta}")
-
-    def step(w: np.ndarray) -> np.ndarray:
-        return w - eta * grad_fn(w)
-
-    return step
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    max_ratio: float
-    witness_pair: tuple[np.ndarray, np.ndarray]
-
-
-def check_contraction(
-    point_map: PointMap,
-    domain: ConvexDomain,
-    num_pairs: int,
-    rng_seed: int,
-) -> ContractionReport:
-    """Estimate the Lipschitz constant of ``point_map`` by random sampling.
-
-    Samples ``num_pairs`` pairs uniformly from the domain's bounding box and
-    returns the maximum of ``|map(x) - map(y)| / |x - y|`` together with the
-    maximizing pair. This is a falsifier, not a prover: a ratio above 1 + 1e-9
-    disproves contractivity, a ratio below it does not certify it.
-    """
-    if num_pairs < 1:
-        raise ValueError(f"num_pairs must be >= 1, got {num_pairs}")
-    lo, hi = domain.bounding_box()
-    rng = np.random.default_rng(rng_seed)
-    best_ratio = -np.inf
-    witness = None
-    for _ in range(num_pairs):
-        x = rng.uniform(lo, hi)
-        y = rng.uniform(lo, hi)
-        gap = float(np.linalg.norm(x - y))
-        if gap <= _MIN_PAIR_SEPARATION:
-            continue
-        ratio = float(np.linalg.norm(point_map(x) - point_map(y))) / gap
-        if ratio > best_ratio:
-            best_ratio = ratio
-            witness = (x, y)
-    if witness is None:
-        raise RuntimeError("all sampled pairs were degenerate; increase num_pairs")
-    return ContractionReport(max_ratio=best_ratio, witness_pair=witness)

@@ -48,9 +48,9 @@ class LossFamily:
     def __post_init__(self):
         if self.kind not in (QUADRATIC,) + _PAIR_FAMILIES:
             raise ValueError(f"unknown loss family {self.kind!r}")
-        if self.lipschitz <= 0:
+        if not self.lipschitz > 0:
             raise ValueError("lipschitz constant must be positive")
-        if self.smoothness < 0 or self.strong_convexity < 0:
+        if not (self.smoothness >= 0 and self.strong_convexity >= 0):
             raise ValueError("smoothness and strong convexity must be nonnegative")
         if math.isfinite(self.smoothness) and self.strong_convexity > self.smoothness:
             raise ValueError("strong convexity cannot exceed smoothness")
@@ -132,22 +132,6 @@ class LossFamily:
         if not got <= self.lipschitz * slack:
             return f"the data give L = {got:.6g} > declared L = {self.lipschitz:.6g}"
         return None
-
-    def batch_value(self, w: np.ndarray, batch: "Dataset") -> float:
-        """Arithmetic mean of the loss over a nonempty batch (vectorized)."""
-        if len(batch) == 0:
-            raise ValueError("batch must be nonempty")
-        w = np.asarray(w, dtype=np.float64)
-        feats = batch.features
-        if self.kind == QUADRATIC:
-            diffs = w[None, :] - feats
-            return 0.5 * float(np.mean(np.sum(diffs * diffs, axis=1)))
-        margins = feats @ w
-        if self.kind == LINEAR_REGRESSION:
-            return 0.5 * float(np.mean((margins - batch.targets) ** 2))
-        if self.kind == LOGISTIC:
-            return float(np.mean(np.logaddexp(0.0, -batch.targets * margins)))
-        return float(np.mean(np.abs(margins - batch.targets)))
 
 
 @dataclass(frozen=True)
@@ -300,6 +284,8 @@ def _sup_distance(domain: ConvexDomain, point: np.ndarray) -> float:
 def quadratic_point_mass(domain: ConvexDomain, center) -> SyntheticDistribution:
     """Quadratic loss with all mass at one point; F* = 0 when the point is feasible."""
     c = np.asarray(center, dtype=np.float64).reshape(-1)
+    if not np.isfinite(c).all():
+        raise ValueError("center must be finite")
     loss = LossFamily(QUADRATIC, lipschitz=max(_sup_distance(domain, c), 1e-12),
                       smoothness=1.0, strong_convexity=1.0)
     return SyntheticDistribution(
@@ -316,8 +302,8 @@ def quadratic_sphere(domain: ConvexDomain, center, data_radius: float) -> Synthe
     """
     mu = np.asarray(center, dtype=np.float64).reshape(-1)
     r = float(data_radius)
-    if r <= 0:
-        raise ValueError("data_radius must be positive")
+    if not (0.0 < r < math.inf and np.isfinite(mu).all()):
+        raise ValueError("data_radius must be positive and finite, center finite")
     loss = LossFamily(QUADRATIC, lipschitz=_sup_distance(domain, mu) + r,
                       smoothness=1.0, strong_convexity=1.0)
     return SyntheticDistribution(
@@ -330,8 +316,8 @@ def quadratic_gaussian(domain: ConvexDomain, mean, sigma: float) -> SyntheticDis
     """Quadratic loss with Gaussian data; gradients are unbounded, so L = inf."""
     mu = np.asarray(mean, dtype=np.float64).reshape(-1)
     s = float(sigma)
-    if s <= 0:
-        raise ValueError("sigma must be positive")
+    if not (0.0 < s < math.inf and np.isfinite(mu).all()):
+        raise ValueError("sigma must be positive and finite, mean finite")
     loss = LossFamily(QUADRATIC, lipschitz=math.inf, smoothness=1.0, strong_convexity=1.0)
     return SyntheticDistribution(
         name="quadratic_gaussian", loss=loss, domain=domain, sampler="gaussian",
@@ -349,10 +335,9 @@ def absolute_deviation_uniform(
     """
     if domain.dimension != 1:
         raise ValueError("absolute_deviation_uniform is 1-D")
-    h = float(half_width)
-    if h <= 0:
-        raise ValueError("half_width must be positive")
-    m = float(median)
+    h, m = float(half_width), float(median)
+    if not (0.0 < h < math.inf and math.isfinite(m)):
+        raise ValueError("half_width must be positive and finite, median finite")
     loss = LossFamily(ABSOLUTE_DEVIATION, lipschitz=1.0, smoothness=math.inf,
                       strong_convexity=0.0)
     return SyntheticDistribution(
@@ -369,8 +354,9 @@ def linear_regression_sphere(
     """Least squares with spherical features and uniform label noise."""
     wt = np.asarray(w_true, dtype=np.float64).reshape(-1)
     r, s = float(feature_radius), float(noise_half_width)
-    if r <= 0 or s < 0:
-        raise ValueError("feature_radius must be positive, noise_half_width nonnegative")
+    if not (0.0 < r < math.inf and 0.0 <= s < math.inf and np.isfinite(wt).all()):
+        raise ValueError("feature_radius must be positive, noise_half_width nonnegative, "
+                         "all finite")
     sup_w = _sup_distance(domain, wt)
     loss = LossFamily(LINEAR_REGRESSION, lipschitz=r * (r * sup_w + s),
                       smoothness=r * r, strong_convexity=0.0)
@@ -390,8 +376,8 @@ def logistic_sphere(domain: ConvexDomain, feature_radius: float, w_ref) -> Synth
     """
     wr = np.asarray(w_ref, dtype=np.float64).reshape(-1)
     r = float(feature_radius)
-    if r <= 0:
-        raise ValueError("feature_radius must be positive")
+    if not (0.0 < r < math.inf and np.isfinite(wr).all()):
+        raise ValueError("feature_radius must be positive and finite, w_ref finite")
     loss = LossFamily(LOGISTIC, lipschitz=r, smoothness=r * r / 4.0, strong_convexity=0.0)
     return SyntheticDistribution(
         name="logistic_sphere", loss=loss, domain=domain, sampler="sphere_logistic",

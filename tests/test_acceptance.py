@@ -20,7 +20,7 @@ from dpsco.empirics import (
     sensitivity_probe,
     sweep_to_csv,
 )
-from dpsco.geometry import ConvexDomain, check_contraction, gradient_step_map
+from dpsco.geometry import ConvexDomain
 from dpsco.losses import (
     Dataset,
     LossFamily,
@@ -31,6 +31,7 @@ from dpsco.losses import (
 from dpsco.optimizers import NoiseStream, phased_erm, psgd, sc_snowball, sc_weighted_sgd
 from dpsco.schedules import Schedule, phase_plan, snowball_batches
 
+from contraction import check_contraction, gradient_step_map
 from test_accountant import brute_force_pai_rho, renyi_divergence_quadrature
 
 SEED = 20260808

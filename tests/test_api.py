@@ -9,14 +9,13 @@ import pytest
 import dpsco
 
 EXPORTED = [
-    "ApproxDP", "ContractionReport", "ConvexDomain", "CounterexampleReport", "Dataset",
-    "LossFamily", "NoiseStream", "PhaseRecord", "PrivacyBudget", "RunRecord", "Schedule",
+    "ApproxDP", "ConvexDomain", "CounterexampleReport", "Dataset", "LossFamily",
+    "NoiseStream", "PhaseRecord", "PrivacyBudget", "RunRecord", "Schedule",
     "SweepResult", "SyntheticDistribution", "absolute_deviation_uniform", "accountant",
-    "check_contraction", "constant_step", "counterexample_empirical",
-    "counterexample_exact", "default_k_grid", "empirics", "excess_loss_sweep",
-    "gaussian_renyi", "geometry", "gradient_step_map", "jnn_steps",
-    "linear_regression_sphere", "logistic_sphere", "losses", "optimizers", "pai_rho",
-    "phase_plan", "phased_erm", "phased_sgd", "pnsgd", "project", "psgd",
+    "constant_step", "counterexample_empirical", "counterexample_exact",
+    "default_k_grid", "empirics", "excess_loss_sweep", "gaussian_renyi", "geometry",
+    "jnn_steps", "linear_regression_sphere", "logistic_sphere", "losses", "optimizers",
+    "pai_rho", "phase_plan", "phased_erm", "phased_sgd", "pnsgd", "project", "psgd",
     "quadratic_gaussian", "quadratic_point_mass", "quadratic_sphere", "rdp_to_dp",
     "rdp_to_dp_general", "sc_reduction", "sc_snowball", "sc_weighted_sgd", "sc_weights",
     "schedules", "sensitivity_probe", "snowball_batches",

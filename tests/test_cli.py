@@ -1,5 +1,6 @@
 """CLI adapters: config parsing, exit codes, artifact determinism."""
 
+import argparse
 import ctypes
 import hashlib
 import json
@@ -7,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -192,7 +194,7 @@ class TestRun:
         bad = tmp_path / "bad7.json"
         bad.write_text(json.dumps({**cfg, **change}))
         assert run_cli(["run", "--config", bad]) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        assert capsys.readouterr().err.startswith("run refused: ")
         assert not Path(cfg["output"]).exists()
         assert not Path(cfg["output"] + ".manifest.json").exists()
 
@@ -347,7 +349,7 @@ class TestAccount:
         path.write_text(text)
         assert run_cli(["account", "--schedule", path, "--lipschitz", 1.0,
                         "--delta", 1e-5]) == 2
-        assert "schedule error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("account refused: ")
 
     @pytest.mark.parametrize("batches", [[2**70, 3], [2**63 - 1, 3], [2**62] * 3])
     def test_batch_sizes_beyond_int64_exit_2(self, tmp_path, capsys, batches):
@@ -531,10 +533,45 @@ class TestProbesAndChecks:
         assert run_cli(["probe-sensitivity", "--family", "quadratic", "--n", 12,
                         "--pairs", 10, "--eta", 5.0, "--seed", 1]) == 2
 
-    def test_contraction_check(self, capsys):
-        assert run_cli(["contraction-check", "--beta", 1.0, "--eta", 1.0,
-                        "--seed", 2]) == 0
-        assert "contractive" in capsys.readouterr().out
-        assert run_cli(["contraction-check", "--beta", 1.0, "--eta", 3.0,
-                        "--seed", 2]) == 0
-        assert "NOT contractive" in capsys.readouterr().out
+
+HOSTILE_FLOATS = ("nan", "inf", "-inf", "-1", "0", "1e300", "5e-324")
+HOSTILE_INTS = ("-1", "0")
+
+# Small, valid flags for each command; a case swaps one hostile value in.
+SMALL_FLAGS = {
+    "account": {"--lipschitz": 1.0, "--delta": 1e-5},
+    "counterexample": {"--steps": 16, "--sigma": 0.5, "--trials": 200, "--seed": 0},
+    "probe-sensitivity": {"--n": 12, "--pairs": 4, "--eta": 0.3, "--seed": 1},
+}
+
+
+def _hostile_cases():
+    """(command, flag, value) for every float and int flag of each command."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in SMALL_FLAGS:
+        for action in sub.choices[command]._actions:
+            for value in {float: HOSTILE_FLOATS, int: HOSTILE_INTS}.get(action.type, ()):
+                yield command, action.option_strings[0], value
+
+
+class TestHostileFlags:
+    @pytest.mark.parametrize("command, flag, value", list(_hostile_cases()))
+    def test_value_is_run_or_refused_on_one_line(self, tmp_path, capsys, command, flag, value):
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps({"B": [1, 2], "eta": [0.5, 0.5], "sigma": [1.0, 2.0]}))
+        out = tmp_path / "ce.csv"
+        files = {"account": ["--schedule", sched], "counterexample": ["--output", out]}
+        # --flag=value, so that "-inf" is not read as an option
+        flags = {**SMALL_FLAGS[command], flag: value}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli([command, *files.get(command, []),
+                            *(f"{k}={v}" for k, v in flags.items())])
+        # the one warning allowed is rdp_to_dp's, by design, for a rho as
+        # large as --lipschitz 1e300 gives; an overflow warning fails
+        assert all("loose in this regime" in str(w.message) for w in caught), caught
+        assert code in (0, 2)
+        if code == 2:
+            err = capsys.readouterr().err
+            assert err.startswith(f"{command} refused: ") and err.count("\n") == 1, err
+            assert not out.exists()

@@ -1,16 +1,11 @@
-"""Projection, gradient-step maps, and sampled contraction ratios."""
+"""Projection, and the test oracles' gradient-step maps and sampled
+contraction ratios."""
 
 import numpy as np
 import pytest
 
-from dpsco.geometry import (
-    ContractionReport,
-    ConvexDomain,
-    DimensionMismatchError,
-    check_contraction,
-    gradient_step_map,
-    project,
-)
+from contraction import ContractionReport, check_contraction, gradient_step_map
+from dpsco.geometry import ConvexDomain, DimensionMismatchError, project
 
 
 class TestProjection:

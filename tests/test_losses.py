@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contraction import batch_value
 from dpsco.geometry import ConvexDomain, DimensionMismatchError
 from dpsco.losses import (
     Dataset,
@@ -37,7 +38,7 @@ def central_difference(loss, w, x, h=1e-6):
     for j in range(w.shape[0]):
         e = np.zeros_like(w)
         e[j] = h
-        g[j] = (loss.batch_value(w + e, row) - loss.batch_value(w - e, row)) / (2.0 * h)
+        g[j] = (batch_value(loss, w + e, row) - batch_value(loss, w - e, row)) / (2.0 * h)
     return g
 
 
@@ -46,7 +47,7 @@ def monte_carlo(dist, w, n, seed, groups=100):
     on ``groups`` equal blocks, with the standard error of the block means."""
     data = dist.sample_dataset(n, rng_seed=seed)
     size = n // groups
-    means = np.array([dist.loss.batch_value(w, data.subset(g * size, (g + 1) * size))
+    means = np.array([batch_value(dist.loss, w, data.subset(g * size, (g + 1) * size))
                       for g in range(groups)])
     return float(means.mean()), float(means.std(ddof=1) / math.sqrt(groups))
 
@@ -200,7 +201,7 @@ class TestPopulationLoss:
         dist = quadratic_point_mass(BALL2, [0.25, -0.25])
         assert dist.population_loss([0.25, -0.25]) == 0.0
         data = dist.sample_dataset(64, rng_seed=0)
-        assert dist.loss.batch_value(np.array([0.25, -0.25]), data) == 0.0
+        assert batch_value(dist.loss, np.array([0.25, -0.25]), data) == 0.0
 
     def test_gaussian_closed_form_is_half_d(self):
         # E 0.5 |x|^2 = d/2 for standard normal data
@@ -214,7 +215,7 @@ class TestPopulationLoss:
     def test_empty_batch_value_rejected(self):
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
         with pytest.raises(ValueError):
-            dist.loss.batch_value(np.zeros(2), Dataset(np.empty((0, 2))))
+            batch_value(dist.loss, np.zeros(2), Dataset(np.empty((0, 2))))
 
     def test_sphere_closed_form_matches_monte_carlo(self):
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
@@ -245,6 +246,43 @@ class TestPopulationLoss:
 
 # The five closed-form constructors, each from a domain, a centre (mean,
 # median, w_true) and a positive scale (radius, sigma, half width).
+NAN, INF = math.nan, math.inf
+BALL1 = ConvexDomain.ball([0.0], 1.0)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: ConvexDomain.ball([0.0, 0.0], NAN), id="ball radius nan"),
+    pytest.param(lambda: ConvexDomain.ball([0.0, 0.0], INF), id="ball radius inf"),
+    pytest.param(lambda: ConvexDomain.ball([0.0, 0.0], -INF), id="ball radius -inf"),
+    pytest.param(lambda: ConvexDomain.ball([0.0, 0.0], 1e300), id="ball radius squared inf"),
+    pytest.param(lambda: ConvexDomain.ball([NAN, 0.0], 1.0), id="ball center nan"),
+    pytest.param(lambda: ConvexDomain.ball(np.zeros(0), 1.0), id="ball center empty"),
+    pytest.param(lambda: ConvexDomain.box([NAN], [1.0]), id="box lower nan"),
+    pytest.param(lambda: ConvexDomain.box([0.0], [INF]), id="box upper inf"),
+    pytest.param(lambda: ConvexDomain.box([-INF], [0.0]), id="box lower -inf"),
+    pytest.param(lambda: ConvexDomain.box([], []), id="box empty"),
+    pytest.param(lambda: quadratic_sphere(BALL2, [0.0, 0.0], NAN), id="sphere radius nan"),
+    pytest.param(lambda: quadratic_sphere(BALL2, [0.0, 0.0], INF), id="sphere radius inf"),
+    pytest.param(lambda: quadratic_sphere(BALL2, [NAN, 0.0], 1.0), id="sphere center nan"),
+    pytest.param(lambda: quadratic_point_mass(BALL2, [0.0, NAN]), id="point mass nan"),
+    pytest.param(lambda: quadratic_gaussian(BALL2, [0.0, 0.0], NAN), id="gaussian sigma nan"),
+    pytest.param(lambda: absolute_deviation_uniform(BALL1, 0.0, NAN), id="half width nan"),
+    pytest.param(lambda: absolute_deviation_uniform(BALL1, INF, 1.0), id="median inf"),
+    pytest.param(lambda: linear_regression_sphere(BALL2, 1.0, [0.0, 0.0], NAN),
+                 id="regression noise nan"),
+    pytest.param(lambda: linear_regression_sphere(BALL2, INF, [0.0, 0.0], 0.0),
+                 id="regression radius inf"),
+    pytest.param(lambda: logistic_sphere(BALL2, INF, [0.0, 0.0]), id="logistic radius inf"),
+    pytest.param(lambda: logistic_sphere(BALL2, 1.0, [NAN, 0.0]), id="logistic w_ref nan"),
+    pytest.param(lambda: LossFamily("quadratic", NAN, 1.0, 1.0), id="family L nan"),
+    pytest.param(lambda: LossFamily("logistic", 1.0, NAN, 0.0), id="family beta nan"),
+])
+def test_constructor_refuses_non_finite_or_empty_input(build):
+    # each was accepted, and its NaN or inf surfaced far from here, if at all
+    with pytest.raises(ValueError):
+        build()
+
+
 CLOSED_FORMS = {
     "quadratic_point_mass": lambda domain, c, s: quadratic_point_mass(domain, c),
     "quadratic_sphere": quadratic_sphere,
@@ -468,9 +506,9 @@ class TestDeclaredConstants:
             for i in range(100):
                 x = data.example(i)
                 row = one_row(x)
-                lhs = dist.loss.batch_value(q[i], row)
+                lhs = batch_value(dist.loss, q[i], row)
                 rhs = (
-                    dist.loss.batch_value(p[i], row)
+                    batch_value(dist.loss, p[i], row)
                     + float(np.dot(dist.loss.grad(p[i], x), q[i] - p[i]))
                     + 0.5 * lam * float(np.sum((q[i] - p[i]) ** 2))
                 )

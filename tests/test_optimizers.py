@@ -12,10 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contraction import batch_value, check_contraction
 from dpsco import optimizers
 from dpsco.accountant import ApproxDP, PrivacyBudget, pai_rho
 from dpsco.empirics import sensitivity_probe
-from dpsco.geometry import ConvexDomain, check_contraction, project
+from dpsco.geometry import ConvexDomain, project
 from dpsco.losses import (
     ABSOLUTE_DEVIATION,
     Dataset,
@@ -66,7 +67,7 @@ def _random_domain(rng, dim, box):
 
 def _phase_objective(loss, block, w_prev, lam):
     """F(v) = mean f(v) + (lam / 2) |v - w_prev|^2 over the block."""
-    return lambda v: loss.batch_value(v, block) + 0.5 * lam * float(np.sum((v - w_prev) ** 2))
+    return lambda v: batch_value(loss, v, block) + 0.5 * lam * float(np.sum((v - w_prev) ** 2))
 
 
 def _keyed_draws(seed, dim):
