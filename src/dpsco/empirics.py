@@ -259,7 +259,7 @@ def sensitivity_probe(
     average-iterate distance next to the analytic bound 2 L eta. Raises
     :class:`ValueError`, where that bound does not hold, for any defect
     :meth:`LossFamily.support_defect` finds at eta: the loss's and the step's
-    before sampling, the data's in each pair.
+    before sampling, the data's in each pair; and for ``num_pairs < 1``.
     """
     def refuse(sample):
         defect = dist.loss.support_defect(sample, dist.domain, eta)
@@ -267,6 +267,8 @@ def sensitivity_probe(
             raise ValueError(f"{defect}: bound inapplicable")
 
     refuse(Dataset(np.empty((0, dist.dimension))))
+    if num_pairs < 1:  # a max over no pair, 0, would pass the bound vacuously
+        raise ValueError(f"num_pairs must be >= 1, got {num_pairs}")
     start = default_start(dist.domain)
     worst = 0.0
     for pair in range(num_pairs):
@@ -319,22 +321,21 @@ class CounterexampleReport:
 
 def _average_moments(T: int, k: int, sigma: float, x0_offset: float) -> tuple[float, float]:
     """Mean shift and variance of the average iterate (the cubic term is the
-    exact triangular-square sum, not an O(k^3) stand-in)."""
+    exact triangular-square sum, not an O(k^3) stand-in). The Renyi divergences
+    divide by sigma^2 and square the offset: both squares must be positive and finite."""
     if not 1 <= k <= T:
         raise ValueError(f"k must be in [1, T], got k = {k}, T = {T}")
-    return k * x0_offset / T, sigma * sigma * (k * (k + 1) * (2 * k + 1) / 6.0 + (T - k)) / (T * T)
-
-
-def counterexample_exact(T: int, k: int, sigma: float, x0_offset: float) -> CounterexampleReport:
-    """Exact mean shift and variance of the average iterate. The Renyi
-    divergences divide by sigma^2 and square the offset, so both squares must
-    be positive and finite."""
-    shift, variance = _average_moments(T, k, sigma, x0_offset)
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if not (0.0 < sigma * sigma < math.inf and 0.0 < x0_offset * x0_offset < math.inf):
         raise ValueError(f"sigma = {sigma} and offset = {x0_offset} must square to "
                          "positive finite numbers")
+    return k * x0_offset / T, sigma * sigma * (k * (k + 1) * (2 * k + 1) / 6.0 + (T - k)) / (T * T)
+
+
+def counterexample_exact(T: int, k: int, sigma: float, x0_offset: float) -> CounterexampleReport:
+    """Exact mean shift and variance of the average iterate."""
+    shift, variance = _average_moments(T, k, sigma, x0_offset)
     return CounterexampleReport(
         T=T, k=k, sigma=sigma, x0_offset=x0_offset, mean_shift=shift, variance=variance
     )

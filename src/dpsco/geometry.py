@@ -97,12 +97,19 @@ def project(domain: ConvexDomain, point) -> np.ndarray:
 
     Interior points are returned unchanged (bitwise), so projection is exactly
     idempotent there; boundary round-off stays within the membership tolerance.
+    A ball refuses a point that is not finite.
     """
     p = _as_vector(point, dim=domain.dimension)
     if domain.kind == "ball":
         offset = p - domain.center
-        dist = float(np.linalg.norm(offset))
+        # the norm's own dot product, without its overflow warning
+        dist = math.sqrt(np.vdot(offset, offset))
         if dist <= domain.radius:
             return p
+        if not dist < math.inf:  # the squares overflowed, or NaN: scale first
+            top = float(np.abs(offset).max())
+            if not top < math.inf:
+                raise ValueError("cannot project a point that is not finite onto a ball")
+            dist = top * float(np.linalg.norm(offset / top))
         return domain.center + offset * (domain.radius / dist)
     return np.clip(p, domain.lower, domain.upper)

@@ -452,8 +452,11 @@ def _sgd_pass(data, loss, domain, w, steps, batches=None, sigmas=None, noise=Non
                     off = w if center is None else w - center
                     dist = math.sqrt(off.dot(off))
                     if dist > domain.radius:
-                        off = off * (domain.radius / dist)
-                        w = off if center is None else center + off
+                        if dist < math.inf:
+                            off = off * (domain.radius / dist)
+                            w = off if center is None else center + off
+                        else:  # the squares overflowed: project scales first
+                            w = project(domain, w)
                 else:
                     w = np.clip(w, domain.lower, domain.upper)
                 if total is not None:

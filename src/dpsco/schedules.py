@@ -28,34 +28,23 @@ class InvalidScheduleError(ValueError):
 _INT64_MAX = 2**63 - 1
 
 
-# A list or tuple is packed _PACK entries at a time, so the bytes in flight
-# stay at 256 KiB (packing a 10^6-entry field at once raised the bench's
-# accounting peak_rss_mb by 8 %). A bound Struct.pack takes a tuple window as
-# its arguments without a copy: 5 ns per entry, against 14 for struct.pack.
-_PACK = 2**15
-
-
 def _packed(values, code: str) -> np.ndarray | None:
-    """A fresh float64 (``code`` "d") or int64 ("q") vector holding a list or
-    tuple of real numbers (of integers in int64 for "q"), packed by ``struct``;
-    None when the general conversion must decide."""
+    """A read-only float64 (``code`` "d") or int64 ("q") view of the bytes
+    one ``struct`` call packs a list or tuple of real numbers (of integers in
+    int64 for "q") into, their only copy; None when the general conversion
+    must decide."""
     if type(values) not in (list, tuple):
         return None
-    out = np.empty(len(values), np.float64 if code == "d" else np.int64)
     try:
-        for lo in range(0, len(values), _PACK):
-            part = values[lo:lo + _PACK]
-            out[lo:lo + len(part)] = np.frombuffer(
-                struct.Struct(f"{len(part)}{code}").pack(*part), out.dtype)
+        packed = struct.Struct(f"{len(values)}{code}").pack(*values)
     except (struct.error, TypeError, ValueError, OverflowError):
         return None
-    return out
+    return np.frombuffer(packed, np.float64 if code == "d" else np.int64)
 
 
 def _float_vector(values, name: str) -> tuple[np.ndarray, float]:
-    """A fresh, finite float64 vector holding ``values`` (any sequence or
-    array), with its smallest entry (inf when empty). A list or tuple of
-    real numbers is packed in windows (:func:`_packed`)."""
+    """A fresh, finite float64 vector holding ``values`` (any sequence or array),
+    and its smallest entry (inf when empty); a list or tuple via :func:`_packed`."""
     arr = _packed(values, "d")
     if arr is None:
         try:
@@ -111,9 +100,9 @@ class Schedule:
     """Per-step batch sizes, step sizes, and noise scales for T steps.
 
     Any sequences (or arrays) are accepted; they are copied once into
-    read-only arrays that own their memory: ``batch_sizes`` as int64 (exact
-    for integer input), ``step_sizes`` and ``noise_scales`` as float64, a
-    list or tuple by :func:`_packed` and whatever it leaves through numpy.
+    read-only arrays that share no memory with them: ``batch_sizes`` as int64
+    (exact for integer input), ``step_sizes`` and ``noise_scales`` as float64,
+    a list or tuple by :func:`_packed` and whatever it leaves through numpy.
     Invariants: equal lengths, finite entries, integral batch sizes >= 1 whose
     total fits in int64, step sizes >= 0, noise scales >= 0. (Zero step sizes
     are permitted so that ablation runs that freeze the iterate remain

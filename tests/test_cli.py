@@ -533,6 +533,16 @@ class TestProbesAndChecks:
         assert run_cli(["probe-sensitivity", "--family", "quadratic", "--n", 12,
                         "--pairs", 10, "--eta", 5.0, "--seed", 1]) == 2
 
+    @pytest.mark.parametrize("pairs", [0, -1])
+    def test_probe_refuses_no_pairs(self, capsys, pairs):
+        # with no pair, max_observed would read 0: a vacuous pass
+        assert run_cli(["probe-sensitivity", "--family", "quadratic", "--n", 12,
+                        "--pairs", pairs, "--eta", 0.3, "--seed", 1]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("probe-sensitivity refused: ")
+        assert "num_pairs must be >= 1" in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 HOSTILE_FLOATS = ("nan", "inf", "-inf", "-1", "0", "1e300", "5e-324")
 HOSTILE_INTS = ("-1", "0")

@@ -249,6 +249,13 @@ class TestSensitivityProbe:
             with pytest.raises(ValueError, match="exceeds 2/beta"):
                 sensitivity_probe(dist, n=10, eta=3.0, num_pairs=pairs, seed=0)
 
+    @pytest.mark.parametrize("pairs", [0, -1])
+    def test_rejects_no_pairs(self, pairs):
+        # a maximum over no pair would read 0, a vacuous pass of the bound
+        dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
+        with pytest.raises(ValueError, match="num_pairs must be >= 1"):
+            sensitivity_probe(dist, n=10, eta=0.5, num_pairs=pairs, seed=0)
+
     def test_rejects_data_beyond_declared_smoothness(self):
         # the sampler draws features of norm 3 (beta = 9) for a loss declaring
         # beta = 1, so eta = 1.5 passes the 2/beta check but is not contractive
@@ -335,9 +342,20 @@ class TestCounterexampleEmpirical:
         assert abs(report.predicted_accuracy - 0.5) < 1e-6
 
     def test_zero_noise_perfect(self):
-        report = counterexample_empirical(T=8, k=3, sigma=0.0, trials=200, seed=0)
+        # sigma = 0 is refused (below); at 1e-150 the noise is lost next to
+        # the start, and sigma^2 is still a positive float
+        report = counterexample_empirical(T=8, k=3, sigma=1e-150, trials=200, seed=0)
         assert report.accuracy == 1.0
         assert report.predicted_accuracy == 1.0
+
+    @pytest.mark.parametrize("sigma, offset", [
+        (0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0), (1e200, 1.0),
+        (5e-324, 1.0), (1.0, 0.0), (1.0, math.inf), (1.0, 1e200)])
+    def test_refuses_what_the_exact_analysis_refuses(self, sigma, offset):
+        with pytest.raises(ValueError):
+            counterexample_exact(4, 1, sigma, offset)
+        with pytest.raises(ValueError):
+            counterexample_empirical(4, 1, sigma, 100, 0, x0_magnitude=offset)
 
     def test_accuracy_tracks_gaussian_prediction(self):
         T, trials = 1000, 10_000

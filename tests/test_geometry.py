@@ -1,6 +1,8 @@
 """Projection, and the test oracles' gradient-step maps and sampled
 contraction ratios."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,20 @@ class TestProjection:
         residual = p - proj
         cross = residual[0] * proj[1] - residual[1] * proj[0]
         assert abs(cross) <= 1e-12
+
+    def test_ball_far_exterior_rescales_without_overflow(self):
+        # the squared distance 1e310 overflows; the scaled norm does not
+        ball = ConvexDomain.ball([0.0, 0.0], 1e150)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert project(ball, [1e155, 0.0]).tolist() == [1e150, 0.0]
+            proj = project(ball, [-3e200, 4e200])
+        np.testing.assert_allclose(proj, [-6e149, 8e149], rtol=1e-15)
+
+    @pytest.mark.parametrize("point", [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
+    def test_ball_refuses_a_non_finite_point(self, point):
+        with pytest.raises(ValueError, match="not finite"):
+            project(ConvexDomain.ball([0.0, 0.0], 1.0), point)
 
     def test_box_clamps_coordinatewise(self):
         box = ConvexDomain.box([0.0, 0.0], [1.0, 1.0])

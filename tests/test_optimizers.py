@@ -23,6 +23,7 @@ from dpsco.losses import (
     LossFamily,
     absolute_deviation_uniform,
     linear_regression_sphere,
+    logistic_sphere,
     quadratic_point_mass,
     quadratic_sphere,
 )
@@ -250,6 +251,17 @@ class TestPnsgd:
         with pytest.warns(UserWarning, match="projecting"):
             rec = pnsgd(data, loss, BALL2, [5.0, 0.0], sched, NoiseStream(0))
         np.testing.assert_allclose(rec.final_iterate, [1.0, 0.0], atol=1e-12)
+
+    def test_far_step_lands_on_the_sphere(self):
+        # noise of 1e200 sends the iterate past the radius at which its squared
+        # norm overflows; the step still lands on the sphere, not at the centre
+        ball = ConvexDomain.ball([0.0, 0.0], 1e150)
+        dist = logistic_sphere(ball, 1.0, [0.0, 0.0])
+        sched = Schedule((1, 1, 1), (1.0,) * 3, (1e200,) * 3)
+        with pytest.warns(RuntimeWarning, match="overflow"):  # the step loop's own dot
+            rec = pnsgd(dist.sample_dataset(3, 0), dist.loss, ball, [0.0, 0.0], sched,
+                        NoiseStream(0))
+        assert np.linalg.norm(rec.final_iterate / 1e150) == pytest.approx(1.0, rel=1e-12)
 
     def test_declared_budget_matches_accountant(self):
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)

@@ -1,7 +1,7 @@
 """The schedule layer against its float64 predecessors, kept here as oracles.
 
 `Schedule` converts batch sizes straight to int64 and packs a list or tuple
-with ``struct`` in fixed windows, `pai_rho` takes one mask-free pass in place,
+with one ``struct`` call per field, `pai_rho` takes one mask-free pass in place,
 and `jnn_steps` and `snowball_batches` build their lists run by run. The
 earlier implementations below (float64 round trip, boolean masks,
 ``np.repeat``, the float expression at every step) give the same arrays, the
@@ -12,6 +12,7 @@ import array
 import json
 import math
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -115,13 +116,23 @@ CONTAINERS = {
 }
 
 
-def _assert_same_schedule(sched, want):
-    for name, arr in zip(("batch_sizes", "step_sizes", "noise_scales"), want):
+FIELDS = ("batch_sizes", "step_sizes", "noise_scales")
+
+
+def _assert_same_schedule(sched, want, inputs=()):
+    """The oracle's arrays, read-only, sharing no memory with any array in
+    ``inputs``; a field that is a view is a view of its packed bytes, which
+    cannot be made writeable again."""
+    for name, arr in zip(FIELDS, want):
         got = getattr(sched, name)
         assert got.dtype == arr.dtype
         assert got.tobytes() == arr.tobytes()  # the sign of zero too
         assert not got.flags.writeable
-        assert got.base is None
+        assert not any(np.shares_memory(got, a) for a in inputs if isinstance(a, np.ndarray))
+        if got.base is not None:
+            assert type(got.base) is bytes
+            with pytest.raises(ValueError):
+                got.flags.writeable = True
 
 
 @PROPERTY_SETTINGS
@@ -132,7 +143,8 @@ def test_conversion_matches_float_round_trip(lists, container):
         assume(max(B) < 2**31)
     batches, floats = CONTAINERS[container]
     want = oracle_schedule_arrays(B, eta, sigma)
-    _assert_same_schedule(Schedule(batches(B), floats(eta), floats(sigma)), want)
+    inputs = (batches(B), floats(eta), floats(sigma))
+    _assert_same_schedule(Schedule(*inputs), want, inputs)
     text = json.dumps({"B": B, "eta": eta, "sigma": sigma})
     _assert_same_schedule(Schedule.from_json(text), want)
 
@@ -144,7 +156,8 @@ def test_range_and_bool_arrays_match_float_round_trip(start, T):
     _assert_same_schedule(Schedule(range(start, start + T), eta, sigma),
                           oracle_schedule_arrays(range(start, start + T), eta, sigma))
     ones = np.ones(T, dtype=bool)
-    _assert_same_schedule(Schedule(ones, eta, sigma), oracle_schedule_arrays(ones, eta, sigma))
+    _assert_same_schedule(Schedule(ones, eta, sigma), oracle_schedule_arrays(ones, eta, sigma),
+                          (ones,))
 
 
 DEFECTS = {
@@ -445,8 +458,8 @@ def _counting(calls, fn):
 
 def test_run_built_fields_skip_the_entrywise_conversion(monkeypatch):
     """The accounting fields at T = 10^6, and strictly increasing fields at
-    T = 10^5, are packed window by window: they never reach array.array or
-    np.fromiter."""
+    T = 10^5, are packed by one Struct per field into bytes the field then
+    views: they never reach array.array or np.fromiter."""
     run_built = (snowball_batches(10**6, 256, 0.25, MULTIPLIER_JNN), jnn_steps(10**6, 1.0),
                  (0.75,) * 10**6)
     T = 10**5
@@ -456,21 +469,37 @@ def test_run_built_fields_skip_the_entrywise_conversion(monkeypatch):
     monkeypatch.setattr(np, "fromiter", _counting(calls, np.fromiter))
     monkeypatch.setattr(struct, "Struct", _counting(calls, struct.Struct))
     built = [Schedule(*fields) for fields in (run_built, increasing)]
-    windows = 3 * -(-10**6 // schedules._PACK) + 3 * -(-T // schedules._PACK)
-    assert calls == ["Struct"] * windows
+    assert calls == ["Struct"] * 6
     monkeypatch.undo()
     for sched, fields in zip(built, (run_built, increasing)):
         _assert_same_schedule(sched, oracle_schedule_arrays(*fields))
+        assert all(type(getattr(sched, name).base) is bytes for name in FIELDS)
 
 
-PACK = schedules._PACK
-WINDOW_EDGES = (PACK - 1, PACK, PACK + 1, 2 * PACK + 3)
+def test_packing_keeps_one_copy_of_each_field():
+    """Three 10^6-entry tuples become 3 * 8 * 10^6 bytes and little more: no
+    field is held twice while it is packed."""
+    T = 10**6
+    fields = (snowball_batches(T, 256, 0.25, MULTIPLIER_JNN), jnn_steps(T, 1.0), (0.75,) * T)
+    tracemalloc.start()
+    try:
+        sched = Schedule(*fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sched.num_steps == T
+    assert peak <= 3 * 8 * T + 2**20
+
+
+# Lengths about 2^15 and 2 * 2^15, where an earlier packer started a new
+# window of 2^15 entries.
+WINDOW_EDGES = (32767, 32768, 32769, 65539)
 
 
 @pytest.mark.parametrize("container", [list, tuple])
 @pytest.mark.parametrize("T", WINDOW_EDGES)
 def test_packed_fields_at_window_edges(T, container):
-    """Both codes, at lengths around the window: int batch sizes ("q") and
+    """Both codes, at the lengths above: int batch sizes ("q") and
     float fields ("d") give the round trip's arrays."""
     rng = np.random.default_rng(T)
     lists = (container(rng.integers(1, 2**46, T).tolist()),  # the total fits in int64
@@ -482,9 +511,9 @@ def test_packed_fields_at_window_edges(T, container):
 @pytest.mark.parametrize("T", WINDOW_EDGES)
 def test_packed_fields_keep_every_bit(T):
     """Ints past 2^53 convert exactly as batch sizes and as float() does in a
-    float field, at both ends of the first window and at the end; -0.0 keeps
-    its sign in any window."""
-    big = {0: 2**53 + 1, PACK - 1: 2**53 + 3, T - 2: 2**55 + 1, T - 1: 2**61 + 1}
+    float field, at both ends of the first 2^15 entries and at the end; -0.0
+    keeps its sign anywhere."""
+    big = {0: 2**53 + 1, 32767: 2**53 + 3, T - 2: 2**55 + 1, T - 1: 2**61 + 1}
     batches = [big.get(t, 1) for t in range(T)]
     lists = [batches, [0.5] * (T - 2) + [-0.0, 0.0], [0.0, -0.0] + batches[2:]]
     sched = Schedule(*lists)
@@ -501,9 +530,9 @@ INTRUDER_CASES = [(field, at) for field, value in enumerate((3.0, 0.5, 1.0))
 @pytest.mark.parametrize("field, at", INTRUDER_CASES)
 def test_packed_intruder_in_the_last_window(field, at):
     """One of ``_intruders``, None or 2^63 as the last entry of a field of
-    three windows: the same arrays or the same refusal as the round trip (as
+    2 * 2^15 + 3 entries: the same arrays or the same refusal as the round trip (as
     the exact oracle, for an int batch size past float64)."""
-    T = 2 * PACK + 3
+    T = 65539
     lists = [[3] * T, [0.5] * T, [1.0] * T]
     entry = (_intruders(float(lists[field][0])) + [None, 2**63])[at]
     lists[field][-1] = entry
