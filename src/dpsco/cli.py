@@ -132,14 +132,17 @@ def _is_integer(value) -> bool:
     return type(value) is int or type(value) is float and math.isfinite(value) and value % 1 == 0
 
 
-def _parse_run_config(obj: dict) -> dict:
+def _parse_run_config(obj) -> tuple[list[tuple[int, int, float]], int, int, float]:
+    """Check a ``dpsco run`` config and return its parsed (grid, trials, seed,
+    sigma_scale); the loss and domain are checked when they are built."""
     for key in ("algorithm", "loss", "domain", "grid", "trials", "seed", "output"):
-        if key not in obj:
+        if key not in _object(obj, "config"):
             raise ValueError(f"config is missing required field {key!r}")
-    if obj["algorithm"] not in ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {obj['algorithm']!r}; known: {sorted(ALGORITHMS)}"
-        )
+    if not (isinstance(obj["algorithm"], str) and obj["algorithm"] in ALGORITHMS):
+        raise ValueError(f"unknown algorithm {obj['algorithm']!r}; "
+                         f"known: {sorted(ALGORITHMS)}")
+    if not (isinstance(obj["output"], str) and obj["output"]):
+        raise ValueError(f"output must be a nonempty path, got {obj['output']!r}")
     grid = obj["grid"]
     if not isinstance(grid, list) or not grid:
         raise ValueError("grid must be a nonempty list")
@@ -163,29 +166,21 @@ def _parse_run_config(obj: dict) -> dict:
     sigma_scale = _number(_object(obj.get("overrides", {}), "overrides"), "sigma_scale", 1.0)
     if sigma_scale < 0.0:
         raise ValueError(f"overrides.sigma_scale must be >= 0, got {sigma_scale}")
-    return {
-        "algorithm": obj["algorithm"],
-        "loss": obj["loss"],
-        "domain": obj["domain"],
-        "grid": parsed_grid,
-        "trials": int(trials),
-        "seed": int(seed),
-        "output": obj["output"],
-        "sigma_scale": sigma_scale,
-    }
+    return parsed_grid, int(trials), int(seed), sigma_scale
 
 
 def cmd_run(args) -> int:
     with open(args.config) as fh:
         raw = fh.read()
-    cfg = _parse_run_config(json.loads(raw))
+    cfg = json.loads(raw)
+    grid, trials, seed, sigma_scale = _parse_run_config(cfg)
     # every grid point's problem is built before the first trial, so a bad
     # domain or loss is refused before anything is written
     problems = [_build_distribution(cfg["loss"], _build_domain(cfg["domain"], d))
-                for _, d, _ in cfg["grid"]]
+                for _, d, _ in grid]
 
     manifest = {
-        "config": json.loads(raw),
+        "config": cfg,
         "config_sha256": hashlib.sha256(raw.encode()).hexdigest(),
         "version": __version__,
         "seed_rule": "SeedSequence(seed, spawn_key=(grid_index, trial, 0|1)) -> data|noise seed",
@@ -193,18 +188,16 @@ def cmd_run(args) -> int:
     }
     results, failure = [], None
     try:
-        for gi, (point, dist) in enumerate(zip(cfg["grid"], problems)):
-            results += excess_loss_sweep(
-                dist, cfg["algorithm"], [point], cfg["trials"],
-                cfg["seed"], sigma_scale=cfg["sigma_scale"], grid_index_base=gi,
-            )
+        for gi, (point, dist) in enumerate(zip(grid, problems)):
+            results += excess_loss_sweep(dist, cfg["algorithm"], [point], trials, seed,
+                                         sigma_scale=sigma_scale, grid_index_base=gi)
     except Exception as exc:  # noqa: BLE001 - flush partial results, then report
         failure = exc
         manifest["partial"] = True
         manifest["error"] = f"{type(exc).__name__}: {exc}"
 
     sweep_to_csv(results, cfg["output"])
-    with open(str(cfg["output"]) + ".manifest.json", "w") as fh:
+    with open(cfg["output"] + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     if failure is not None:
         print(f"runtime error: {failure}", file=sys.stderr)

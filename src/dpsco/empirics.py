@@ -400,9 +400,4 @@ def default_k_grid(T: int) -> list[int]:
         raise ValueError(f"k must be in [1, T], and T = {T} has none")
     ks = [1, math.ceil(T ** (1.0 / 3.0)), math.ceil(math.sqrt(T)),
           math.ceil(T ** (2.0 / 3.0)), T]
-    out = []
-    for k in ks:
-        k = min(max(k, 1), T)
-        if k not in out:
-            out.append(k)
-    return out
+    return sorted({min(max(k, 1), T) for k in ks})

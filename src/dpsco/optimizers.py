@@ -15,7 +15,6 @@ tests) exact.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import sys
 import threading
@@ -28,24 +27,12 @@ import numpy as np
 from .accountant import ApproxDP, PrivacyBudget, gaussian_sigma, pai_rho
 from .geometry import ConvexDomain, DimensionMismatchError, project
 from .losses import ABSOLUTE_DEVIATION, LINEAR_REGRESSION, QUADRATIC, Dataset, LossFamily
-from .schedules import Schedule, phase_plan, sc_weights, snowball_batches
+from .schedules import Schedule, _whole, phase_plan, sc_weights, snowball_batches
 
 _NOISE_BLOCK = 256
 # Most float64 values a prefetch holds (4 MiB), which bounds the memory a run
 # keeps beside its data; draws past them are made on demand.
 _PREFETCH_ENTRIES = 2**19
-
-
-def _whole(value, least: int, name: str) -> int:
-    """``value`` as an int, refused with ValueError unless it is an integer
-    of at least ``least``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return value
 
 
 def _usable_cpus() -> int:
@@ -703,49 +690,24 @@ def _exact_regularized_erm(loss, domain, block, w_prev, lam):
         # minimizer is the projection of the unconstrained one
         center = (block.features.mean(axis=0) + lam * w_prev) / (1.0 + lam)
         return project(domain, center)
-    if loss.kind == ABSOLUTE_DEVIATION and block.dimension == 1:
-        return _exact_absdev_1d(domain, block, w_prev, lam)
-    raise ValueError(f"no exact inner solver for family {loss.kind!r} in d={block.dimension}")
-
-
-def _exact_absdev_1d(domain, block, w_prev, lam):
-    """Minimize mean |a w - b| + (lam/2)(w - c)^2 over a 1-D domain.
-
-    The subgradient is a nondecreasing step function of w with jumps at the
-    kinks b_j / a_j; scan segments for its zero crossing, then clamp.
-    """
-    a = block.features[:, 0]
-    b = block.targets
-    c = float(w_prev[0])
-    n = len(block)
+    if loss.kind != ABSOLUTE_DEVIATION or block.dimension != 1:
+        raise ValueError(f"no exact inner solver for family {loss.kind!r} in d={block.dimension}")
+    # mean |a w - b| + (lam/2)(w - c)^2 in 1-D has the nondecreasing subgradient
+    # G(w) = sum_j weights_j sign(w - kink_j) + lam (w - c), of slope lam between
+    # the sorted kinks b_j / a_j; sign_sums[j] is its sign sum left of kink j
+    a, c = block.features[:, 0], float(w_prev[0])
     live = np.abs(a) > 0.0
-    roots = b[live] / a[live]
+    roots = block.targets[live] / a[live]
     order = np.argsort(roots)
     kinks = roots[order]
-    weights = (np.abs(a[live]) / n)[order]
-    # G(w) = sum_j weights_j * sign(w - kink_j) + lam (w - c), on each open
-    # segment G is linear with slope lam
-    base = -float(np.sum(weights))  # sign sum left of every kink
-    best_w = None
-    prev_kink = -math.inf
-    sign_sum = base
-    for j in range(len(kinks) + 1):
-        right = kinks[j] if j < len(kinks) else math.inf
-        cand = c - sign_sum / lam  # zero of the segment's linear G
-        if prev_kink < cand < right:
-            best_w = cand
-            break
-        if j < len(kinks):
-            g_left = sign_sum + lam * (kinks[j] - c)
-            g_right = sign_sum + 2.0 * weights[j] + lam * (kinks[j] - c)
-            if g_left <= 0.0 <= g_right:
-                best_w = float(kinks[j])
-                break
-            sign_sum += 2.0 * weights[j]
-            prev_kink = kinks[j]
-    if best_w is None:  # all sign mass on one side; G monotone crosses anyway
-        best_w = c - sign_sum / lam
-    return project(domain, np.array([best_w]))
+    weights = (np.abs(a[live]) / len(block))[order]
+    sign_sums = np.cumsum(np.concatenate(([-np.sum(weights)], 2.0 * weights)))
+    # G's zero lies on the segment right of every kink where G is still
+    # negative; the segment's linear zero, clamped to its right end (G < 0 at
+    # its left end), is the minimizer
+    j = int(np.count_nonzero(sign_sums[1:] + lam * (kinks - c) < 0.0))
+    right = kinks[j] if j < len(kinks) else math.inf
+    return project(domain, np.array([min(c - sign_sums[j] / lam, right)]))
 
 
 def _gap_bound(loss, domain, block, w, w_prev, lam):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import array
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -22,6 +23,18 @@ MULTIPLIER_JNN = 4.0 * math.sqrt(3.0)
 
 class InvalidScheduleError(ValueError):
     """A schedule violates its structural invariants."""
+
+
+def _whole(value, least: int, name: str) -> int:
+    """``value`` as an int, refused with ValueError unless it is an integer
+    of at least ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 # Batch sizes are stored as int64; this is the largest one, and the largest total.
@@ -136,6 +149,10 @@ class Schedule:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    def __reduce__(self):
+        # copies and unpickled schedules are rebuilt by __post_init__: read-only
+        return Schedule, (self.batch_sizes, self.step_sizes, self.noise_scales)
+
     def __eq__(self, other):
         if not isinstance(other, Schedule):
             return NotImplemented
@@ -198,8 +215,7 @@ def snowball_sizes(n: int, d: int, rho: float, multiplier: float) -> np.ndarray:
     ``d`` must be >= 1, ``rho`` and ``multiplier`` positive and finite, and
     c_1 must fit in int64.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    d = _whole(d, 1, "d")
     if not 0.0 < rho < math.inf:
         raise ValueError("rho must be positive and finite")
     if not 0.0 < multiplier < math.inf:
@@ -245,8 +261,7 @@ def snowball_batches(T: int, d: int, rho: float,
     iteration; the total satisfies sum B_t <= T + 2 * multiplier * sqrt(dT) / rho.
     B_t is c_r of :func:`snowball_sizes` at r = T - t + 1.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    T = _whole(T, 1, "T")
     # faster than tuple(tolist()); the array is freed before the tuple is built
     return struct.Struct(f"{T}q").unpack(
         snowball_sizes(T, d, rho, multiplier)[::-1].tobytes())
@@ -254,8 +269,7 @@ def snowball_batches(T: int, d: int, rho: float,
 
 def constant_step(T: int, D: float, L_G: float) -> tuple[float, ...]:
     """Fixed step size D / (L_G * sqrt(T)) for all T steps."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    T = _whole(T, 1, "T")
     if D <= 0 or L_G <= 0:
         raise ValueError("D and L_G must be positive")
     return (D / (L_G * math.sqrt(T)),) * T
@@ -269,8 +283,7 @@ def jnn_steps(T: int, c: float) -> tuple[float, ...]:
     (T_{ell+1} = T), steps in band i equal c * 2^-i / sqrt(T). The sequence is
     nonincreasing; the first step is c / sqrt(T) and the last c * 2^-ell / sqrt(T).
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    T = _whole(T, 1, "T")
     ell = max(0, math.ceil(math.log2(T)))
     bounds = [T - math.ceil(T * 2.0 ** (-i)) for i in range(ell + 1)] + [T]
     band_steps = (c * 2.0 ** -np.arange(ell + 1) / math.sqrt(T)).tolist()
@@ -284,17 +297,23 @@ def sc_weights(T: int, eta: float, lam: float) -> np.ndarray:
     """Geometric averaging weights (1 - eta * lam)^-t, t = 1..T, for strongly
     convex SGD, as a read-only array.
 
-    Requires eta * lam < 1 so the weights are positive; the consuming
-    optimizer additionally enforces eta <= 1 / (2 * lam).
+    Requires eta * lam < 1 so the weights are positive, and a finite sum; the
+    consuming optimizer additionally enforces eta <= 1 / (2 * lam).
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    T = _whole(T, 1, "T")
     if eta <= 0 or lam <= 0:
         raise ValueError("eta and lam must be positive")
     if eta * lam >= 1:
         raise InvalidScheduleError(f"eta * lam = {eta * lam} >= 1: weights diverge")
     base = 1.0 - eta * lam
-    weights = np.array([base ** (-t) for t in range(1, T + 1)])
+    with np.errstate(over="ignore"):
+        try:
+            weights = np.array([base ** (-t) for t in range(1, T + 1)])
+            finite = math.isfinite(weights.sum())
+        except OverflowError:  # a weight past float64
+            finite = False
+    if not finite:
+        raise InvalidScheduleError(f"weights (1 - eta * lam)^-t overflow float64 by T = {T}")
     weights.flags.writeable = False
     return weights
 
@@ -307,8 +326,7 @@ def phase_plan(n: int, eta0: float) -> list[tuple[int, float]]:
     with zero samples are dropped (n = 5 gives an empty third phase), so
     sum n_i <= n.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    n = _whole(n, 2, "n")
     if eta0 <= 0:
         raise ValueError("eta0 must be positive")
     plan = [(n >> i, eta0 * 4.0 ** (-i)) for i in range(1, math.ceil(math.log2(n)) + 1)]

@@ -259,6 +259,55 @@ class TestRun:
         assert started_threads == []
 
 
+class TestHostileRunConfig:
+    """`dpsco run` refuses each hostile config with exit 2 and one
+    `run refused:` line, before any trial and without writing a file."""
+
+    @pytest.mark.parametrize("config", [
+        123, None, "algorithm loss domain grid trials seed output", [],
+    ], ids=["number", "null", "string of every key", "list"])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, config):
+        # all but the list ended in a TypeError traceback with exit 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        self._assert_refused(tmp_path, capsys, path)
+
+    @pytest.mark.parametrize("change", [
+        {"algorithm": ["x"]}, {"algorithm": None}, {"algorithm": "no_such_algorithm"},
+        {"output": 3.5}, {"output": ""}, {"output": None}, {"output": ["sweep.csv"]},
+    ], ids=["algorithm list", "null algorithm", "unknown algorithm", "float output",
+            "empty output", "null output", "output list"])
+    def test_bad_algorithm_or_output(self, tmp_path, sweep_config, capsys, change):
+        # a list algorithm ended in a TypeError traceback (exit 1); the bad
+        # outputs ran every trial before failing to open the file
+        cfg, path = sweep_config
+        path.write_text(json.dumps({**cfg, **change}))
+        self._assert_refused(tmp_path, capsys, path, next(iter(change)))
+
+    def test_output_given_as_a_file_descriptor(self, tmp_path, sweep_config, capsys):
+        # "output": 3 wrote the CSV into the caller's file descriptor 3, closed
+        # it, exited 0 and wrote the manifest to "3.manifest.json"
+        cfg, path = sweep_config
+        victim = tmp_path / "victim"
+        fd = os.open(victim, os.O_WRONLY | os.O_CREAT)
+        try:
+            path.write_text(json.dumps({**cfg, "output": fd}))
+            self._assert_refused(tmp_path, capsys, path, "output")
+            os.fstat(fd)  # still open
+        finally:
+            os.close(fd)
+        assert victim.read_bytes() == b""
+        assert not Path(f"{fd}.manifest.json").exists()
+
+    @staticmethod
+    def _assert_refused(tmp_path, capsys, path, field=None):
+        assert run_cli(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run refused: ") and err.count("\n") == 1, err
+        assert field is None or field in err
+        assert {p.name for p in tmp_path.iterdir()} <= {"config.json", "victim"}
+
+
 class TestAccount:
     def test_constant_schedule(self, tmp_path, capsys):
         sched = tmp_path / "sched.json"

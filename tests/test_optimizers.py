@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from absdev_scan import absdev_scan
 from contraction import batch_value, check_contraction
 from dpsco import optimizers
 from dpsco.accountant import ApproxDP, PrivacyBudget, pai_rho
@@ -42,7 +43,7 @@ from dpsco.optimizers import (
     sc_snowball,
     sc_weighted_sgd,
 )
-from dpsco.schedules import Schedule, phase_plan, snowball_batches
+from dpsco.schedules import InvalidScheduleError, Schedule, phase_plan, snowball_batches
 
 BALL1 = ConvexDomain.ball([0.0], 10.0)
 BALL2 = ConvexDomain.ball([0.0, 0.0], 1.0)
@@ -690,6 +691,82 @@ class TestPhasedErm:
         assert rec.gradient_evaluations == sum(max(2 * ni * ni, 16) + ni for ni, _ in plan)
 
 
+def _absdev_phase(rng, ties=False):
+    """A random 1-D absolute-deviation phase: (domain, block, w_prev, lam).
+
+    Some features are exactly 0, and every other block draws its kinks from
+    a few dyadic values with dyadic features, so that kinks repeat exactly.
+    lam is log-uniform in [1e-3, 1e3]; the domain is a ball or a box. With
+    ``ties``, w_prev sits on a kink and lam is a power of 2, so the
+    subgradient is often exactly 0 at a kink."""
+    n = int(rng.integers(1, 13))
+    if rng.random() < 0.5:
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+    else:
+        a = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], n)
+        b = a * rng.choice([-1.0, -0.25, 0.0, 0.5, 1.5], n)
+    a[rng.random(n) < 0.2] = 0.0
+    domain = _random_domain(rng, 1, bool(rng.integers(2)))
+    if ties:
+        live = a != 0.0
+        c = b[live][0] / a[live][0] if live.any() else 0.0
+        return domain, Dataset(a[:, None], b), np.array([c]), 2.0 ** int(rng.integers(-10, 11))
+    return domain, Dataset(a[:, None], b), rng.uniform(-3.0, 3.0, 1), 10.0 ** rng.uniform(-3, 3)
+
+
+class TestExactAbsoluteDeviation:
+    def test_equals_the_segment_scan_bit_for_bit(self):
+        rng = np.random.default_rng(2033)
+        kinds = {"kink": 0, "segment": 0}
+        for _ in range(12_000):
+            domain, block, w_prev, lam = _absdev_phase(rng)
+            got = _exact_regularized_erm(ABSDEV, domain, block, w_prev, lam)
+            want = absdev_scan(domain, block, w_prev, lam)
+            assert got.tobytes() == want.tobytes(), (block, w_prev, lam, got, want)
+            a, (lo, hi) = block.features[:, 0], domain.bounding_box()
+            if lo[0] < got[0] < hi[0]:  # not clamped by the domain
+                kinks = block.targets[a != 0.0] / a[a != 0.0]
+                kinds["kink" if np.any(kinks == got[0]) else "segment"] += 1
+        # the scan stops at a kink and inside a segment, both many times
+        assert min(kinds.values()) >= 1000, kinds
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_minimizes_the_phase_objective_over_its_candidates(self, ties):
+        # the minimizer of a strongly convex piecewise quadratic over an
+        # interval is a kink, the zero of one segment's linear subgradient,
+        # or an end of the interval; none may give a smaller F
+        rng = np.random.default_rng(2034)
+        for _ in range(2000):
+            domain, block, w_prev, lam = _absdev_phase(rng, ties)
+            a, b = block.features[:, 0], block.targets
+            F = _phase_objective(ABSDEV, block, w_prev, lam)
+            live = a != 0.0
+            order = np.argsort(b[live] / a[live])
+            kinks, weights = (b[live] / a[live])[order], np.abs(a[live])[order] / len(a)
+            zeros = [w_prev[0] - (weights[:j].sum() - weights[j:].sum()) / lam
+                     for j in range(len(kinks) + 1)]
+            candidates = [*kinks, *zeros, *domain.bounding_box()]
+            w = _exact_regularized_erm(ABSDEV, domain, block, w_prev, lam)
+            assert domain.contains(w)
+            best = min(F(project(domain, np.atleast_1d(np.float64(v)))) for v in candidates)
+            assert F(w) <= best + 1e-12 * (1.0 + abs(best))
+
+    def test_a_segment_zero_that_rounds_onto_its_kink_is_kept(self):
+        # w_prev = -0.25 is a kink, and the sign sum left of it is 0 up to
+        # rounding: the segment's zero, -0.25 - tiny / 1024, rounds onto the
+        # kink. The scan's strict test missed it and fell through to
+        # c - (sum of the weights) / lam = -0.25042, where F is larger
+        a = np.array([0.0, -0.5, -0.5, -1.0, -0.5, -0.5, 0.0])
+        block = Dataset(a[:, None], np.array([0.5, 0.125, -0.0, 1.0, 0.125, 0.5, -0.0]))
+        domain, w_prev, lam = ConvexDomain.ball([0.19279746], 1.2746626398502747), [-0.25], 1024.0
+        F = _phase_objective(ABSDEV, block, np.array(w_prev), lam)
+        w = _exact_regularized_erm(ABSDEV, domain, block, np.array(w_prev), lam)
+        scan = absdev_scan(domain, block, np.array(w_prev), lam)
+        assert w.tolist() == [-0.25]
+        assert scan[0] == pytest.approx(-0.25 - (3.0 / 7.0) / 1024.0, rel=1e-12)
+        assert F(w) < F(scan)
+
+
 class TestScReduction:
     def test_identity_inner_returns_start(self):
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
@@ -772,6 +849,15 @@ class TestScWeightedSgd:
         data = dist.sample_dataset(4, rng_seed=0)
         with pytest.raises(StepSizeError):
             sc_weighted_sgd(data, dist.loss, domain, [0.0], 4, noise_scale=0.0, eta=0.9)
+
+    def test_overflowing_weights_are_refused(self):
+        # eta = 1/(2 lam) is a legal step; at T = 2000 its weights 2^t pass
+        # float64, which raised a bare OverflowError
+        domain = ConvexDomain.ball([0.0], 1.0)
+        dist = quadratic_sphere(domain, [0.0], 1.0)
+        data = dist.sample_dataset(2000, rng_seed=0)
+        with pytest.raises(InvalidScheduleError, match="overflow"):
+            sc_weighted_sgd(data, dist.loss, domain, [0.0], 2000, noise_scale=0.0, eta=0.5)
 
     def test_one_pass_discipline(self):
         domain = ConvexDomain.ball([0.0], 1.0)

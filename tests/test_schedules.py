@@ -1,6 +1,8 @@
 """Batch, step, weight, and phase schedule constructors."""
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -17,6 +19,7 @@ from dpsco.schedules import (
     phase_plan,
     sc_weights,
     snowball_batches,
+    snowball_sizes,
 )
 
 
@@ -30,6 +33,22 @@ class TestSchedule:
             Schedule((1,), (-0.1,), (1.0,))
         with pytest.raises(InvalidScheduleError):
             Schedule((1,), (0.1,), (-1.0,))
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                           lambda s: pickle.loads(pickle.dumps(s))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_equal_and_read_only(self, duplicate):
+        # a deep copy or an unpickled schedule had writeable fields, so
+        # step_sizes[0] = -5.0 gave a schedule the constructor refuses
+        sched = Schedule((1, 2), (0.5, 0.25), (1.0, 2.0))
+        dup = duplicate(sched)
+        assert dup == sched
+        for name in ("batch_sizes", "step_sizes", "noise_scales"):
+            field = getattr(dup, name)
+            assert not field.flags.writeable
+            assert not np.shares_memory(field, getattr(sched, name))
+            with pytest.raises(ValueError):
+                field[0] = -5
 
     def test_total_samples(self):
         sched = Schedule((1, 2, 3), (0.1,) * 3, (0.0,) * 3)
@@ -237,6 +256,22 @@ class TestSnowballBatches:
                 snowball_batches(2, 1, 1.0, 2.0**63)
 
 
+@pytest.mark.parametrize("bad", [0, -1, 2.5, "3"])
+@pytest.mark.parametrize("build, name", [
+    (lambda v: snowball_sizes(8, v, 1.0, MULTIPLIER_SZ), "d"),
+    (lambda v: snowball_batches(v, 4, 1.0), "T"),
+    (lambda v: constant_step(v, 1.0, 1.0), "T"),
+    (lambda v: jnn_steps(v, 1.0), "T"),
+    (lambda v: sc_weights(v, 0.1, 1.0), "T"),
+    (lambda v: phase_plan(v, 1.0), "n"),
+], ids=["snowball_sizes", "snowball_batches", "constant_step", "jnn_steps", "sc_weights",
+        "phase_plan"])
+def test_constructor_refuses_a_count_that_is_not_a_whole_number(build, name, bad):
+    # 2.5 and "3" raised TypeError or struct.error, and snowball_sizes took d = 2.5
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        build(bad)
+
+
 class TestConstantStep:
     def test_hand_value(self):
         assert constant_step(4, 2.0, 1.0) == (1.0, 1.0, 1.0, 1.0)
@@ -308,6 +343,18 @@ class TestScWeights:
     def test_diverging_weights_rejected(self):
         with pytest.raises(InvalidScheduleError):
             sc_weights(3, 1.0, 1.0)
+
+    def test_half_step_weights_are_powers_of_two(self):
+        # eta lam = 1/2 gives the weights 2^t exactly
+        w = sc_weights(1000, 0.5, 1.0)
+        assert w.tolist() == [2.0**t for t in range(1, 1001)]
+
+    @pytest.mark.parametrize("T", [1023, 2000])
+    def test_overflowing_weights_rejected(self, T):
+        # at T = 1023 each weight is finite but their sum is not, and the
+        # weighted average came back as -0.0; at T = 2000 OverflowError escaped
+        with pytest.raises(InvalidScheduleError, match="overflow"):
+            sc_weights(T, 0.5, 1.0)
 
     def test_normalization_lower_bound(self):
         # sum gamma_t = ((1 - eta lam)^-T - 1) / (eta lam) >= (e^(eta lam T) - 1) / (eta lam)
