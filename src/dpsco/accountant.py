@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import Schedule
+from .schedules import Schedule, _real
 
 # The smallest normal float64: a square below it is rounded on the subnormal grid.
 _TINY = float(np.finfo(np.float64).tiny)
@@ -28,8 +28,7 @@ class PrivacyBudget:
     rho: float
 
     def __post_init__(self):
-        if math.isnan(self.rho) or self.rho < 0:
-            raise ValueError(f"rho must be nonnegative, got {self.rho}")
+        _real(self.rho, "rho", "nonnegative")
 
     @property
     def is_infinite(self) -> bool:
@@ -49,13 +48,13 @@ def gaussian_renyi(shift: float, sigma: float, alpha: float) -> float:
     """Renyi divergence of order alpha between N(0, sigma^2 I) and its copy
     shifted by a vector of length ``shift``: alpha * shift^2 / (2 sigma^2).
 
-    Returns ``math.inf`` (not an exception) when sigma = 0 with a nonzero
-    shift; a zero shift has divergence 0 for any sigma.
+    ``shift`` and ``sigma`` must be nonnegative and finite, and ``alpha``
+    finite and >= 1. Returns ``math.inf`` (not an exception) when sigma = 0
+    with a nonzero shift; a zero shift has divergence 0 for any sigma.
     """
-    if shift < 0:
-        raise ValueError(f"shift must be nonnegative, got {shift}")
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    shift = _real(shift, "shift", "nonnegative and finite")
+    sigma = _real(sigma, "sigma", "nonnegative and finite")
+    alpha = _real(alpha, "alpha", ">= 1")
     if shift == 0.0:
         return 0.0
     if sigma == 0.0:
@@ -104,8 +103,7 @@ def pai_rho(schedule: Schedule, lipschitz: float) -> PrivacyBudget:
     pass still has a positive subnormal sum, or a step over a sum that
     underflowed to 0, the budget is infinite: it is never below the exact one.
     """
-    if lipschitz < 0:
-        raise ValueError("lipschitz must be nonnegative")
+    lipschitz = _real(lipschitz, "lipschitz", "nonnegative")
     eta, sigma, batches = schedule.step_sizes, schedule.noise_scales, schedule.batch_sizes
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         worst = _worst_term(eta, np.multiply(eta, sigma), batches)
@@ -174,8 +172,8 @@ def gaussian_sigma(sensitivity: float, epsilon: float, delta: float) -> float:
     delta)-DP, found by bisection on mu = sensitivity / sigma in the exact
     curve of :func:`_gaussian_delta`, which grows with mu. Any release is
     (epsilon, 1)-DP, so delta >= 1 needs no noise."""
-    if not (sensitivity >= 0.0 and epsilon > 0.0 and delta > 0.0):
-        raise ValueError("sensitivity must be nonnegative, and epsilon and delta positive")
+    sensitivity = _real(sensitivity, "sensitivity", "nonnegative and finite")
+    epsilon, delta = _real(epsilon, "epsilon", "positive"), _real(delta, "delta", "positive")
     if sensitivity == 0.0 or epsilon == math.inf or delta >= 1.0:
         return 0.0
     lo, hi = 0.0, 1.0  # delta(lo) <= delta < delta(hi)
@@ -204,15 +202,14 @@ def rdp_to_dp(budget: PrivacyBudget, delta: float) -> float:
     rho <= sqrt(ln(1/delta)); outside that regime a warning is emitted but
     the value, which remains a valid conversion, is still returned.
     """
-    _check_delta(delta)
-    rho = budget.rho
+    epsilon, rho = rdp_to_dp_general(budget, delta), budget.rho
     if math.isfinite(rho) and rho > math.sqrt(math.log(1.0 / delta)):
         warnings.warn(
             f"rho = {rho} exceeds sqrt(ln(1/delta)) = {math.sqrt(math.log(1.0 / delta))}; "
             "the conversion is valid but loose in this regime",
             stacklevel=2,
         )
-    return rdp_to_dp_general(budget, delta)
+    return epsilon
 
 
 def rdp_to_dp_general(budget: PrivacyBudget, delta: float, alpha: float | None = None) -> float:
@@ -221,19 +218,13 @@ def rdp_to_dp_general(budget: PrivacyBudget, delta: float, alpha: float | None =
     With ``alpha`` None it is the minimum over alpha in the closed form of
     :func:`rdp_to_dp`, finite where the optimal order overflows (subnormal rho).
     """
-    _check_delta(delta)
-    rho = budget.rho
+    delta, rho = _real(delta, "delta", "in (0, 1)"), budget.rho
+    if alpha is not None:
+        alpha = _real(alpha, "alpha", "> 1")
     if math.isinf(rho):
         return math.inf
     if rho == 0.0:
         return 0.0  # infimum over alpha -> infinity of ln(1/delta) / (alpha - 1)
     if alpha is None:
         return rho * rho / 2.0 + rho * math.sqrt(2.0 * math.log(1.0 / delta))
-    if alpha <= 1:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
     return alpha * rho * rho / 2.0 + math.log(1.0 / delta) / (alpha - 1.0)
-
-
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")

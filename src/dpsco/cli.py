@@ -24,7 +24,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 
@@ -41,6 +40,7 @@ from .empirics import (
     excess_loss_sweep,
     sensitivity_probe,
     sweep_to_csv,
+    sweepable,
 )
 from .geometry import ConvexDomain
 from .losses import (
@@ -52,7 +52,7 @@ from .losses import (
     quadratic_point_mass,
     quadratic_sphere,
 )
-from .schedules import Schedule
+from .schedules import Schedule, _real, _whole
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,14 +67,17 @@ _TRIM_THRESHOLD = 64 << 20
 
 
 def _number(spec: dict, key: str, default: float | None = None) -> float:
-    """``spec[key]``, or ``default`` when absent, as a float: a finite int or
-    float, not a bool, a string or null."""
+    """``spec[key]``, or ``default`` when absent, as a finite float
+    (:func:`dpsco.schedules._real`): not a bool, a string or null."""
     if key not in spec and default is None:
         raise ValueError(f"missing field {key!r}")
-    value = spec.get(key, default)
-    if not (type(value) in (int, float) and math.isfinite(value)):
-        raise ValueError(f"{key!r} must be a finite number, got {value!r}")
-    return float(value)
+    return _real(spec.get(key, default), repr(key), "finite")
+
+
+def _count(value, least: int, name: str) -> int:
+    """A count through ``_whole``; an integer-valued float (JSON's 64.0) is its integer."""
+    return _whole(int(value) if type(value) is float and value.is_integer() else value,
+                  least, name)
 
 
 def _vector(spec: dict, key: str, d: int, default: float | None = None) -> np.ndarray:
@@ -127,11 +130,6 @@ def _build_distribution(spec: dict, domain: ConvexDomain) -> SyntheticDistributi
     raise ValueError(f"unknown or missing loss family {family!r}")
 
 
-def _is_integer(value) -> bool:
-    """An int, or a float with an integer value; not a bool, a string or NaN."""
-    return type(value) is int or type(value) is float and math.isfinite(value) and value % 1 == 0
-
-
 def _parse_run_config(obj) -> tuple[list[tuple[int, int, float]], int, int, float]:
     """Check a ``dpsco run`` config and return its parsed (grid, trials, seed,
     sigma_scale); the loss and domain are checked when they are built."""
@@ -149,24 +147,17 @@ def _parse_run_config(obj) -> tuple[list[tuple[int, int, float]], int, int, floa
     parsed_grid = []
     for entry in grid:
         try:
-            point = [entry[key] for key in ("n", "d", "rho")]
+            n, d, rho = (entry[key] for key in ("n", "d", "rho"))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"grid entry {entry!r} must have n, d, rho") from exc
-        n, d, rho = point
-        if not (_is_integer(n) and _is_integer(d) and min(n, d) >= 1
-                and type(rho) in (int, float) and math.isfinite(rho) and rho > 0):
-            raise ValueError(f"grid entry {entry!r}: n and d must be integers >= 1, "
-                              "rho finite and > 0")
-        parsed_grid.append((int(n), int(d), float(rho)))
-    trials, seed = obj["trials"], obj["seed"]
-    if not (_is_integer(trials) and trials >= 2):
-        raise ValueError(f"trials must be an integer >= 2, got {trials!r}")
-    if not (_is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    sigma_scale = _number(_object(obj.get("overrides", {}), "overrides"), "sigma_scale", 1.0)
-    if sigma_scale < 0.0:
-        raise ValueError(f"overrides.sigma_scale must be >= 0, got {sigma_scale}")
-    return parsed_grid, int(trials), int(seed), sigma_scale
+        try:
+            parsed_grid.append((_count(n, 1, "n"), _count(d, 1, "d"), _real(rho, "rho")))
+        except ValueError as exc:
+            raise ValueError(f"grid entry {entry!r}: {exc}") from None
+    sigma_scale = _real(_object(obj.get("overrides", {}), "overrides").get("sigma_scale", 1.0),
+                        "overrides.sigma_scale", "nonnegative and finite")
+    return (parsed_grid, _count(obj["trials"], 2, "trials"), _count(obj["seed"], 0, "seed"),
+            sigma_scale)
 
 
 def cmd_run(args) -> int:
@@ -174,10 +165,10 @@ def cmd_run(args) -> int:
         raw = fh.read()
     cfg = json.loads(raw)
     grid, trials, seed, sigma_scale = _parse_run_config(cfg)
-    # every grid point's problem is built before the first trial, so a bad
-    # domain or loss is refused before anything is written
-    problems = [_build_distribution(cfg["loss"], _build_domain(cfg["domain"], d))
-                for _, d, _ in grid]
+    # every grid point's problem is built, and refused where no trial could
+    # run on it, before the first trial, so nothing is written
+    problems = [sweepable(_build_distribution(cfg["loss"], _build_domain(cfg["domain"], d)),
+                          d, trials) for _, d, _ in grid]
 
     manifest = {
         "config": cfg,
@@ -207,23 +198,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_account(args) -> int:
-    if not (math.isfinite(args.lipschitz) and args.lipschitz >= 0.0):
-        raise ValueError(f"--lipschitz must be finite and >= 0, got {args.lipschitz}")
+    lipschitz = _real(args.lipschitz, "--lipschitz", "nonnegative and finite")
     if not args.delta:
         raise ValueError("at least one --delta is required")
-    for delta in args.delta:
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"--delta must lie in (0, 1), got {delta}")
+    deltas = [_real(delta, "--delta", "in (0, 1)") for delta in args.delta]
     with open(args.schedule) as fh:
         schedule = Schedule.from_json(fh.read())
-    budget = pai_rho(schedule, args.lipschitz)
+    budget = pai_rho(schedule, lipschitz)
     if budget.is_infinite:
         print("rho: infinite (some step has zero noise)")
-        for delta in args.delta:
+        for delta in deltas:
             print(f"delta={delta:g}  eps=infinite")
         return EXIT_OK
     print(f"rho: {budget.rho:.12g}")
-    for delta in args.delta:
+    for delta in deltas:
         eps_closed = rdp_to_dp(budget, delta)
         eps_general = rdp_to_dp_general(budget, delta)
         print(f"delta={delta:g}  eps={eps_closed:.12g}  eps_alpha_opt={eps_general:.12g}")

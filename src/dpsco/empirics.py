@@ -22,12 +22,15 @@ from .schedules import (
     MULTIPLIER_JNN,
     MULTIPLIER_SZ,
     Schedule,
+    _real,
+    _whole,
     constant_step,
     jnn_steps,
     snowball_sizes,
 )
 
-SWEEP_CSV_COLUMNS = ("n", "d", "rho", "algorithm", "trials", "mean", "std_err", "bound", "ratio")
+SWEEP_CSV_COLUMNS = ("n", "d", "rho", "algorithm", "trials", "mean", "std_err", "bound", "ratio",
+                     "declared_rho")
 COUNTEREXAMPLE_CSV_COLUMNS = (
     "T", "k", "sigma", "shift", "variance", "rdp_avg_alpha2", "rdp_last_alpha2", "accuracy",
 )
@@ -44,6 +47,7 @@ class SweepResult:
     std_err: float
     theory_bound: float
     bound_ratio: float
+    declared_rho: float | None  # the largest over the trials; None if any declared none
 
 
 def default_start(domain: ConvexDomain) -> np.ndarray:
@@ -196,34 +200,42 @@ def excess_loss_sweep(
     """Run ``trials`` independent runs per (n, d, rho) grid point and compare
     the mean excess population loss to the algorithm's analytic bound.
 
-    Requires a distribution with a closed-form optimum (excess is computed
-    exactly, never by nested Monte Carlo) whose dimension matches every grid
-    point. Per-trial seeds derive from (seed, grid index, trial), so results
-    are deterministic in (grid order, seed); ``grid_index_base`` lets a caller
+    Each grid point is refused up front as :func:`sweepable` refuses it.
+    Per-trial seeds derive from (seed, grid index, trial), so results are
+    deterministic in (grid order, seed); ``grid_index_base`` lets a caller
     that dispatches points one at a time keep the indices of the full grid.
     """
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
-    if not dist.has_closed_form:
-        raise ValueError(f"{dist.name} has no closed-form optimum; sweeps refuse it")
     algo = ALGORITHMS[algorithm] if isinstance(algorithm, str) else algorithm
     results = []
     for gi, (n, d, rho) in enumerate(grid, start=grid_index_base):
-        if d != dist.dimension:
-            raise ValueError(f"grid point d = {d} != distribution dimension {dist.dimension}")
-        excesses = np.empty(trials)
+        sweepable(dist, d, trials)
+        excesses, declared = np.empty(trials), []
         for trial in range(trials):
             data_seed = _derive_seeds(seed, gi, trial, 0)
             noise_seed = _derive_seeds(seed, gi, trial, 1)
             record = algo.run(dist, n, d, rho, data_seed, noise_seed, sigma_scale)
             excesses[trial] = dist.excess_loss(record.final_iterate)
+            declared.append(getattr(record.declared_budget, "rho", None))
         mean = float(np.mean(excesses))
         std_err = float(np.std(excesses, ddof=1) / math.sqrt(trials))
         bound = float(algo.bound(dist, n, d, rho))
-        results.append(
-            SweepResult(n, d, rho, algo.name, trials, mean, std_err, bound, mean / bound)
-        )
+        results.append(SweepResult(n, d, rho, algo.name, trials, mean, std_err, bound,
+                                   mean / bound, None if None in declared else max(declared)))
     return results
+
+
+def sweepable(dist: SyntheticDistribution, d: int, trials: int) -> SyntheticDistribution:
+    """``dist``, refused with ValueError where no sweep trial at dimension
+    ``d`` can run on it: fewer than 2 trials, no closed-form optimum (excess
+    loss is exact, never Monte Carlo), an L that is not finite (every step
+    size and bound scales by it), or a dimension other than d."""
+    _whole(trials, 2, "trials")
+    if not dist.has_closed_form:
+        raise ValueError(f"{dist.name} has no closed-form optimum; sweeps refuse it")
+    _real(dist.loss.lipschitz, f"{dist.name}'s declared L")
+    if d != dist.dimension:
+        raise ValueError(f"grid point d = {d} != distribution dimension {dist.dimension}")
+    return dist
 
 
 def sweep_to_csv(results, path) -> None:
@@ -233,7 +245,8 @@ def sweep_to_csv(results, path) -> None:
         for r in results:
             writer.writerow(
                 [r.n, r.d, repr(r.rho), r.algorithm, r.trials, repr(r.mean_excess),
-                 repr(r.std_err), repr(r.theory_bound), repr(r.bound_ratio)]
+                 repr(r.std_err), repr(r.theory_bound), repr(r.bound_ratio),
+                 "" if r.declared_rho is None else repr(r.declared_rho)]
             )
 
 
@@ -259,16 +272,17 @@ def sensitivity_probe(
     average-iterate distance next to the analytic bound 2 L eta. Raises
     :class:`ValueError`, where that bound does not hold, for any defect
     :meth:`LossFamily.support_defect` finds at eta: the loss's and the step's
-    before sampling, the data's in each pair; and for ``num_pairs < 1``.
+    before sampling, the data's in each pair; and for ``num_pairs < 1`` or an
+    eta that is not positive and finite (at eta = 0 both sides read 0).
     """
+    eta = _real(eta, "eta")
     def refuse(sample):
         defect = dist.loss.support_defect(sample, dist.domain, eta)
         if defect is not None:
             raise ValueError(f"{defect}: bound inapplicable")
 
     refuse(Dataset(np.empty((0, dist.dimension))))
-    if num_pairs < 1:  # a max over no pair, 0, would pass the bound vacuously
-        raise ValueError(f"num_pairs must be >= 1, got {num_pairs}")
+    _whole(num_pairs, 1, "num_pairs")  # a max over no pair, 0, would pass vacuously
     start = default_start(dist.domain)
     worst = 0.0
     for pair in range(num_pairs):
@@ -325,8 +339,7 @@ def _average_moments(T: int, k: int, sigma: float, x0_offset: float) -> tuple[fl
     divide by sigma^2 and square the offset: both squares must be positive and finite."""
     if not 1 <= k <= T:
         raise ValueError(f"k must be in [1, T], got k = {k}, T = {T}")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    sigma, x0_offset = _real(sigma, "sigma"), _real(x0_offset, "offset", "finite")
     if not (0.0 < sigma * sigma < math.inf and 0.0 < x0_offset * x0_offset < math.inf):
         raise ValueError(f"sigma = {sigma} and offset = {x0_offset} must square to "
                          "positive finite numbers")
@@ -358,8 +371,7 @@ def counterexample_empirical(
     reported. Requires trials >= 100 per sign.
     """
     shift, variance = _average_moments(T, k, sigma, x0_magnitude)
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
+    trials = _whole(trials, 100, "trials")
     rng = np.random.default_rng(seed)
     correct = 0
     for sign in (1.0, -1.0):

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schedules import _real
+
 # Membership is checked to 1e-12 (absolute per coordinate for boxes, relative
 # in norm for balls). Double precision throughout.
 MEMBERSHIP_TOL = 1e-12
@@ -49,11 +51,10 @@ class ConvexDomain:
 
     @classmethod
     def ball(cls, center, radius: float) -> "ConvexDomain":
-        c = _as_vector(center)
-        r = float(radius)
+        c, r = _as_vector(center), _real(radius, "ball radius")
         # a norm squares its entries, so the radius must square to a finite number
-        if not (r > 0.0 and r * r < math.inf):
-            raise ValueError(f"ball radius must be positive with a finite square, got {r}")
+        if not r * r < math.inf:
+            raise ValueError(f"ball radius must have a finite square, got {r}")
         if not (c.size and np.isfinite(c).all()):
             raise ValueError(f"ball center must be finite, of dimension >= 1, got {c}")
         return cls(kind="ball", center=c, radius=r)

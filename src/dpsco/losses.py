@@ -17,6 +17,7 @@ from typing import Any
 import numpy as np
 
 from .geometry import ConvexDomain, DimensionMismatchError, project
+from .schedules import _real, _whole
 
 QUADRATIC = "quadratic"
 LINEAR_REGRESSION = "linear_regression"
@@ -35,8 +36,9 @@ class LossFamily:
         (f = 0.5 (a.w - b)^2), ``logistic`` (f = log(1 + exp(-b a.w))), or
         ``absolute_deviation`` (f = |a.w - b|, non-smooth).
     lipschitz, smoothness, strong_convexity:
-        constants valid over the declared domain; ``smoothness`` is
-        ``math.inf`` for the non-smooth family. ``lipschitz`` may be
+        constants valid over the declared domain: L and beta positive,
+        lambda nonnegative and finite, and lambda <= beta. ``smoothness`` is
+        ``math.inf`` for the non-smooth family; ``lipschitz`` may be
         ``math.inf`` for unbounded-data samplers.
     """
 
@@ -48,11 +50,10 @@ class LossFamily:
     def __post_init__(self):
         if self.kind not in (QUADRATIC,) + _PAIR_FAMILIES:
             raise ValueError(f"unknown loss family {self.kind!r}")
-        if not self.lipschitz > 0:
-            raise ValueError("lipschitz constant must be positive")
-        if not (self.smoothness >= 0 and self.strong_convexity >= 0):
-            raise ValueError("smoothness and strong convexity must be nonnegative")
-        if math.isfinite(self.smoothness) and self.strong_convexity > self.smoothness:
+        _real(self.lipschitz, "lipschitz constant", "positive")
+        _real(self.smoothness, "smoothness", "positive")
+        _real(self.strong_convexity, "strong convexity", "nonnegative and finite")
+        if self.strong_convexity > self.smoothness:
             raise ValueError("strong convexity cannot exceed smoothness")
 
     def grad(self, w: np.ndarray, x) -> np.ndarray:
@@ -211,8 +212,7 @@ class SyntheticDistribution:
 
     def sample_dataset(self, n: int, rng_seed: int) -> Dataset:
         """Draw ``n`` i.i.d. examples; deterministic given the seed."""
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
+        n = _whole(n, 1, "n")
         rng = np.random.default_rng(rng_seed)
         d = self.dimension
         p = self.params
@@ -268,9 +268,15 @@ class SyntheticDistribution:
         raise ValueError(f"no closed-form population loss for sampler {self.sampler!r}")
 
     def excess_loss(self, w) -> float:
-        if not self.has_closed_form:
-            raise ValueError(f"{self.name} has no closed-form optimum")
-        return self.population_loss(w) - self.optimum
+        return self.population_loss(w) - self.optimum  # population_loss refuses logistic
+
+
+def _finite(values, name: str) -> np.ndarray:
+    """``values`` as a flat float64 vector, refused with ValueError unless finite."""
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
+    return v
 
 
 def _sup_distance(domain: ConvexDomain, point: np.ndarray) -> float:
@@ -283,9 +289,7 @@ def _sup_distance(domain: ConvexDomain, point: np.ndarray) -> float:
 
 def quadratic_point_mass(domain: ConvexDomain, center) -> SyntheticDistribution:
     """Quadratic loss with all mass at one point; F* = 0 when the point is feasible."""
-    c = np.asarray(center, dtype=np.float64).reshape(-1)
-    if not np.isfinite(c).all():
-        raise ValueError("center must be finite")
+    c = _finite(center, "center")
     loss = LossFamily(QUADRATIC, lipschitz=max(_sup_distance(domain, c), 1e-12),
                       smoothness=1.0, strong_convexity=1.0)
     return SyntheticDistribution(
@@ -300,10 +304,7 @@ def quadratic_sphere(domain: ConvexDomain, center, data_radius: float) -> Synthe
     The canonical closed-form test family: L = sup |w - mu| + r over the
     domain, beta = lam = 1.
     """
-    mu = np.asarray(center, dtype=np.float64).reshape(-1)
-    r = float(data_radius)
-    if not (0.0 < r < math.inf and np.isfinite(mu).all()):
-        raise ValueError("data_radius must be positive and finite, center finite")
+    mu, r = _finite(center, "center"), _real(data_radius, "data_radius")
     loss = LossFamily(QUADRATIC, lipschitz=_sup_distance(domain, mu) + r,
                       smoothness=1.0, strong_convexity=1.0)
     return SyntheticDistribution(
@@ -314,10 +315,7 @@ def quadratic_sphere(domain: ConvexDomain, center, data_radius: float) -> Synthe
 
 def quadratic_gaussian(domain: ConvexDomain, mean, sigma: float) -> SyntheticDistribution:
     """Quadratic loss with Gaussian data; gradients are unbounded, so L = inf."""
-    mu = np.asarray(mean, dtype=np.float64).reshape(-1)
-    s = float(sigma)
-    if not (0.0 < s < math.inf and np.isfinite(mu).all()):
-        raise ValueError("sigma must be positive and finite, mean finite")
+    mu, s = _finite(mean, "mean"), _real(sigma, "sigma")
     loss = LossFamily(QUADRATIC, lipschitz=math.inf, smoothness=1.0, strong_convexity=1.0)
     return SyntheticDistribution(
         name="quadratic_gaussian", loss=loss, domain=domain, sampler="gaussian",
@@ -335,9 +333,7 @@ def absolute_deviation_uniform(
     """
     if domain.dimension != 1:
         raise ValueError("absolute_deviation_uniform is 1-D")
-    h, m = float(half_width), float(median)
-    if not (0.0 < h < math.inf and math.isfinite(m)):
-        raise ValueError("half_width must be positive and finite, median finite")
+    h, m = _real(half_width, "half_width"), _real(median, "median", "finite")
     loss = LossFamily(ABSOLUTE_DEVIATION, lipschitz=1.0, smoothness=math.inf,
                       strong_convexity=0.0)
     return SyntheticDistribution(
@@ -352,11 +348,8 @@ def linear_regression_sphere(
     domain: ConvexDomain, feature_radius: float, w_true, noise_half_width: float
 ) -> SyntheticDistribution:
     """Least squares with spherical features and uniform label noise."""
-    wt = np.asarray(w_true, dtype=np.float64).reshape(-1)
-    r, s = float(feature_radius), float(noise_half_width)
-    if not (0.0 < r < math.inf and 0.0 <= s < math.inf and np.isfinite(wt).all()):
-        raise ValueError("feature_radius must be positive, noise_half_width nonnegative, "
-                         "all finite")
+    wt, r = _finite(w_true, "w_true"), _real(feature_radius, "feature_radius")
+    s = _real(noise_half_width, "noise_half_width", "nonnegative and finite")
     sup_w = _sup_distance(domain, wt)
     loss = LossFamily(LINEAR_REGRESSION, lipschitz=r * (r * sup_w + s),
                       smoothness=r * r, strong_convexity=0.0)
@@ -374,10 +367,7 @@ def logistic_sphere(domain: ConvexDomain, feature_radius: float, w_ref) -> Synth
     The population minimizer is ``w_ref`` (when feasible); the optimum has no
     closed form, so this family is for probes rather than exact sweeps.
     """
-    wr = np.asarray(w_ref, dtype=np.float64).reshape(-1)
-    r = float(feature_radius)
-    if not (0.0 < r < math.inf and np.isfinite(wr).all()):
-        raise ValueError("feature_radius must be positive and finite, w_ref finite")
+    wr, r = _finite(w_ref, "w_ref"), _real(feature_radius, "feature_radius")
     loss = LossFamily(LOGISTIC, lipschitz=r, smoothness=r * r / 4.0, strong_convexity=0.0)
     return SyntheticDistribution(
         name="logistic_sphere", loss=loss, domain=domain, sampler="sphere_logistic",

@@ -27,7 +27,7 @@ import numpy as np
 from .accountant import ApproxDP, PrivacyBudget, gaussian_sigma, pai_rho
 from .geometry import ConvexDomain, DimensionMismatchError, project
 from .losses import ABSOLUTE_DEVIATION, LINEAR_REGRESSION, QUADRATIC, Dataset, LossFamily
-from .schedules import Schedule, _whole, phase_plan, sc_weights, snowball_batches
+from .schedules import Schedule, _real, _whole, phase_plan, sc_weights, snowball_batches
 
 _NOISE_BLOCK = 256
 # Most float64 values a prefetch holds (4 MiB), which bounds the memory a run
@@ -554,10 +554,11 @@ def phased_sgd(
     declared (``declared_budget`` is None). The 2 L eta_i bound needs the
     declared constants (:meth:`LossFamily.support_defect` at eta): for a loss
     that is not smooth the run warns and declares none; eta > 2/beta, or data
-    above the declared beta or L, raise :class:`StepSizeError`.
+    above the declared beta or L, raise :class:`StepSizeError`. ``eta`` and
+    ``sigma_scale`` must be finite, eta and ``rho`` (inf: no noise) positive.
     """
-    if not (0.0 < eta < math.inf and rho > 0.0):
-        raise ValueError("eta must be positive and finite, and rho positive")
+    eta, rho = _real(eta, "eta"), _real(rho, "rho", "positive")
+    sigma_scale = _real(sigma_scale, "sigma_scale", "nonnegative and finite")
     defect = loss.support_defect(data, domain, eta)
     if defect is not None and math.isfinite(loss.smoothness):
         raise StepSizeError(f"{defect}: sensitivity bound inapplicable")
@@ -653,10 +654,9 @@ def phased_erm(
         included). "exact" solves the phase objective in closed form
         (quadratic family, or 1-D absolute deviation) and makes no oracle calls.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if not (0.0 < eta < math.inf and epsilon > 0.0):
-        raise ValueError("eta must be positive and finite, and epsilon positive")
+    eta, epsilon = _real(eta, "eta"), _real(epsilon, "epsilon", "positive")
+    delta = _real(delta, "delta", "in (0, 1)")
+    sigma_scale = _real(sigma_scale, "sigma_scale", "nonnegative and finite")
     if inner not in ("sgd", "exact"):
         raise ValueError(f"unknown inner solver {inner!r}")
     defect = loss.support_defect(data, domain)
@@ -876,22 +876,19 @@ def sc_weighted_sgd(
     lam, eta = _strongly_convex_step(loss, T, eta)
     if eta > 1.0 / (2.0 * lam) + 1e-15:
         raise StepSizeError(f"eta = {eta} > 1/(2 lam) = {1.0 / (2.0 * lam)}")
-    if noise_scale > 0 and noise is None:
+    if _real(noise_scale, "noise_scale", "nonnegative and finite") > 0 and noise is None:
         raise ValueError("noisy run requires a NoiseStream")
     return _claimed_pass(data, loss, domain, w0, Schedule.constant(T, 1, eta, noise_scale),
                          noise, weights=sc_weights(T, eta, lam))
 
 
 def _strongly_convex_step(loss, T, eta):
-    """The family's lam > 0 and eta, by default 2 ln(T) / (lam T)."""
-    lam = loss.strong_convexity
-    if lam <= 0:
-        raise ValueError("the strongly convex optimizers require a strongly convex family")
-    if eta is None:
-        if T < 2:
-            raise ValueError("default step size needs T >= 2; pass eta explicitly")
+    """The family's lam and eta, positive and finite; eta by default 2 ln(T) / (lam T)."""
+    lam = _real(loss.strong_convexity, "the family's strong convexity")
+    if eta is None:  # ln 1 = 0: a single step needs an explicit eta
+        T = _whole(T, 2, "T (for the default eta)")
         eta = 2.0 * math.log(T) / (lam * T)
-    return lam, eta
+    return lam, _real(eta, "eta")
 
 
 def sc_snowball(

@@ -9,7 +9,7 @@ from __future__ import annotations
 import array
 import json
 import math
-import operator
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -27,14 +27,40 @@ class InvalidScheduleError(ValueError):
 
 def _whole(value, least: int, name: str) -> int:
     """``value`` as an int, refused with ValueError unless it is an integer
-    of at least ``least``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    (not a bool) of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
-    return value
+    return int(value)
+
+
+# The intervals a real can lie in, named as refusals word them: (low, high, low in, high in)
+_INTERVALS = {
+    "positive and finite": (0.0, math.inf, False, False),
+    "nonnegative and finite": (0.0, math.inf, True, False),
+    "finite": (-math.inf, math.inf, False, False),
+    "positive": (0.0, math.inf, False, True),
+    "nonnegative": (0.0, math.inf, True, True),
+    "in (0, 1)": (0.0, 1.0, False, False),
+    "> 1": (1.0, math.inf, False, False),
+    ">= 1": (1.0, math.inf, True, False),
+}
+
+
+def _real(value, name: str, interval: str = "positive and finite") -> float:
+    """``value`` as a float, refused with ValueError unless it is a real
+    number (Python or numpy; not a bool, a string or None) in ``interval``,
+    one of the names in :data:`_INTERVALS`. NaN lies in none of them."""
+    low, high, with_low, with_high = _INTERVALS[interval]
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:  # an integer past float64
+            real = math.inf if value > 0 else -math.inf
+        if low < real < high or with_low and real == low or with_high and real == high:
+            return real
+    raise ValueError(f"{name} must be {interval}, got {value!r}")
 
 
 # Batch sizes are stored as int64; this is the largest one, and the largest total.
@@ -212,14 +238,11 @@ def snowball_sizes(n: int, d: int, rho: float, multiplier: float) -> np.ndarray:
     there every c_r is computed. Past it each run of equal values ends where a
     vectorized bisection on the same expression puts it, and the runs are
     repeated out, so the float work is O(h + runs * log n) rather than O(n).
-    ``d`` must be >= 1, ``rho`` and ``multiplier`` positive and finite, and
-    c_1 must fit in int64.
+    ``n`` and ``d`` must be >= 1, ``rho`` and ``multiplier`` positive and
+    finite, and c_1 must fit in int64.
     """
-    d = _whole(d, 1, "d")
-    if not 0.0 < rho < math.inf:
-        raise ValueError("rho must be positive and finite")
-    if not 0.0 < multiplier < math.inf:
-        raise ValueError("multiplier must be positive and finite")
+    n, d = _whole(n, 1, "n"), _whole(d, 1, "d")
+    rho, multiplier = _real(rho, "rho"), _real(multiplier, "multiplier")
     if not multiplier * math.sqrt(d) / rho < 2.0**63:  # c_1 as computed below
         raise ValueError("batch sizes must fit in int64")
 
@@ -268,10 +291,9 @@ def snowball_batches(T: int, d: int, rho: float,
 
 
 def constant_step(T: int, D: float, L_G: float) -> tuple[float, ...]:
-    """Fixed step size D / (L_G * sqrt(T)) for all T steps."""
-    T = _whole(T, 1, "T")
-    if D <= 0 or L_G <= 0:
-        raise ValueError("D and L_G must be positive")
+    """Fixed step size D / (L_G * sqrt(T)) for all T steps; T >= 1, and D
+    and L_G positive and finite."""
+    T, D, L_G = _whole(T, 1, "T"), _real(D, "D"), _real(L_G, "L_G")
     return (D / (L_G * math.sqrt(T)),) * T
 
 
@@ -282,8 +304,9 @@ def jnn_steps(T: int, c: float) -> tuple[float, ...]:
     With ell = ceil(log2 T) and band boundaries T_i = T - ceil(T * 2^-i)
     (T_{ell+1} = T), steps in band i equal c * 2^-i / sqrt(T). The sequence is
     nonincreasing; the first step is c / sqrt(T) and the last c * 2^-ell / sqrt(T).
+    T >= 1, and c positive and finite.
     """
-    T = _whole(T, 1, "T")
+    T, c = _whole(T, 1, "T"), _real(c, "c")
     ell = max(0, math.ceil(math.log2(T)))
     bounds = [T - math.ceil(T * 2.0 ** (-i)) for i in range(ell + 1)] + [T]
     band_steps = (c * 2.0 ** -np.arange(ell + 1) / math.sqrt(T)).tolist()
@@ -297,12 +320,11 @@ def sc_weights(T: int, eta: float, lam: float) -> np.ndarray:
     """Geometric averaging weights (1 - eta * lam)^-t, t = 1..T, for strongly
     convex SGD, as a read-only array.
 
-    Requires eta * lam < 1 so the weights are positive, and a finite sum; the
-    consuming optimizer additionally enforces eta <= 1 / (2 * lam).
+    Requires eta and lam positive and finite with eta * lam < 1, so the
+    weights are positive, and a finite sum; the consuming optimizer
+    additionally enforces eta <= 1 / (2 * lam).
     """
-    T = _whole(T, 1, "T")
-    if eta <= 0 or lam <= 0:
-        raise ValueError("eta and lam must be positive")
+    T, eta, lam = _whole(T, 1, "T"), _real(eta, "eta"), _real(lam, "lam")
     if eta * lam >= 1:
         raise InvalidScheduleError(f"eta * lam = {eta * lam} >= 1: weights diverge")
     base = 1.0 - eta * lam
@@ -324,10 +346,8 @@ def phase_plan(n: int, eta0: float) -> list[tuple[int, float]]:
     eta_i = 4^-i * eta0. Sample counts are floored so they are integers; the
     leftover samples are discarded, which only strengthens privacy. Phases
     with zero samples are dropped (n = 5 gives an empty third phase), so
-    sum n_i <= n.
+    sum n_i <= n. n >= 2, and eta0 positive and finite.
     """
-    n = _whole(n, 2, "n")
-    if eta0 <= 0:
-        raise ValueError("eta0 must be positive")
+    n, eta0 = _whole(n, 2, "n"), _real(eta0, "eta0")
     plan = [(n >> i, eta0 * 4.0 ** (-i)) for i in range(1, math.ceil(math.log2(n)) + 1)]
     return [(ni, ei) for ni, ei in plan if ni >= 1]

@@ -223,6 +223,44 @@ class TestRun:
         assert run_cli(["run", "--config", path]) == 0
         assert Path(cfg["output"]).read_text().splitlines()[1].startswith("64,2,1.0,phased_sgd,3,")
 
+    def test_declared_rho_is_what_the_trials_declared(self, tmp_path, sweep_config):
+        # the header gained declared_rho at the end; the grid's rho column
+        # reads 1.0 while every snowball_sz run at sigma_scale = 0.1 declares
+        # about 10, and psgd or a reduced-noise phased_sgd declares none
+        import numpy as np
+
+        from dpsco.accountant import pai_rho
+        from dpsco.empirics import _snowball_plan
+        from dpsco.geometry import ConvexDomain
+        from dpsco.losses import quadratic_sphere
+        from dpsco.schedules import MULTIPLIER_SZ, Schedule, constant_step
+
+        cfg, path = sweep_config
+        n, d, rho, scale = 256, 2, 1.0, 0.1
+        rows = {}
+        for algorithm, sigma_scale in (("snowball_sz", scale), ("psgd", scale),
+                                       ("phased_sgd", scale), ("phased_sgd", 1.0)):
+            path.write_text(json.dumps({**cfg, "algorithm": algorithm,
+                                        "grid": [{"n": n, "d": d, "rho": rho}],
+                                        "overrides": {"sigma_scale": sigma_scale}}))
+            assert run_cli(["run", "--config", path]) == 0
+            header, row = Path(cfg["output"]).read_text().strip().splitlines()
+            assert header == "n,d,rho,algorithm,trials,mean,std_err,bound,ratio,declared_rho"
+            rows[algorithm, sigma_scale] = dict(zip(header.split(","), row.split(",")))
+        dist = quadratic_sphere(ConvexDomain.ball([0.0, 0.0], 1.0), [0.0, 0.0], 1.0)
+        L = dist.loss.lipschitz
+        batches = _snowball_plan(n, d, rho, MULTIPLIER_SZ)
+        T = len(batches)
+        schedule = Schedule(batches, constant_step(T, dist.domain.diameter, math.sqrt(2.0) * L),
+                            np.full(T, scale * L / math.sqrt(d)))
+        declared = pai_rho(schedule, L).rho
+        assert rows["snowball_sz", scale]["rho"] == "1.0"
+        assert rows["snowball_sz", scale]["declared_rho"] == repr(declared)
+        assert 5.0 * rho < declared <= rho / scale * (1.0 + 1e-9)
+        assert rows["psgd", scale]["declared_rho"] == ""
+        assert rows["phased_sgd", scale]["declared_rho"] == ""
+        assert rows["phased_sgd", 1.0]["declared_rho"] == "1.0"
+
     def test_zero_sigma_scale_still_runs(self, sweep_config):
         cfg, path = sweep_config
         path.write_text(json.dumps({**cfg, "overrides": {"sigma_scale": 0.0}}))
@@ -257,6 +295,84 @@ class TestRun:
                                     "overrides": {"sigma_scale": 0.0}}))
         assert run_cli(["run", "--config", path]) == 0
         assert started_threads == []
+
+
+# Hostile values every number of a run config refuses, and more for each
+# field by its range: a count must be an integer at least its least value, a
+# real finite (an integer literal past float64 raised OverflowError out of
+# main), a scale positive, a noise width or sigma_scale nonnegative.
+NOT_A_NUMBER = [math.nan, math.inf, -math.inf, True, "1", None]
+NOT_A_COUNT = NOT_A_NUMBER + [-1, 2.5]
+PAST_FLOAT64 = 10**400
+NOT_A_REAL = NOT_A_NUMBER + [PAST_FLOAT64]
+NOT_POSITIVE = NOT_A_REAL + [-1.0, 0.0]
+NOT_NONNEGATIVE = NOT_A_REAL + [-1.0]
+
+
+def _hostile_config_values():
+    """(config change, a word the refusal must hold) for every numeric field
+    of a ``dpsco run`` config, one hostile value at a time."""
+    def grid(key):
+        return lambda v: lambda cfg: {**cfg, "grid": [{**cfg["grid"][0], key: v}]}
+
+    def top(key):
+        return lambda v: lambda cfg: {**cfg, key: v}
+
+    def overrides(v):
+        return lambda cfg: {**cfg, "overrides": {"sigma_scale": v}}
+
+    def domain(fields):
+        return lambda v: lambda cfg: {**cfg, "domain": fields(v)}
+
+    def loss(family, key, d=2):
+        return lambda v: lambda cfg: {**cfg, "loss": {"family": family, key: v},
+                                      "grid": [{"n": 64, "d": d, "rho": 1.0}]}
+
+    table = [
+        ("grid n", grid("n"), NOT_A_COUNT + [0], "grid entry"),
+        ("grid d", grid("d"), NOT_A_COUNT + [0], "grid entry"),
+        ("grid rho", grid("rho"), NOT_POSITIVE, "grid entry"),
+        ("trials", top("trials"), NOT_A_COUNT + [0, 1], "trials"),
+        ("seed", top("seed"), NOT_A_COUNT, "seed"),
+        ("sigma_scale", overrides, NOT_NONNEGATIVE, "sigma_scale"),
+        ("ball radius", domain(lambda v: {"kind": "ball", "radius": v}), NOT_POSITIVE,
+         "radius"),
+        ("ball center", domain(lambda v: {"kind": "ball", "center": v}), NOT_A_REAL,
+         "center"),
+        ("ball center entry", domain(lambda v: {"kind": "ball", "center": [0.0, v]}),
+         NOT_A_REAL, "center"),
+        ("box lower", domain(lambda v: {"kind": "box", "lower": v, "upper": 1.0}),
+         NOT_A_REAL + [2.0], "lower"),
+        ("box upper", domain(lambda v: {"kind": "box", "lower": -1.0, "upper": [1.0, v]}),
+         NOT_A_REAL + [-2.0], "upper"),
+        ("quadratic_sphere center", loss("quadratic_sphere", "center"), NOT_A_REAL,
+         "center"),
+        ("quadratic_sphere data_radius", loss("quadratic_sphere", "data_radius"),
+         NOT_POSITIVE, "data_radius"),
+        ("quadratic_point_mass center", loss("quadratic_point_mass", "center"), NOT_A_REAL,
+         "center"),
+        ("quadratic_gaussian mean", loss("quadratic_gaussian", "mean"), NOT_A_REAL, "mean"),
+        ("quadratic_gaussian sigma", loss("quadratic_gaussian", "sigma"), NOT_POSITIVE,
+         "sigma"),
+        ("absolute_deviation_uniform median", loss("absolute_deviation_uniform", "median", 1),
+         NOT_A_REAL, "median"),
+        ("absolute_deviation_uniform half_width",
+         loss("absolute_deviation_uniform", "half_width", 1), NOT_POSITIVE, "half_width"),
+        ("linear_regression_sphere feature_radius",
+         loss("linear_regression_sphere", "feature_radius"), NOT_POSITIVE, "feature_radius"),
+        ("linear_regression_sphere w_true", loss("linear_regression_sphere", "w_true"),
+         NOT_A_REAL, "w_true"),
+        ("linear_regression_sphere noise_half_width",
+         loss("linear_regression_sphere", "noise_half_width"), NOT_NONNEGATIVE,
+         "noise_half_width"),
+        ("logistic_sphere feature_radius", loss("logistic_sphere", "feature_radius"),
+         NOT_POSITIVE, "feature_radius"),
+        ("logistic_sphere w_ref", loss("logistic_sphere", "w_ref"), NOT_A_REAL, "w_ref"),
+    ]
+    for name, change, values, field in table:
+        for value in values:
+            label = "10**400" if value is PAST_FLOAT64 else repr(value)
+            yield pytest.param(change(value), field, id=f"{name}={label}")
 
 
 class TestHostileRunConfig:
@@ -298,6 +414,27 @@ class TestHostileRunConfig:
             os.close(fd)
         assert victim.read_bytes() == b""
         assert not Path(f"{fd}.manifest.json").exists()
+
+    @pytest.mark.parametrize("change, field", list(_hostile_config_values()))
+    def test_hostile_number(self, tmp_path, sweep_config, capsys, change, field):
+        # one table for every numeric field, which were pinned case by case
+        cfg, path = sweep_config
+        path.write_text(json.dumps(change(cfg), allow_nan=True))
+        self._assert_refused(tmp_path, capsys, path, field)
+
+    @pytest.mark.parametrize("loss, algorithm, reason", [
+        ({"family": "logistic_sphere"}, "phased_sgd", "no closed-form optimum"),
+        ({"family": "quadratic_gaussian"}, "snowball_sz", "declared L"),
+        ({"family": "quadratic_gaussian"}, "psgd", "declared L"),
+    ])
+    def test_problem_no_trial_can_run(self, tmp_path, sweep_config, capsys, loss, algorithm,
+                                      reason):
+        # logistic exited 3 after writing an empty CSV and a partial manifest;
+        # L = inf exited 3 under snowball_sz, and 0 under psgd with a vacuous
+        # row: bound = inf and ratio = 0.0, every step D / (inf sqrt(n)) = 0
+        cfg, path = sweep_config
+        path.write_text(json.dumps({**cfg, "loss": loss, "algorithm": algorithm}))
+        self._assert_refused(tmp_path, capsys, path, reason)
 
     @staticmethod
     def _assert_refused(tmp_path, capsys, path, field=None):
@@ -590,6 +727,14 @@ class TestProbesAndChecks:
         captured = capsys.readouterr()
         assert captured.err.startswith("probe-sensitivity refused: ")
         assert "num_pairs must be >= 1" in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_probe_refuses_a_zero_step(self, capsys):
+        # neither run moved, so max_observed 0 <= bound 0 passed vacuously
+        assert run_cli(["probe-sensitivity", "--family", "quadratic", "--n", 12,
+                        "--pairs", 10, "--eta", 0, "--seed", 1]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("probe-sensitivity refused: eta must be positive")
         assert captured.out == ""
 
 

@@ -384,7 +384,7 @@ class TestCsv:
         path = tmp_path / "sweep.csv"
         sweep_to_csv(results, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "n,d,rho,algorithm,trials,mean,std_err,bound,ratio"
+        assert lines[0] == "n,d,rho,algorithm,trials,mean,std_err,bound,ratio,declared_rho"
         assert lines[1].startswith("32,2,1.0,phased_sgd,2,")
 
     def test_default_k_grid(self):

@@ -276,9 +276,12 @@ BALL1 = ConvexDomain.ball([0.0], 1.0)
     pytest.param(lambda: logistic_sphere(BALL2, 1.0, [NAN, 0.0]), id="logistic w_ref nan"),
     pytest.param(lambda: LossFamily("quadratic", NAN, 1.0, 1.0), id="family L nan"),
     pytest.param(lambda: LossFamily("logistic", 1.0, NAN, 0.0), id="family beta nan"),
+    pytest.param(lambda: linear_regression_sphere(BALL2, 1e-170, [0.0, 0.0], 1.0),
+                 id="regression beta underflows to 0"),
 ])
 def test_constructor_refuses_non_finite_or_empty_input(build):
-    # each was accepted, and its NaN or inf surfaced far from here, if at all
+    # each was accepted, and its NaN or inf surfaced far from here, if at all;
+    # beta = 0 raised ZeroDivisionError from support_defect's 2 / beta
     with pytest.raises(ValueError):
         build()
 

@@ -256,18 +256,20 @@ class TestSnowballBatches:
                 snowball_batches(2, 1, 1.0, 2.0**63)
 
 
-@pytest.mark.parametrize("bad", [0, -1, 2.5, "3"])
+@pytest.mark.parametrize("bad", [0, -1, 2.5, "3", True, None])
 @pytest.mark.parametrize("build, name", [
+    (lambda v: snowball_sizes(v, 4, 1.0, MULTIPLIER_SZ), "n"),
     (lambda v: snowball_sizes(8, v, 1.0, MULTIPLIER_SZ), "d"),
     (lambda v: snowball_batches(v, 4, 1.0), "T"),
     (lambda v: constant_step(v, 1.0, 1.0), "T"),
     (lambda v: jnn_steps(v, 1.0), "T"),
     (lambda v: sc_weights(v, 0.1, 1.0), "T"),
     (lambda v: phase_plan(v, 1.0), "n"),
-], ids=["snowball_sizes", "snowball_batches", "constant_step", "jnn_steps", "sc_weights",
-        "phase_plan"])
+], ids=["snowball_sizes n", "snowball_sizes", "snowball_batches", "constant_step",
+        "jnn_steps", "sc_weights", "phase_plan"])
 def test_constructor_refuses_a_count_that_is_not_a_whole_number(build, name, bad):
-    # 2.5 and "3" raised TypeError or struct.error, and snowball_sizes took d = 2.5
+    # 2.5 and "3" raised TypeError or struct.error, snowball_sizes took d = 2.5,
+    # and its n = 2.5 gave [4 3 3] and n = 0 or -1 an empty array; True was 1
     with pytest.raises(ValueError, match=f"^{name} must be "):
         build(bad)
 
