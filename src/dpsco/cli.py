@@ -52,7 +52,7 @@ from .losses import (
     quadratic_point_mass,
     quadratic_sphere,
 )
-from .schedules import Schedule, _real, _whole
+from .schedules import Schedule, _real, _whole, _vector as _real_vector
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,9 +86,7 @@ def _vector(spec: dict, key: str, d: int, default: float | None = None) -> np.nd
     value = spec.get(key, default)
     if not isinstance(value, list):
         return np.full(d, _number(spec, key, default))
-    if len(value) != d:
-        raise ValueError(f"{key!r} must have d = {d} entries, got {len(value)}")
-    return np.array([_number({key: entry}, key) for entry in value])
+    return _real_vector(value, repr(key), dim=d)
 
 
 def _object(spec, name: str) -> dict:
@@ -168,7 +166,7 @@ def cmd_run(args) -> int:
     # every grid point's problem is built, and refused where no trial could
     # run on it, before the first trial, so nothing is written
     problems = [sweepable(_build_distribution(cfg["loss"], _build_domain(cfg["domain"], d)),
-                          d, trials) for _, d, _ in grid]
+                          n, d, trials) for n, d, _ in grid]
 
     manifest = {
         "config": cfg,

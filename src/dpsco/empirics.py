@@ -208,7 +208,7 @@ def excess_loss_sweep(
     algo = ALGORITHMS[algorithm] if isinstance(algorithm, str) else algorithm
     results = []
     for gi, (n, d, rho) in enumerate(grid, start=grid_index_base):
-        sweepable(dist, d, trials)
+        sweepable(dist, n, d, trials)
         excesses, declared = np.empty(trials), []
         for trial in range(trials):
             data_seed = _derive_seeds(seed, gi, trial, 0)
@@ -224,12 +224,18 @@ def excess_loss_sweep(
     return results
 
 
-def sweepable(dist: SyntheticDistribution, d: int, trials: int) -> SyntheticDistribution:
-    """``dist``, refused with ValueError where no sweep trial at dimension
-    ``d`` can run on it: fewer than 2 trials, no closed-form optimum (excess
-    loss is exact, never Monte Carlo), an L that is not finite (every step
-    size and bound scales by it), or a dimension other than d."""
+def sweepable(dist: SyntheticDistribution, n: int, d: int, trials: int) -> SyntheticDistribution:
+    """``dist``, refused with ValueError where no sweep trial of ``n``
+    examples at dimension ``d`` can run on it: fewer than 2 trials, an (n, d)
+    float64 dataset numpy cannot address, no closed-form optimum (excess loss
+    is exact, never Monte Carlo), an L that is not finite (every step size
+    and bound scales by it), or a dimension other than d."""
     _whole(trials, 2, "trials")
+    # the most rows of an (n, d) float64 dataset that numpy can address
+    rows = np.iinfo(np.intp).max // (8 * _whole(d, 1, "d"))
+    if _whole(n, 1, "n") > rows:
+        raise ValueError(f"n must be <= {rows} at d = {d}, the most rows numpy can address, "
+                         f"got {n}")
     if not dist.has_closed_form:
         raise ValueError(f"{dist.name} has no closed-form optimum; sweeps refuse it")
     _real(dist.loss.lipschitz, f"{dist.name}'s declared L")

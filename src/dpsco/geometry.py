@@ -12,25 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import _real
+from .schedules import DimensionMismatchError, _frozen, _real, _vector
 
 # Membership is checked to 1e-12 (absolute per coordinate for boxes, relative
 # in norm for balls). Double precision throughout.
 MEMBERSHIP_TOL = 1e-12
 
 
-class DimensionMismatchError(ValueError):
-    """A point's dimension does not match the domain it is used with."""
-
-
-def _as_vector(x, dim: int | None = None) -> np.ndarray:
+def _as_vector(x, dim: int) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim == 0:
         v = v.reshape(1)
-    if v.ndim != 1:
-        raise DimensionMismatchError(f"expected a vector, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
-        raise DimensionMismatchError(f"expected dimension {dim}, got {v.shape[0]}")
+    if v.shape != (dim,):
+        raise DimensionMismatchError(f"expected dimension {dim}, got shape {v.shape}")
     return v
 
 
@@ -38,9 +32,11 @@ def _as_vector(x, dim: int | None = None) -> np.ndarray:
 class ConvexDomain:
     """A Euclidean ball or an axis-aligned box in R^d.
 
-    Construct via :meth:`ball` or :meth:`box`; both refuse a NaN, infinite
-    or empty bound. ``diameter`` is the Euclidean diameter: ``2 * radius`` for
-    balls, ``norm(upper - lower)`` for boxes.
+    Construct via :meth:`ball` or :meth:`box`; both take their vectors through
+    :func:`dpsco.schedules._vector`, so they refuse a NaN, infinite or empty
+    bound. The domain keeps read-only copies of its vectors. ``diameter`` is
+    the Euclidean diameter: ``2 * radius`` for balls, ``norm(upper - lower)``
+    for boxes.
     """
 
     kind: str
@@ -49,22 +45,29 @@ class ConvexDomain:
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
 
+    def __post_init__(self):
+        for name in ("center", "lower", "upper"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen(getattr(self, name)))
+
+    def __reduce__(self):
+        # copies and unpickled domains are rebuilt by __post_init__: read-only
+        return ConvexDomain, (self.kind, self.center, self.radius, self.lower, self.upper)
+
     @classmethod
     def ball(cls, center, radius: float) -> "ConvexDomain":
-        c, r = _as_vector(center), _real(radius, "ball radius")
+        c, r = _vector(center, "ball center"), _real(radius, "ball radius")
         # a norm squares its entries, so the radius must square to a finite number
         if not r * r < math.inf:
             raise ValueError(f"ball radius must have a finite square, got {r}")
-        if not (c.size and np.isfinite(c).all()):
-            raise ValueError(f"ball center must be finite, of dimension >= 1, got {c}")
         return cls(kind="ball", center=c, radius=r)
 
     @classmethod
     def box(cls, lower, upper) -> "ConvexDomain":
-        lo = _as_vector(lower)
-        up = _as_vector(upper, dim=lo.shape[0])
-        if not (lo.size and np.isfinite(lo).all() and np.isfinite(up).all() and np.all(lo <= up)):
-            raise ValueError("box requires finite lower <= upper coordinatewise, dimension >= 1")
+        lo = _vector(lower, "box lower")
+        up = _vector(upper, "box upper", dim=lo.shape[0])
+        if not np.all(lo <= up):
+            raise ValueError("box lower must be <= upper coordinatewise")
         return cls(kind="box", lower=lo, upper=up)
 
     @property
@@ -98,7 +101,8 @@ def project(domain: ConvexDomain, point) -> np.ndarray:
 
     Interior points are returned unchanged (bitwise), so projection is exactly
     idempotent there; boundary round-off stays within the membership tolerance.
-    A ball refuses a point that is not finite.
+    A float64 vector inside a ball comes back as the same array, not a copy.
+    A point that is not finite is refused on a ball, and a NaN one on a box.
     """
     p = _as_vector(point, dim=domain.dimension)
     if domain.kind == "ball":
@@ -113,4 +117,7 @@ def project(domain: ConvexDomain, point) -> np.ndarray:
                 raise ValueError("cannot project a point that is not finite onto a ball")
             dist = top * float(np.linalg.norm(offset / top))
         return domain.center + offset * (domain.radius / dist)
-    return np.clip(p, domain.lower, domain.upper)
+    clipped = np.clip(p, domain.lower, domain.upper)
+    if np.isnan(clipped).any():
+        raise ValueError("cannot project a point that is not finite onto a box")
+    return clipped

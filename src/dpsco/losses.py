@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .geometry import ConvexDomain, DimensionMismatchError, project
-from .schedules import _real, _whole
+from .schedules import _frozen, _real, _vector, _whole
 
 QUADRATIC = "quadratic"
 LINEAR_REGRESSION = "linear_regression"
@@ -186,9 +186,10 @@ class SyntheticDistribution:
     """A loss family plus a data sampler with known population structure.
 
     ``minimizer`` is the closed-form population minimizer over the domain.
-    When ``has_closed_form`` is true (every sampler but the logistic one),
-    ``population_loss`` evaluates the exact population loss and ``optimum``
-    is its value at the minimizer; otherwise ``optimum`` is ``None``.
+    The distribution keeps read-only copies of it and of the arrays in
+    ``params``. When ``has_closed_form`` is true (every sampler but the
+    logistic one), ``population_loss`` evaluates the exact population loss
+    and ``optimum`` is its value at the minimizer; otherwise it is ``None``.
     """
 
     name: str
@@ -197,6 +198,17 @@ class SyntheticDistribution:
     sampler: str
     params: dict[str, Any] = field(default_factory=dict)
     minimizer: np.ndarray | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", {key: _frozen(value) if isinstance(value, np.ndarray)
+                                            else value for key, value in self.params.items()})
+        if self.minimizer is not None:
+            object.__setattr__(self, "minimizer", _frozen(self.minimizer))
+
+    def __reduce__(self):
+        # copies and unpickled distributions are rebuilt by __post_init__: read-only
+        return SyntheticDistribution, (self.name, self.loss, self.domain, self.sampler,
+                                       self.params, self.minimizer)
 
     @property
     def dimension(self) -> int:
@@ -271,14 +283,6 @@ class SyntheticDistribution:
         return self.population_loss(w) - self.optimum  # population_loss refuses logistic
 
 
-def _finite(values, name: str) -> np.ndarray:
-    """``values`` as a flat float64 vector, refused with ValueError unless finite."""
-    v = np.asarray(values, dtype=np.float64).reshape(-1)
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} must be finite")
-    return v
-
-
 def _sup_distance(domain: ConvexDomain, point: np.ndarray) -> float:
     """max over w in the domain of |w - point|."""
     if domain.kind == "ball":
@@ -289,7 +293,7 @@ def _sup_distance(domain: ConvexDomain, point: np.ndarray) -> float:
 
 def quadratic_point_mass(domain: ConvexDomain, center) -> SyntheticDistribution:
     """Quadratic loss with all mass at one point; F* = 0 when the point is feasible."""
-    c = _finite(center, "center")
+    c = _vector(center, "center", dim=domain.dimension)
     loss = LossFamily(QUADRATIC, lipschitz=max(_sup_distance(domain, c), 1e-12),
                       smoothness=1.0, strong_convexity=1.0)
     return SyntheticDistribution(
@@ -304,7 +308,8 @@ def quadratic_sphere(domain: ConvexDomain, center, data_radius: float) -> Synthe
     The canonical closed-form test family: L = sup |w - mu| + r over the
     domain, beta = lam = 1.
     """
-    mu, r = _finite(center, "center"), _real(data_radius, "data_radius")
+    mu = _vector(center, "center", dim=domain.dimension)
+    r = _real(data_radius, "data_radius")
     loss = LossFamily(QUADRATIC, lipschitz=_sup_distance(domain, mu) + r,
                       smoothness=1.0, strong_convexity=1.0)
     return SyntheticDistribution(
@@ -315,7 +320,7 @@ def quadratic_sphere(domain: ConvexDomain, center, data_radius: float) -> Synthe
 
 def quadratic_gaussian(domain: ConvexDomain, mean, sigma: float) -> SyntheticDistribution:
     """Quadratic loss with Gaussian data; gradients are unbounded, so L = inf."""
-    mu, s = _finite(mean, "mean"), _real(sigma, "sigma")
+    mu, s = _vector(mean, "mean", dim=domain.dimension), _real(sigma, "sigma")
     loss = LossFamily(QUADRATIC, lipschitz=math.inf, smoothness=1.0, strong_convexity=1.0)
     return SyntheticDistribution(
         name="quadratic_gaussian", loss=loss, domain=domain, sampler="gaussian",
@@ -348,7 +353,8 @@ def linear_regression_sphere(
     domain: ConvexDomain, feature_radius: float, w_true, noise_half_width: float
 ) -> SyntheticDistribution:
     """Least squares with spherical features and uniform label noise."""
-    wt, r = _finite(w_true, "w_true"), _real(feature_radius, "feature_radius")
+    wt = _vector(w_true, "w_true", dim=domain.dimension)
+    r = _real(feature_radius, "feature_radius")
     s = _real(noise_half_width, "noise_half_width", "nonnegative and finite")
     sup_w = _sup_distance(domain, wt)
     loss = LossFamily(LINEAR_REGRESSION, lipschitz=r * (r * sup_w + s),
@@ -367,7 +373,8 @@ def logistic_sphere(domain: ConvexDomain, feature_radius: float, w_ref) -> Synth
     The population minimizer is ``w_ref`` (when feasible); the optimum has no
     closed form, so this family is for probes rather than exact sweeps.
     """
-    wr, r = _finite(w_ref, "w_ref"), _real(feature_radius, "feature_radius")
+    wr = _vector(w_ref, "w_ref", dim=domain.dimension)
+    r = _real(feature_radius, "feature_radius")
     loss = LossFamily(LOGISTIC, lipschitz=r, smoothness=r * r / 4.0, strong_convexity=0.0)
     return SyntheticDistribution(
         name="logistic_sphere", loss=loss, domain=domain, sampler="sphere_logistic",

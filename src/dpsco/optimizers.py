@@ -27,7 +27,7 @@ import numpy as np
 from .accountant import ApproxDP, PrivacyBudget, gaussian_sigma, pai_rho
 from .geometry import ConvexDomain, DimensionMismatchError, project
 from .losses import ABSOLUTE_DEVIATION, LINEAR_REGRESSION, QUADRATIC, Dataset, LossFamily
-from .schedules import Schedule, _real, _whole, phase_plan, sc_weights, snowball_batches
+from .schedules import Schedule, _real, _vector, _whole, phase_plan, sc_weights, snowball_batches
 
 _NOISE_BLOCK = 256
 # Most float64 values a prefetch holds (4 MiB), which bounds the memory a run
@@ -73,7 +73,7 @@ class NoiseStream:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = _whole(seed, 0, "seed")
         self.index = 0
         # the blocks drawn last, as (dim, first block, read-only rows), and
         # while a prefetch fills them, its thread and what it raised
@@ -191,9 +191,7 @@ def _warn(message: str) -> None:
 
 
 def _start_point(domain: ConvexDomain, w0) -> np.ndarray:
-    w = np.asarray(w0, dtype=np.float64).reshape(-1)
-    if w.shape[0] != domain.dimension:
-        raise ValueError(f"w0 dimension {w.shape[0]} != domain dimension {domain.dimension}")
+    w = _vector(w0, "w0", dim=domain.dimension)
     if not domain.contains(w):
         _warn("starting point outside the domain; projecting")
         w = project(domain, w)
@@ -510,11 +508,7 @@ def psgd(
     """Noiseless projected SGD, one example per step; returns the last iterate
     and the uniform average of iterates w_1..w_T (the start excluded). Step
     sizes must be finite, nonnegative numbers."""
-    steps = np.asarray(step_sizes)
-    finite = steps.dtype.kind in "iuf" and np.isfinite(steps).all()
-    if steps.ndim != 1 or not (finite and (steps >= 0).all()):
-        raise ValueError("step sizes must be a sequence of finite, nonnegative numbers")
-    steps = steps.astype(np.float64)
+    steps = _vector(step_sizes, "step sizes", "nonnegative and finite")
     if len(data) != len(steps):
         raise DataSizeError(f"dataset has {len(data)} examples, need {len(steps)}")
     w, total = _sgd_pass(data, loss, domain, _start_point(domain, w0), steps,

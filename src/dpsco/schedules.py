@@ -63,6 +63,50 @@ def _real(value, name: str, interval: str = "positive and finite") -> float:
     raise ValueError(f"{name} must be {interval}, got {value!r}")
 
 
+class DimensionMismatchError(ValueError):
+    """A point's dimension does not match the domain it is used with."""
+
+
+def _vector(values, name: str, interval: str = "finite", dim: int | None = None) -> np.ndarray:
+    """``values`` as a one-dimensional float64 array: a real number (a vector
+    of length 1), or a nonempty 1-D list, tuple or array of real numbers, each
+    as :func:`_real` takes it and in ``interval``. Anything else is refused
+    with ValueError, a length other than ``dim`` with
+    :class:`DimensionMismatchError`. A 1-D float64 array comes back uncopied."""
+    listed = type(values) in (list, tuple)
+    if listed or isinstance(values, numbers.Real):
+        entries = values if listed else (values,)
+        kinds = set(map(type, entries))  # one test per type, not per entry
+        if bool in kinds or not all(issubclass(kind, numbers.Real) for kind in kinds):
+            bad = next(x for x in entries
+                       if isinstance(x, bool) or not isinstance(x, numbers.Real))
+            raise ValueError(f"{name} must hold real numbers, got {bad!r}")
+        try:
+            values = np.array(entries, dtype=np.float64)
+        except OverflowError:  # an integer past float64
+            values = np.array([_real(x, name, interval) for x in entries])
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got {values!r}")
+    arr = arr.astype(np.float64, copy=False)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    if arr.ndim != 1 or not arr.size:
+        raise ValueError(f"{name} must be a nonempty vector, got shape {arr.shape}")
+    if dim is not None and arr.shape[0] != dim:
+        raise DimensionMismatchError(f"{name} must have dimension {dim}, got {arr.shape[0]}")
+    for end in (arr.min(), arr.max()):  # NaN is both
+        _real(float(end), name, interval)
+    return arr
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy of ``values`` that shares no memory with them."""
+    kept = np.array(values, dtype=np.float64)
+    kept.flags.writeable = False
+    return kept
+
+
 # Batch sizes are stored as int64; this is the largest one, and the largest total.
 _INT64_MAX = 2**63 - 1
 
@@ -195,6 +239,7 @@ class Schedule:
 
     @classmethod
     def constant(cls, T: int, batch_size: int, eta: float, sigma: float) -> "Schedule":
+        T = _whole(T, 1, "T")
         # broadcast views: __post_init__ makes the one owned copy of each field
         return cls(np.broadcast_to(batch_size, T), np.broadcast_to(eta, T),
                    np.broadcast_to(sigma, T))

@@ -221,11 +221,19 @@ class TestPaiRhoNeverUnderstates:
 
 
 def exact_affine_rho(schedule: Schedule, lipschitz: float, contractions) -> list[float]:
-    """Independent oracle: the exact privacy loss mu_t of the affine noisy
-    iteration w_t = c_t w_{t-1} + a_t + eta_t sigma_t xi_t, whose neighbours
-    differ in one a_t by at most 2 L eta_t / B_t. With P_s = prod_{u>s} c_u
-    the last iterate is Gaussian with variance sum_s P_s^2 eta_s^2 sigma_s^2,
-    and a change at step t shifts its mean by P_t 2 L eta_t / B_t, so
+    """Independent oracle: the exact privacy loss mu_t of every step t of the
+    affine noisy iteration, as :func:`exact_affine_mu` gives it."""
+    return [exact_affine_mu(schedule, lipschitz, contractions, t)
+            for t in range(schedule.num_steps)]
+
+
+def exact_affine_mu(schedule: Schedule, lipschitz: float, contractions, t: int) -> float:
+    """Independent oracle: the exact privacy loss mu_t of step t (from 0) of
+    the affine noisy iteration w_t = c_t w_{t-1} + a_t + eta_t sigma_t xi_t,
+    whose neighbours differ in one a_t by at most 2 L eta_t / B_t. With
+    P_s = prod_{u>s} c_u the last iterate is Gaussian with variance
+    sum_s P_s^2 eta_s^2 sigma_s^2, and a change at step t shifts its mean by
+    P_t 2 L eta_t / B_t, so
     mu_t = 2 L eta_t / (B_t sqrt(sum_s (P_s / P_t)^2 eta_s^2 sigma_s^2)), or 0
     when P_t = 0. The ratios P_s / P_t are taken one factor at a time and the
     root by ``math.hypot``, so tiny contractions neither underflow nor
@@ -233,22 +241,18 @@ def exact_affine_rho(schedule: Schedule, lipschitz: float, contractions) -> list
     B = schedule.batch_sizes.tolist()
     eta, sigma = schedule.step_sizes.tolist(), schedule.noise_scales.tolist()
     T = len(B)
-    mu = []
-    for t in range(T):
-        if eta[t] == 0.0 or 0.0 in contractions[t + 1:]:
-            mu.append(0.0)
-            continue
-        terms, ratio = [eta[t] * sigma[t]], 1.0
-        for s in range(t + 1, T):  # P_s / P_t = 1 / prod_{t<u<=s} c_u
-            ratio /= contractions[s]
-            terms.append(ratio * eta[s] * sigma[s] if eta[s] * sigma[s] else 0.0)
-        ratio = 1.0
-        for s in range(t - 1, -1, -1):  # P_s / P_t = prod_{s<u<=t} c_u
-            ratio *= contractions[s + 1]
-            terms.append(ratio * eta[s] * sigma[s])
-        scale = math.hypot(*terms)
-        mu.append(2.0 * lipschitz * eta[t] / (B[t] * scale) if scale else math.inf)
-    return mu
+    if eta[t] == 0.0 or 0.0 in contractions[t + 1:]:
+        return 0.0
+    terms, ratio = [eta[t] * sigma[t]], 1.0
+    for s in range(t + 1, T):  # P_s / P_t = 1 / prod_{t<u<=s} c_u
+        ratio /= contractions[s]
+        terms.append(ratio * eta[s] * sigma[s] if eta[s] * sigma[s] else 0.0)
+    ratio = 1.0
+    for s in range(t - 1, -1, -1):  # P_s / P_t = prod_{s<u<=t} c_u
+        ratio *= contractions[s + 1]
+        terms.append(ratio * eta[s] * sigma[s])
+    scale = math.hypot(*terms)
+    return 2.0 * lipschitz * eta[t] / (B[t] * scale) if scale else math.inf
 
 
 @st.composite
@@ -286,7 +290,7 @@ class TestExactAffineOracle:
         # keeps every later noise draw: mu_t is then the term of step t
         sched, L, _ = case
         T = sched.num_steps
-        extremal = [exact_affine_rho(sched, L, [1.0] * t + [0.0] + [1.0] * (T - t - 1))[t]
+        extremal = [exact_affine_mu(sched, L, [1.0] * t + [0.0] + [1.0] * (T - t - 1), t)
                     for t in range(T)]
         assert max(extremal) == pytest.approx(pai_rho(sched, L).rho, rel=1e-12)
 

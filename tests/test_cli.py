@@ -436,6 +436,16 @@ class TestHostileRunConfig:
         path.write_text(json.dumps({**cfg, "loss": loss, "algorithm": algorithm}))
         self._assert_refused(tmp_path, capsys, path, reason)
 
+    @pytest.mark.parametrize("algorithm", ["phased_sgd", "snowball_sz"])
+    def test_grid_n_no_dataset_can_hold(self, tmp_path, sweep_config, capsys, algorithm):
+        # n = 1e300 exited 3 after writing the n = 64 row and a partial
+        # manifest: phased_sgd's sampler raised "Maximum allowed dimension
+        # exceeded", and snowball_sz's batch sizes a TypeError on an object array
+        cfg, path = sweep_config
+        grid = [{"n": 64, "d": 2, "rho": 1.0}, {"n": 1e300, "d": 2, "rho": 1.0}]
+        path.write_text(json.dumps({**cfg, "algorithm": algorithm, "grid": grid}))
+        self._assert_refused(tmp_path, capsys, path, f"n must be <= {(2**63 - 1) // 16} at d = 2")
+
     @staticmethod
     def _assert_refused(tmp_path, capsys, path, field=None):
         assert run_cli(["run", "--config", path]) == 2

@@ -41,6 +41,16 @@ class TestProjection:
         with pytest.raises(ValueError, match="not finite"):
             project(ConvexDomain.ball([0.0, 0.0], 1.0), point)
 
+    @pytest.mark.parametrize("point", [[np.nan], np.array([np.nan])])
+    def test_box_refuses_a_nan_point(self, point):
+        # clipping kept the NaN, and the caller got it back as a point of the box
+        with pytest.raises(ValueError, match="not finite"):
+            project(ConvexDomain.box([0.0], [1.0]), point)
+
+    def test_interior_float64_point_comes_back_as_itself(self):
+        point = np.array([0.5, 0.0])
+        assert project(ConvexDomain.ball([0.0, 0.0], 1.0), point) is point
+
     def test_box_clamps_coordinatewise(self):
         box = ConvexDomain.box([0.0, 0.0], [1.0, 1.0])
         np.testing.assert_array_equal(project(box, [2.0, -1.0]), [1.0, 0.0])

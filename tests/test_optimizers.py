@@ -135,6 +135,14 @@ class TestNoiseStream:
         want.skip(np.int64(10))
         np.testing.assert_array_equal(s.gaussians(4, np.int64(3)), want.gaussians(4, 3))
 
+    @pytest.mark.parametrize("seed", [-1, 2.2, 2.7, True, "3", None, np.float64(2.0)])
+    def test_seed_is_a_whole_number(self, seed):
+        # 2.2 and 2.7 were truncated to the same stream, True was seed 1, and
+        # -1 was taken and failed only at the first draw
+        with pytest.raises(ValueError, match="^seed must be "):
+            NoiseStream(seed)
+        assert NoiseStream(np.uint64(3)).seed == 3
+
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**63 - 1), dim=st.sampled_from((1, 2, 3, 4, 5, 6, 64)),
            start=st.integers(0, 700), ahead=st.integers(0, 1500), cap=st.integers(0, 1100),

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from dpsco.empirics import _snowball_plan
+from dpsco.geometry import ConvexDomain
+from dpsco.losses import Dataset, LossFamily
+from dpsco.optimizers import sc_weighted_sgd
 from dpsco.schedules import (
     MULTIPLIER_JNN,
     MULTIPLIER_SZ,
@@ -170,7 +173,8 @@ class TestSchedule:
                 arr[0] = 1
 
     def test_constant_refuses_what_the_constructor_refuses(self):
-        with pytest.raises(InvalidScheduleError, match="at least one step"):
+        # T = 0 was refused as an empty schedule; T is now a count (_whole)
+        with pytest.raises(ValueError, match="^T must be >= 1, got 0$"):
             Schedule.constant(0, 1, 0.5, 1.0)
         with pytest.raises(InvalidScheduleError, match="finite"):
             Schedule.constant(3, 1, math.inf, 1.0)
@@ -265,11 +269,16 @@ class TestSnowballBatches:
     (lambda v: jnn_steps(v, 1.0), "T"),
     (lambda v: sc_weights(v, 0.1, 1.0), "T"),
     (lambda v: phase_plan(v, 1.0), "n"),
+    (lambda v: Schedule.constant(v, 1, 0.5, 1.0), "T"),
+    (lambda v: sc_weighted_sgd(Dataset(np.zeros((2, 1))), LossFamily("quadratic", 1.0, 1.0, 1.0),
+                               ConvexDomain.ball([0.0], 1.0), [0.0], v, 0.0, eta=0.1), "T"),
 ], ids=["snowball_sizes n", "snowball_sizes", "snowball_batches", "constant_step",
-        "jnn_steps", "sc_weights", "phase_plan"])
+        "jnn_steps", "sc_weights", "phase_plan", "Schedule.constant", "sc_weighted_sgd"])
 def test_constructor_refuses_a_count_that_is_not_a_whole_number(build, name, bad):
     # 2.5 and "3" raised TypeError or struct.error, snowball_sizes took d = 2.5,
-    # and its n = 2.5 gave [4 3 3] and n = 0 or -1 an empty array; True was 1
+    # and its n = 2.5 gave [4 3 3] and n = 0 or -1 an empty array; True was 1.
+    # Schedule.constant, and so sc_weighted_sgd with an explicit eta, raised
+    # TypeError out of np.broadcast_to for 2.5, True and "3"
     with pytest.raises(ValueError, match=f"^{name} must be "):
         build(bad)
 
