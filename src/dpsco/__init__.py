@@ -24,7 +24,6 @@ from .losses import (
     absolute_deviation_uniform,
     linear_regression_sphere,
     logistic_sphere,
-    quadratic_gaussian,
     quadratic_point_mass,
     quadratic_sphere,
 )

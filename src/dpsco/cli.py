@@ -43,15 +43,7 @@ from .empirics import (
     sweepable,
 )
 from .geometry import ConvexDomain
-from .losses import (
-    SyntheticDistribution,
-    absolute_deviation_uniform,
-    linear_regression_sphere,
-    logistic_sphere,
-    quadratic_gaussian,
-    quadratic_point_mass,
-    quadratic_sphere,
-)
+from .losses import FAMILIES, SyntheticDistribution
 from .schedules import Schedule, _real, _whole, _vector as _real_vector
 
 EXIT_OK = 0
@@ -105,27 +97,16 @@ def _build_domain(spec: dict, d: int) -> ConvexDomain:
 
 
 def _build_distribution(spec: dict, domain: ConvexDomain) -> SyntheticDistribution:
+    """The family that ``spec["family"]`` names in :data:`dpsco.losses.FAMILIES`,
+    each field read from ``spec`` or its default: a scalar by :func:`_number`,
+    a vector by :func:`_vector`."""
     family = _object(spec, "loss").get("family")
+    if not (isinstance(family, str) and family in FAMILIES):
+        raise ValueError(f"unknown or missing loss family {family!r}")
     d = domain.dimension
-    if family == "quadratic_sphere":
-        return quadratic_sphere(domain, np.full(d, _number(spec, "center", 0.0)),
-                                _number(spec, "data_radius", 1.0))
-    if family == "quadratic_point_mass":
-        return quadratic_point_mass(domain, np.full(d, _number(spec, "center", 0.0)))
-    if family == "quadratic_gaussian":
-        return quadratic_gaussian(domain, np.full(d, _number(spec, "mean", 0.0)),
-                                  _number(spec, "sigma", 1.0))
-    if family == "absolute_deviation_uniform":
-        return absolute_deviation_uniform(domain, _number(spec, "median", 0.0),
-                                          _number(spec, "half_width", 1.0))
-    if family == "linear_regression_sphere":
-        return linear_regression_sphere(domain, _number(spec, "feature_radius", 1.0),
-                                        np.full(d, _number(spec, "w_true", 0.0)),
-                                        _number(spec, "noise_half_width", 0.0))
-    if family == "logistic_sphere":
-        return logistic_sphere(domain, _number(spec, "feature_radius", 1.0),
-                               np.full(d, _number(spec, "w_ref", 0.0)))
-    raise ValueError(f"unknown or missing loss family {family!r}")
+    return FAMILIES[family].build(domain, *(
+        _vector(spec, f.name, d, f.default) if f.vector else _number(spec, f.name, f.default)
+        for f in FAMILIES[family].fields))
 
 
 def _parse_run_config(obj) -> tuple[list[tuple[int, int, float]], int, int, float]:
@@ -230,10 +211,9 @@ def cmd_counterexample(args) -> int:
 
 def cmd_probe_sensitivity(args) -> int:
     domain = ConvexDomain.ball(np.zeros(args.dimension), args.radius)
-    if args.family == "quadratic":
-        dist = quadratic_sphere(domain, np.zeros(args.dimension), args.data_radius)
-    else:
-        dist = logistic_sphere(domain, args.data_radius, np.zeros(args.dimension))
+    family, radius = {"quadratic": ("quadratic_sphere", "data_radius"),
+                      "logistic": ("logistic_sphere", "feature_radius")}[args.family]
+    dist = _build_distribution({"family": family, radius: args.data_radius}, domain)
     report = sensitivity_probe(dist, args.n, args.eta, args.pairs, args.seed)
     print(f"max_observed: {report.max_observed:.12g}")
     print(f"bound_2Leta:  {report.bound:.12g}")

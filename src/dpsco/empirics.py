@@ -228,8 +228,7 @@ def sweepable(dist: SyntheticDistribution, n: int, d: int, trials: int) -> Synth
     """``dist``, refused with ValueError where no sweep trial of ``n``
     examples at dimension ``d`` can run on it: fewer than 2 trials, an (n, d)
     float64 dataset numpy cannot address, no closed-form optimum (excess loss
-    is exact, never Monte Carlo), an L that is not finite (every step size
-    and bound scales by it), or a dimension other than d."""
+    is exact, never Monte Carlo), or a dimension other than d."""
     _whole(trials, 2, "trials")
     # the most rows of an (n, d) float64 dataset that numpy can address
     rows = np.iinfo(np.intp).max // (8 * _whole(d, 1, "d"))
@@ -238,7 +237,6 @@ def sweepable(dist: SyntheticDistribution, n: int, d: int, trials: int) -> Synth
                          f"got {n}")
     if not dist.has_closed_form:
         raise ValueError(f"{dist.name} has no closed-form optimum; sweeps refuse it")
-    _real(dist.loss.lipschitz, f"{dist.name}'s declared L")
     if d != dist.dimension:
         raise ValueError(f"grid point d = {d} != distribution dimension {dist.dimension}")
     return dist

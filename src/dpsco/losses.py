@@ -10,9 +10,11 @@ makes excess-loss measurements exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -36,10 +38,9 @@ class LossFamily:
         (f = 0.5 (a.w - b)^2), ``logistic`` (f = log(1 + exp(-b a.w))), or
         ``absolute_deviation`` (f = |a.w - b|, non-smooth).
     lipschitz, smoothness, strong_convexity:
-        constants valid over the declared domain: L and beta positive,
-        lambda nonnegative and finite, and lambda <= beta. ``smoothness`` is
-        ``math.inf`` for the non-smooth family; ``lipschitz`` may be
-        ``math.inf`` for unbounded-data samplers.
+        constants valid over the declared domain: L positive and finite,
+        beta positive, lambda nonnegative and finite, and lambda <= beta.
+        ``smoothness`` is ``math.inf`` for the non-smooth family.
     """
 
     kind: str
@@ -50,7 +51,7 @@ class LossFamily:
     def __post_init__(self):
         if self.kind not in (QUADRATIC,) + _PAIR_FAMILIES:
             raise ValueError(f"unknown loss family {self.kind!r}")
-        _real(self.lipschitz, "lipschitz constant", "positive")
+        _real(self.lipschitz, "lipschitz constant")
         _real(self.smoothness, "smoothness", "positive")
         _real(self.strong_convexity, "strong convexity", "nonnegative and finite")
         if self.strong_convexity > self.smoothness:
@@ -174,10 +175,12 @@ class Dataset:
         return Dataset(feats, targs)
 
 
-def _unit_rows(raw: np.ndarray) -> np.ndarray:
-    """Scale each row of ``raw`` to unit norm in place, without an (n, d)
-    temporary."""
+def _on_sphere(rng: np.random.Generator, n: int, d: int, radius: float) -> np.ndarray:
+    """n points uniform on the sphere of ``radius`` about 0 in R^d: normal
+    rows scaled in place, without an (n, d) temporary."""
+    raw = rng.standard_normal((n, d))
     raw /= np.sqrt(np.einsum("ij,ij->i", raw, raw))[:, None]
+    raw *= radius
     return raw
 
 
@@ -185,30 +188,37 @@ def _unit_rows(raw: np.ndarray) -> np.ndarray:
 class SyntheticDistribution:
     """A loss family plus a data sampler with known population structure.
 
-    ``minimizer`` is the closed-form population minimizer over the domain.
-    The distribution keeps read-only copies of it and of the arrays in
-    ``params``. When ``has_closed_form`` is true (every sampler but the
-    logistic one), ``population_loss`` evaluates the exact population loss
-    and ``optimum`` is its value at the minimizer; otherwise it is ``None``.
+    ``sampler`` is the key of one data family's record in :data:`FAMILIES`
+    (``point_mass``, ``sphere``, ``uniform_targets``, ``sphere_regression``
+    or ``sphere_logistic``); another is refused. ``params`` holds that
+    family's fields by name, and ``minimizer`` is the closed-form population
+    minimizer over the domain. The distribution keeps read-only copies of the
+    minimizer and of the arrays in ``params``, itself a read-only mapping.
+    When ``has_closed_form`` is true (every sampler but the logistic one),
+    ``population_loss`` evaluates the exact population loss and ``optimum``
+    is its value at the minimizer; otherwise it is ``None``.
     """
 
     name: str
     loss: LossFamily
     domain: ConvexDomain
     sampler: str
-    params: dict[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any] = field(default_factory=dict)
     minimizer: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "params", {key: _frozen(value) if isinstance(value, np.ndarray)
-                                            else value for key, value in self.params.items()})
+        if self.sampler not in _SAMPLERS:
+            raise ValueError(f"unknown sampler {self.sampler!r}")
+        object.__setattr__(self, "params", MappingProxyType({
+            key: _frozen(value) if isinstance(value, np.ndarray) else value
+            for key, value in self.params.items()}))
         if self.minimizer is not None:
             object.__setattr__(self, "minimizer", _frozen(self.minimizer))
 
     def __reduce__(self):
         # copies and unpickled distributions are rebuilt by __post_init__: read-only
         return SyntheticDistribution, (self.name, self.loss, self.domain, self.sampler,
-                                       self.params, self.minimizer)
+                                       dict(self.params), self.minimizer)
 
     @property
     def dimension(self) -> int:
@@ -216,7 +226,7 @@ class SyntheticDistribution:
 
     @property
     def has_closed_form(self) -> bool:
-        return self.sampler != "sphere_logistic"
+        return _SAMPLERS[self.sampler].population is not None
 
     @property
     def optimum(self) -> float | None:
@@ -225,59 +235,16 @@ class SyntheticDistribution:
     def sample_dataset(self, n: int, rng_seed: int) -> Dataset:
         """Draw ``n`` i.i.d. examples; deterministic given the seed."""
         n = _whole(n, 1, "n")
-        rng = np.random.default_rng(rng_seed)
-        d = self.dimension
-        p = self.params
-        if self.sampler == "point_mass":
-            return Dataset(np.tile(p["center"], (n, 1)))
-        if self.sampler == "sphere":
-            raw = _unit_rows(rng.standard_normal((n, d)))
-            raw *= p["radius"]
-            raw += p["center"]
-            return Dataset(raw)
-        if self.sampler == "gaussian":
-            return Dataset(p["mean"] + p["sigma"] * rng.standard_normal((n, d)))
-        if self.sampler == "uniform_targets":
-            # fixed feature a = e1-scaled, b uniform around the median
-            feats = np.tile(p["feature"], (n, 1))
-            b = rng.uniform(p["median"] - p["half_width"], p["median"] + p["half_width"], size=n)
-            return Dataset(feats, b)
-        if self.sampler == "sphere_regression":
-            a = _unit_rows(rng.standard_normal((n, d)))
-            a *= p["feature_radius"]
-            noise = rng.uniform(-p["noise_half_width"], p["noise_half_width"], size=n)
-            return Dataset(a, a @ p["w_true"] + noise)
-        if self.sampler == "sphere_logistic":
-            a = _unit_rows(rng.standard_normal((n, d)))
-            a *= p["feature_radius"]
-            prob = 1.0 / (1.0 + np.exp(-(a @ p["w_ref"])))
-            b = np.where(rng.uniform(size=n) < prob, 1.0, -1.0)
-            return Dataset(a, b)
-        raise ValueError(f"unknown sampler {self.sampler!r}")
+        return _SAMPLERS[self.sampler].draw(self.params, n, self.dimension,
+                                            np.random.default_rng(rng_seed))
 
     def population_loss(self, w) -> float:
         """Exact population loss F(w); only for closed-form distributions."""
-        w = np.asarray(w, dtype=np.float64).reshape(-1)
-        p = self.params
-        if self.sampler == "point_mass":
-            return 0.5 * float(np.sum((w - p["center"]) ** 2))
-        if self.sampler == "sphere":
-            return 0.5 * float(np.sum((w - p["center"]) ** 2)) + 0.5 * p["radius"] ** 2
-        if self.sampler == "gaussian":
-            return 0.5 * float(np.sum((w - p["mean"]) ** 2)) + 0.5 * self.dimension * p["sigma"] ** 2
-        if self.sampler == "uniform_targets":
-            # E|w - b| for b ~ U[m - h, m + h] (1-D, unit feature)
-            m, h = p["median"], p["half_width"]
-            t = float(w[0]) - m
-            if abs(t) <= h:
-                return (t * t + h * h) / (2.0 * h)
-            return abs(t)
-        if self.sampler == "sphere_regression":
-            # E[a a^T] = (r^2 / d) I on the sphere
-            r, s = p["feature_radius"], p["noise_half_width"]
-            diff = w - p["w_true"]
-            return (r * r / (2.0 * self.dimension)) * float(np.dot(diff, diff)) + s * s / 6.0
-        raise ValueError(f"no closed-form population loss for sampler {self.sampler!r}")
+        population = _SAMPLERS[self.sampler].population
+        if population is None:
+            raise ValueError(f"no closed-form population loss for sampler {self.sampler!r}")
+        return population(self.params, np.asarray(w, dtype=np.float64).reshape(-1),
+                          self.dimension)
 
     def excess_loss(self, w) -> float:
         return self.population_loss(w) - self.optimum  # population_loss refuses logistic
@@ -291,15 +258,129 @@ def _sup_distance(domain: ConvexDomain, point: np.ndarray) -> float:
     return float(np.linalg.norm(corner))
 
 
+class _Field(NamedTuple):
+    """A data family's field: its name (a constructor argument, a key of
+    ``params`` and of a run config's ``loss``), whether it is a d-vector, its
+    run-config default (for every coordinate of a vector) and its interval."""
+
+    name: str
+    vector: bool
+    default: float
+    interval: str = "positive and finite"
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One synthetic data family: its ``name`` (its constructor's, and a run
+    config's ``family``), its ``sampler`` key and its fields. ``declare(domain,
+    params)`` is its :class:`LossFamily`, whose population minimizer over the
+    domain is the projection of the field named ``center``; ``draw(params, n,
+    d, rng)`` gives n i.i.d. examples; ``population(params, w, d)`` is the
+    exact population loss F(w), or None where there is no closed form."""
+
+    name: str
+    sampler: str
+    fields: tuple[_Field, ...]
+    center: str
+    declare: Callable[[ConvexDomain, Mapping[str, Any]], LossFamily]
+    draw: Callable[[Mapping[str, Any], int, int, np.random.Generator], Dataset]
+    population: Callable[[Mapping[str, Any], np.ndarray, int], float] | None
+
+    def build(self, domain: ConvexDomain, *values) -> SyntheticDistribution:
+        """This family over ``domain``, from a value for each field in order,
+        taken by ``_vector`` at the domain's dimension or by ``_real``."""
+        params = {f.name: _vector(v, f.name, f.interval, domain.dimension) if f.vector
+                  else _real(v, f.name, f.interval) for f, v in zip(self.fields, values)}
+        return SyntheticDistribution(self.name, self.declare(domain, params), domain,
+                                     self.sampler, params, project(domain, params[self.center]))
+
+
+_quadratic = functools.partial(LossFamily, QUADRATIC, smoothness=1.0, strong_convexity=1.0)
+
+
+def _deviation(domain: ConvexDomain, p) -> LossFamily:
+    if domain.dimension != 1:
+        raise ValueError("absolute_deviation_uniform is 1-D")
+    return LossFamily(ABSOLUTE_DEVIATION, 1.0, smoothness=math.inf, strong_convexity=0.0)
+
+
+def _regression(domain: ConvexDomain, p) -> LossFamily:
+    r, s = p["feature_radius"], p["noise_half_width"]
+    return LossFamily(LINEAR_REGRESSION, r * (r * _sup_distance(domain, p["w_true"]) + s),
+                      smoothness=r * r, strong_convexity=0.0)
+
+
+def _logistic(domain: ConvexDomain, p) -> LossFamily:
+    r = p["feature_radius"]
+    return LossFamily(LOGISTIC, r, smoothness=r * r / 4.0, strong_convexity=0.0)
+
+
+def _draw_sphere(p, n: int, d: int, rng: np.random.Generator) -> Dataset:
+    raw = _on_sphere(rng, n, d, p["data_radius"])
+    raw += p["center"]
+    return Dataset(raw)
+
+
+def _draw_regression(p, n: int, d: int, rng: np.random.Generator) -> Dataset:
+    a = _on_sphere(rng, n, d, p["feature_radius"])
+    s = p["noise_half_width"]
+    return Dataset(a, a @ p["w_true"] + rng.uniform(-s, s, size=n))
+
+
+def _draw_logistic(p, n: int, d: int, rng: np.random.Generator) -> Dataset:
+    a = _on_sphere(rng, n, d, p["feature_radius"])
+    prob = 1.0 / (1.0 + np.exp(-(a @ p["w_ref"])))
+    return Dataset(a, np.where(rng.uniform(size=n) < prob, 1.0, -1.0))
+
+
+def _deviation_loss(p, w: np.ndarray, d: int) -> float:
+    # E|w - b| for b ~ U[m - h, m + h] (1-D, unit feature)
+    h, t = p["half_width"], float(w[0]) - p["median"]
+    return (t * t + h * h) / (2.0 * h) if abs(t) <= h else abs(t)
+
+
+def _regression_loss(p, w: np.ndarray, d: int) -> float:
+    # E[a a^T] = (r^2 / d) I on the sphere
+    r, s, diff = p["feature_radius"], p["noise_half_width"], w - p["w_true"]
+    return (r * r / (2.0 * d)) * float(np.dot(diff, diff)) + s * s / 6.0
+
+
+def _half_square(p, w: np.ndarray, d: int) -> float:
+    return 0.5 * float(np.sum((w - p["center"]) ** 2))
+
+
+_CENTER = _Field("center", True, 0.0, "finite")
+_FEATURE_RADIUS = _Field("feature_radius", False, 1.0)
+
+# Each data family's record, by name.
+FAMILIES = {family.name: family for family in (
+    _Family("quadratic_point_mass", "point_mass", (_CENTER,), "center",
+            lambda domain, p: _quadratic(max(_sup_distance(domain, p["center"]), 1e-12)),
+            lambda p, n, d, rng: Dataset(np.tile(p["center"], (n, 1))), _half_square),
+    _Family("quadratic_sphere", "sphere", (_CENTER, _Field("data_radius", False, 1.0)), "center",
+            lambda domain, p: _quadratic(_sup_distance(domain, p["center"]) + p["data_radius"]),
+            _draw_sphere,
+            lambda p, w, d: _half_square(p, w, d) + 0.5 * p["data_radius"] ** 2),
+    _Family("absolute_deviation_uniform", "uniform_targets",
+            (_Field("median", False, 0.0, "finite"), _Field("half_width", False, 1.0)), "median",
+            _deviation,
+            lambda p, n, d, rng: Dataset(np.ones((n, 1)), rng.uniform(
+                p["median"] - p["half_width"], p["median"] + p["half_width"], size=n)),
+            _deviation_loss),
+    _Family("linear_regression_sphere", "sphere_regression",
+            (_FEATURE_RADIUS, _Field("w_true", True, 0.0, "finite"),
+             _Field("noise_half_width", False, 0.0, "nonnegative and finite")), "w_true",
+            _regression, _draw_regression, _regression_loss),
+    _Family("logistic_sphere", "sphere_logistic",
+            (_FEATURE_RADIUS, _Field("w_ref", True, 0.0, "finite")), "w_ref",
+            _logistic, _draw_logistic, None),
+)}
+_SAMPLERS = {family.sampler: family for family in FAMILIES.values()}
+
+
 def quadratic_point_mass(domain: ConvexDomain, center) -> SyntheticDistribution:
     """Quadratic loss with all mass at one point; F* = 0 when the point is feasible."""
-    c = _vector(center, "center", dim=domain.dimension)
-    loss = LossFamily(QUADRATIC, lipschitz=max(_sup_distance(domain, c), 1e-12),
-                      smoothness=1.0, strong_convexity=1.0)
-    return SyntheticDistribution(
-        name="quadratic_point_mass", loss=loss, domain=domain, sampler="point_mass",
-        params={"center": c}, minimizer=project(domain, c),
-    )
+    return FAMILIES["quadratic_point_mass"].build(domain, center)
 
 
 def quadratic_sphere(domain: ConvexDomain, center, data_radius: float) -> SyntheticDistribution:
@@ -308,24 +389,7 @@ def quadratic_sphere(domain: ConvexDomain, center, data_radius: float) -> Synthe
     The canonical closed-form test family: L = sup |w - mu| + r over the
     domain, beta = lam = 1.
     """
-    mu = _vector(center, "center", dim=domain.dimension)
-    r = _real(data_radius, "data_radius")
-    loss = LossFamily(QUADRATIC, lipschitz=_sup_distance(domain, mu) + r,
-                      smoothness=1.0, strong_convexity=1.0)
-    return SyntheticDistribution(
-        name="quadratic_sphere", loss=loss, domain=domain, sampler="sphere",
-        params={"center": mu, "radius": r}, minimizer=project(domain, mu),
-    )
-
-
-def quadratic_gaussian(domain: ConvexDomain, mean, sigma: float) -> SyntheticDistribution:
-    """Quadratic loss with Gaussian data; gradients are unbounded, so L = inf."""
-    mu, s = _vector(mean, "mean", dim=domain.dimension), _real(sigma, "sigma")
-    loss = LossFamily(QUADRATIC, lipschitz=math.inf, smoothness=1.0, strong_convexity=1.0)
-    return SyntheticDistribution(
-        name="quadratic_gaussian", loss=loss, domain=domain, sampler="gaussian",
-        params={"mean": mu, "sigma": s}, minimizer=project(domain, mu),
-    )
+    return FAMILIES["quadratic_sphere"].build(domain, center, data_radius)
 
 
 def absolute_deviation_uniform(
@@ -336,35 +400,15 @@ def absolute_deviation_uniform(
     F(w) = ((w - m)^2 + h^2) / (2h) inside the data range, |w - m| outside;
     F* = h / 2 at the population median. Exercises the non-smooth path.
     """
-    if domain.dimension != 1:
-        raise ValueError("absolute_deviation_uniform is 1-D")
-    h, m = _real(half_width, "half_width"), _real(median, "median", "finite")
-    loss = LossFamily(ABSOLUTE_DEVIATION, lipschitz=1.0, smoothness=math.inf,
-                      strong_convexity=0.0)
-    return SyntheticDistribution(
-        name="absolute_deviation_uniform", loss=loss, domain=domain,
-        sampler="uniform_targets",
-        params={"feature": np.array([1.0]), "median": m, "half_width": h},
-        minimizer=project(domain, np.array([m])),
-    )
+    return FAMILIES["absolute_deviation_uniform"].build(domain, median, half_width)
 
 
 def linear_regression_sphere(
     domain: ConvexDomain, feature_radius: float, w_true, noise_half_width: float
 ) -> SyntheticDistribution:
     """Least squares with spherical features and uniform label noise."""
-    wt = _vector(w_true, "w_true", dim=domain.dimension)
-    r = _real(feature_radius, "feature_radius")
-    s = _real(noise_half_width, "noise_half_width", "nonnegative and finite")
-    sup_w = _sup_distance(domain, wt)
-    loss = LossFamily(LINEAR_REGRESSION, lipschitz=r * (r * sup_w + s),
-                      smoothness=r * r, strong_convexity=0.0)
-    return SyntheticDistribution(
-        name="linear_regression_sphere", loss=loss, domain=domain,
-        sampler="sphere_regression",
-        params={"feature_radius": r, "w_true": wt, "noise_half_width": s},
-        minimizer=project(domain, wt),
-    )
+    return FAMILIES["linear_regression_sphere"].build(domain, feature_radius, w_true,
+                                                      noise_half_width)
 
 
 def logistic_sphere(domain: ConvexDomain, feature_radius: float, w_ref) -> SyntheticDistribution:
@@ -373,11 +417,4 @@ def logistic_sphere(domain: ConvexDomain, feature_radius: float, w_ref) -> Synth
     The population minimizer is ``w_ref`` (when feasible); the optimum has no
     closed form, so this family is for probes rather than exact sweeps.
     """
-    wr = _vector(w_ref, "w_ref", dim=domain.dimension)
-    r = _real(feature_radius, "feature_radius")
-    loss = LossFamily(LOGISTIC, lipschitz=r, smoothness=r * r / 4.0, strong_convexity=0.0)
-    return SyntheticDistribution(
-        name="logistic_sphere", loss=loss, domain=domain, sampler="sphere_logistic",
-        params={"feature_radius": r, "w_ref": wr},
-        minimizer=project(domain, wr),
-    )
+    return FAMILIES["logistic_sphere"].build(domain, feature_radius, w_ref)

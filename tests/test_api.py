@@ -16,7 +16,7 @@ EXPORTED = [
     "default_k_grid", "empirics", "excess_loss_sweep", "gaussian_renyi", "geometry",
     "jnn_steps", "linear_regression_sphere", "logistic_sphere", "losses", "optimizers",
     "pai_rho", "phase_plan", "phased_erm", "phased_sgd", "pnsgd", "project", "psgd",
-    "quadratic_gaussian", "quadratic_point_mass", "quadratic_sphere", "rdp_to_dp",
+    "quadratic_point_mass", "quadratic_sphere", "rdp_to_dp",
     "rdp_to_dp_general", "sc_reduction", "sc_snowball", "sc_weighted_sgd", "sc_weights",
     "schedules", "sensitivity_probe", "snowball_batches",
 ]
@@ -47,7 +47,7 @@ SIGNATURES = {
                    "mean_excess: 'float', std_err: 'float', theory_bound: 'float', "
                    f"bound_ratio: 'float', declared_rho: 'float | None') {_NONE}",
     "SyntheticDistribution": "(name: 'str', loss: 'LossFamily', domain: 'ConvexDomain', "
-                             "sampler: 'str', params: 'dict[str, Any]' = <factory>, "
+                             "sampler: 'str', params: 'Mapping[str, Any]' = <factory>, "
                              f"minimizer: 'np.ndarray | None' = None) {_NONE}",
     "absolute_deviation_uniform": "(domain: 'ConvexDomain', median: 'float', "
                                   "half_width: 'float') -> 'SyntheticDistribution'",
@@ -77,8 +77,6 @@ SIGNATURES = {
     "pnsgd": f"({_HEAD}, schedule: 'Schedule', noise: 'NoiseStream') -> 'RunRecord'",
     "project": "(domain: 'ConvexDomain', point) -> 'np.ndarray'",
     "psgd": f"({_HEAD}, step_sizes) -> 'RunRecord'",
-    "quadratic_gaussian": "(domain: 'ConvexDomain', mean, sigma: 'float') "
-                          "-> 'SyntheticDistribution'",
     "quadratic_point_mass": "(domain: 'ConvexDomain', center) -> 'SyntheticDistribution'",
     "quadratic_sphere": "(domain: 'ConvexDomain', center, data_radius: 'float') "
                         "-> 'SyntheticDistribution'",

@@ -351,9 +351,6 @@ def _hostile_config_values():
          NOT_POSITIVE, "data_radius"),
         ("quadratic_point_mass center", loss("quadratic_point_mass", "center"), NOT_A_REAL,
          "center"),
-        ("quadratic_gaussian mean", loss("quadratic_gaussian", "mean"), NOT_A_REAL, "mean"),
-        ("quadratic_gaussian sigma", loss("quadratic_gaussian", "sigma"), NOT_POSITIVE,
-         "sigma"),
         ("absolute_deviation_uniform median", loss("absolute_deviation_uniform", "median", 1),
          NOT_A_REAL, "median"),
         ("absolute_deviation_uniform half_width",
@@ -424,14 +421,15 @@ class TestHostileRunConfig:
 
     @pytest.mark.parametrize("loss, algorithm, reason", [
         ({"family": "logistic_sphere"}, "phased_sgd", "no closed-form optimum"),
-        ({"family": "quadratic_gaussian"}, "snowball_sz", "declared L"),
-        ({"family": "quadratic_gaussian"}, "psgd", "declared L"),
+        ({"family": "quadratic_gaussian"}, "snowball_sz", "unknown or missing loss family"),
+        ({"family": "quadratic_gaussian"}, "psgd", "unknown or missing loss family"),
     ])
     def test_problem_no_trial_can_run(self, tmp_path, sweep_config, capsys, loss, algorithm,
                                       reason):
         # logistic exited 3 after writing an empty CSV and a partial manifest;
-        # L = inf exited 3 under snowball_sz, and 0 under psgd with a vacuous
-        # row: bound = inf and ratio = 0.0, every step D / (inf sqrt(n)) = 0
+        # quadratic_gaussian declared L = inf and exited 3 under snowball_sz,
+        # and 0 under psgd with a vacuous row (bound = inf, ratio = 0.0); no
+        # family declares an infinite L now, and that one is unknown
         cfg, path = sweep_config
         path.write_text(json.dumps({**cfg, "loss": loss, "algorithm": algorithm}))
         self._assert_refused(tmp_path, capsys, path, reason)

@@ -15,7 +15,6 @@ from dpsco.losses import (
     absolute_deviation_uniform,
     linear_regression_sphere,
     logistic_sphere,
-    quadratic_gaussian,
     quadratic_point_mass,
     quadratic_sphere,
 )
@@ -181,7 +180,7 @@ class TestSampling:
             raw /= np.linalg.norm(raw, axis=1, keepdims=True)
             p = dist.params
             if dist.sampler == "sphere":
-                np.testing.assert_allclose(data.features, p["center"] + p["radius"] * raw,
+                np.testing.assert_allclose(data.features, p["center"] + p["data_radius"] * raw,
                                            rtol=1e-15, atol=1e-15)
                 continue
             raw *= p["feature_radius"]
@@ -202,15 +201,6 @@ class TestPopulationLoss:
         assert dist.population_loss([0.25, -0.25]) == 0.0
         data = dist.sample_dataset(64, rng_seed=0)
         assert batch_value(dist.loss, np.array([0.25, -0.25]), data) == 0.0
-
-    def test_gaussian_closed_form_is_half_d(self):
-        # E 0.5 |x|^2 = d/2 for standard normal data
-        domain = ConvexDomain.ball([0.0] * 4, 1.0)
-        dist = quadratic_gaussian(domain, [0.0] * 4, 1.0)
-        assert dist.population_loss([0.0] * 4) == 2.0
-        # cross-check the closed form against a large Monte Carlo draw
-        mc, _ = monte_carlo(dist, np.zeros(4), 200_000, seed=1)
-        assert abs(mc - 2.0) < 0.03
 
     def test_empty_batch_value_rejected(self):
         dist = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
@@ -265,7 +255,6 @@ BALL1 = ConvexDomain.ball([0.0], 1.0)
     pytest.param(lambda: quadratic_sphere(BALL2, [0.0, 0.0], INF), id="sphere radius inf"),
     pytest.param(lambda: quadratic_sphere(BALL2, [NAN, 0.0], 1.0), id="sphere center nan"),
     pytest.param(lambda: quadratic_point_mass(BALL2, [0.0, NAN]), id="point mass nan"),
-    pytest.param(lambda: quadratic_gaussian(BALL2, [0.0, 0.0], NAN), id="gaussian sigma nan"),
     pytest.param(lambda: absolute_deviation_uniform(BALL1, 0.0, NAN), id="half width nan"),
     pytest.param(lambda: absolute_deviation_uniform(BALL1, INF, 1.0), id="median inf"),
     pytest.param(lambda: linear_regression_sphere(BALL2, 1.0, [0.0, 0.0], NAN),
@@ -289,7 +278,6 @@ def test_constructor_refuses_non_finite_or_empty_input(build):
 CLOSED_FORMS = {
     "quadratic_point_mass": lambda domain, c, s: quadratic_point_mass(domain, c),
     "quadratic_sphere": quadratic_sphere,
-    "quadratic_gaussian": quadratic_gaussian,
     "absolute_deviation_uniform": lambda domain, c, s: absolute_deviation_uniform(
         domain, c[0], s),
     "linear_regression_sphere": lambda domain, c, s: linear_regression_sphere(
@@ -366,7 +354,6 @@ class TestDeclaredConstants:
                 center = np.linspace(0.4, -0.6, d)
                 dists = [quadratic_point_mass(domain, center),
                          quadratic_sphere(domain, center, 0.7),
-                         quadratic_gaussian(domain, center, 2.0),
                          linear_regression_sphere(domain, 1.3, center, 0.2),
                          logistic_sphere(domain, 1.7, center)]
                 if d == 1:
@@ -450,7 +437,7 @@ class TestDeclaredConstants:
                 else:
                     data = Dataset(feats, 20.0 * rng.standard_normal(30))
                 extremal = [_extremal_point(kind, domain, data.example(i)) for i in range(30)]
-                loss = LossFamily(kind, lipschitz=math.inf, smoothness=math.inf,
+                loss = LossFamily(kind, lipschitz=1.0, smoothness=math.inf,
                                   strong_convexity=0.0)
                 peak = max(np.linalg.norm(loss.grad(w, data.example(i)))
                            for i, w in enumerate(extremal))
@@ -471,9 +458,9 @@ class TestDeclaredConstants:
         assert "the data give L = 2 > declared L = 1.5" in loss.support_defect(rows, far_off)
         assert loss.support_defect(rows.subset(0, 1), far_off) is None
         # a NaN is a defect, whatever L is declared
-        loss = LossFamily("linear_regression", math.inf, math.inf, 0.0)
+        loss = LossFamily("linear_regression", 1e300, math.inf, 0.0)
         nan = Dataset(np.array([[1.0, 0.0, 0.0]]), np.array([math.nan]))
-        assert "declared L = inf" in loss.support_defect(nan, domains[0])
+        assert "declared L = 1e+300" in loss.support_defect(nan, domains[0])
 
     def _box_or_ball_points(self, domain, rng, count):
         if domain.kind == "box":

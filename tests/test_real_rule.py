@@ -25,7 +25,6 @@ from dpsco.losses import (
     absolute_deviation_uniform,
     linear_regression_sphere,
     logistic_sphere,
-    quadratic_gaussian,
     quadratic_sphere,
 )
 from dpsco.optimizers import NoiseStream, phased_erm, phased_sgd, sc_weighted_sgd
@@ -110,14 +109,12 @@ SITES = [
     ("ConvexDomain.ball", lambda v: ConvexDomain.ball(ORIGIN, v), "ball radius",
      "positive and finite", (0.5, 1.0)),
     ("LossFamily lipschitz", lambda v: LossFamily("quadratic", v, 1.0, 1.0),
-     "lipschitz constant", "positive", (1.0, INF)),
+     "lipschitz constant", "positive and finite", (0.5, 1.0)),
     ("LossFamily smoothness", lambda v: LossFamily("absolute_deviation", 1.0, v, 0.0),
      "smoothness", "positive", (1.0, INF)),
     ("LossFamily strong_convexity", lambda v: LossFamily("quadratic", 1.0, 1.0, v),
      "strong convexity", "nonnegative and finite", (0.0, 1.0)),
     ("quadratic_sphere", lambda v: quadratic_sphere(BALL, ORIGIN, v), "data_radius",
-     "positive and finite", (0.5, 1.0)),
-    ("quadratic_gaussian", lambda v: quadratic_gaussian(BALL, ORIGIN, v), "sigma",
      "positive and finite", (0.5, 1.0)),
     ("absolute_deviation_uniform median", lambda v: absolute_deviation_uniform(BALL1, v, 1.0),
      "median", "finite", (-1.0, 0.0)),

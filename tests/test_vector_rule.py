@@ -20,7 +20,6 @@ from dpsco.losses import (
     SyntheticDistribution,
     linear_regression_sphere,
     logistic_sphere,
-    quadratic_gaussian,
     quadratic_point_mass,
     quadratic_sphere,
 )
@@ -99,8 +98,6 @@ SITES = [
      "center", True),
     ("quadratic_sphere", lambda v, d: quadratic_sphere(_ball(d), v, 1.0).params["center"],
      "center", True),
-    ("quadratic_gaussian", lambda v, d: quadratic_gaussian(_ball(d), v, 1.0).params["mean"],
-     "mean", True),
     ("linear_regression_sphere",
      lambda v, d: linear_regression_sphere(_ball(d), 1.0, v, 0.0).params["w_true"], "w_true",
      True),
@@ -217,7 +214,6 @@ class TestKeptCopies:
     @pytest.mark.parametrize("build, key", [
         (lambda v: quadratic_point_mass(_ball(2), v), "center"),
         (lambda v: quadratic_sphere(_ball(2), v, 1.0), "center"),
-        (lambda v: quadratic_gaussian(_ball(2), v, 1.0), "mean"),
         (lambda v: linear_regression_sphere(_ball(2), 1.0, v, 0.0), "w_true"),
         (lambda v: logistic_sphere(_ball(2), 1.0, v), "w_ref"),
     ])
@@ -233,11 +229,11 @@ class TestKeptCopies:
         base = quadratic_sphere(_ball(2), [0.0, 0.0], 1.0)
         c = np.array([0.25, 0.0])
         dist = SyntheticDistribution("mine", base.loss, base.domain, "sphere",
-                                     {"center": c, "radius": 1.0}, minimizer=c)
+                                     {"center": c, "data_radius": 1.0}, minimizer=c)
         c[0] = 5.0
         self._assert_kept(dist.params["center"], [0.25, 0.0])
         self._assert_kept(dist.minimizer, [0.25, 0.0])
-        assert dist.params["radius"] == 1.0
+        assert dist.params["data_radius"] == 1.0
 
 
     @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
