@@ -10,11 +10,12 @@ makes excess-loss measurements exact.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -175,12 +176,14 @@ class Dataset:
         return Dataset(feats, targs)
 
 
-def _on_sphere(rng: np.random.Generator, n: int, d: int, radius: float) -> np.ndarray:
-    """n points uniform on the sphere of ``radius`` about 0 in R^d: normal
-    rows scaled in place, without an (n, d) temporary."""
+def _on_sphere(rng, n: int, d: int, radius: float, center=None) -> np.ndarray:
+    """n points uniform on the sphere of ``radius`` about ``center`` (0 when
+    None) in R^d, scaled and shifted in place: no (n, d) temporary."""
     raw = rng.standard_normal((n, d))
     raw /= np.sqrt(np.einsum("ij,ij->i", raw, raw))[:, None]
     raw *= radius
+    if center is not None:
+        raw += center
     return raw
 
 
@@ -188,15 +191,13 @@ def _on_sphere(rng: np.random.Generator, n: int, d: int, radius: float) -> np.nd
 class SyntheticDistribution:
     """A loss family plus a data sampler with known population structure.
 
-    ``sampler`` is the key of one data family's record in :data:`FAMILIES`
-    (``point_mass``, ``sphere``, ``uniform_targets``, ``sphere_regression``
-    or ``sphere_logistic``); another is refused. ``params`` holds that
-    family's fields by name, and ``minimizer`` is the closed-form population
-    minimizer over the domain. The distribution keeps read-only copies of the
-    minimizer and of the arrays in ``params``, itself a read-only mapping.
-    When ``has_closed_form`` is true (every sampler but the logistic one),
-    ``population_loss`` evaluates the exact population loss and ``optimum``
-    is its value at the minimizer; otherwise it is ``None``.
+    ``sampler`` keys a data family's record in :data:`FAMILIES` (an unknown
+    one is refused), and ``params``, a read-only mapping, holds that family's
+    fields by name. ``minimizer`` is the closed-form population minimizer over
+    the domain; it and the arrays in ``params`` are kept as read-only copies.
+    When ``has_closed_form`` is true (every sampler but ``sphere_logistic``),
+    ``population_loss`` is exact and ``optimum`` is its value at the
+    minimizer; otherwise it is ``None``.
     """
 
     name: str
@@ -226,7 +227,7 @@ class SyntheticDistribution:
 
     @property
     def has_closed_form(self) -> bool:
-        return _SAMPLERS[self.sampler].population is not None
+        return _SAMPLERS[self.sampler].closed_form is not None
 
     @property
     def optimum(self) -> float | None:
@@ -235,19 +236,27 @@ class SyntheticDistribution:
     def sample_dataset(self, n: int, rng_seed: int) -> Dataset:
         """Draw ``n`` i.i.d. examples; deterministic given the seed."""
         n = _whole(n, 1, "n")
-        return _SAMPLERS[self.sampler].draw(self.params, n, self.dimension,
-                                            np.random.default_rng(rng_seed))
+        return _SAMPLERS[self.sampler].draw(np.random.default_rng(rng_seed), n, self.dimension,
+                                            *self._values)
 
     def population_loss(self, w) -> float:
         """Exact population loss F(w); only for closed-form distributions."""
-        population = _SAMPLERS[self.sampler].population
-        if population is None:
-            raise ValueError(f"no closed-form population loss for sampler {self.sampler!r}")
-        return population(self.params, np.asarray(w, dtype=np.float64).reshape(-1),
-                          self.dimension)
+        return sum(self._closed_form(w))
 
     def excess_loss(self, w) -> float:
-        return self.population_loss(w) - self.optimum  # population_loss refuses logistic
+        """F(w) - F*, as g(w) - g(minimizer) of F's w-dependent part g: F's
+        constant part would swamp a small excess, or overflow."""
+        return self._closed_form(w)[0] - self._closed_form(self.minimizer)[0]
+
+    def _closed_form(self, w) -> tuple[float, float]:
+        closed_form = _SAMPLERS[self.sampler].closed_form
+        if closed_form is None:
+            raise ValueError(f"no closed-form population loss for sampler {self.sampler!r}")
+        return closed_form(np.asarray(w, np.float64).ravel(), self.dimension, *self._values)
+
+    @property
+    def _values(self) -> list:
+        return [self.params[f.name] for f in _SAMPLERS[self.sampler].fields]
 
 
 def _sup_distance(domain: ConvexDomain, point: np.ndarray) -> float:
@@ -258,122 +267,98 @@ def _sup_distance(domain: ConvexDomain, point: np.ndarray) -> float:
     return float(np.linalg.norm(corner))
 
 
-class _Field(NamedTuple):
-    """A data family's field: its name (a constructor argument, a key of
-    ``params`` and of a run config's ``loss``), whether it is a d-vector, its
-    run-config default (for every coordinate of a vector) and its interval."""
-
-    name: str
-    vector: bool
-    default: float
-    interval: str = "positive and finite"
+# A family's field: its name (in the constructor, ``params`` and a run config),
+# whether it is a d-vector, its run-config default (for each coordinate of a
+# vector) and the interval of the input rules that its numbers lie in.
+_Field = collections.namedtuple("_Field", "name vector default interval",
+                                defaults=("positive and finite",))
 
 
 @dataclass(frozen=True)
 class _Family:
-    """One synthetic data family: its ``name`` (its constructor's, and a run
-    config's ``family``), its ``sampler`` key and its fields. ``declare(domain,
-    params)`` is its :class:`LossFamily`, whose population minimizer over the
-    domain is the projection of the field named ``center``; ``draw(params, n,
-    d, rng)`` gives n i.i.d. examples; ``population(params, w, d)`` is the
-    exact population loss F(w), or None where there is no closed form."""
+    """One synthetic data family: its ``name`` (its constructor's and a run
+    config's ``family``), its ``sampler`` key, its fields, the field whose
+    projection onto the domain is the population minimizer, and three rules
+    that take the family's field values, in order, after their own arguments:
+    ``declare(domain, ...)`` is the declared :class:`LossFamily`, ``draw(rng,
+    n, d, ...)`` gives n i.i.d. examples, and ``closed_form(w, d, ...)`` is
+    (g(w), c) for the exact population loss F(w) = g(w) + c, or None where F
+    has no closed form. A family with a ``dimension`` has no other."""
 
     name: str
     sampler: str
     fields: tuple[_Field, ...]
     center: str
-    declare: Callable[[ConvexDomain, Mapping[str, Any]], LossFamily]
-    draw: Callable[[Mapping[str, Any], int, int, np.random.Generator], Dataset]
-    population: Callable[[Mapping[str, Any], np.ndarray, int], float] | None
+    declare: Callable[..., LossFamily]
+    draw: Callable[..., Dataset]
+    closed_form: Callable[..., tuple[float, float]] | None
+    dimension: int | None = None
 
     def build(self, domain: ConvexDomain, *values) -> SyntheticDistribution:
         """This family over ``domain``, from a value for each field in order,
         taken by ``_vector`` at the domain's dimension or by ``_real``."""
+        if self.dimension not in (None, domain.dimension):
+            raise ValueError(f"{self.name} is {self.dimension}-D")
         params = {f.name: _vector(v, f.name, f.interval, domain.dimension) if f.vector
                   else _real(v, f.name, f.interval) for f, v in zip(self.fields, values)}
-        return SyntheticDistribution(self.name, self.declare(domain, params), domain,
+        return SyntheticDistribution(self.name, self.declare(domain, *params.values()), domain,
                                      self.sampler, params, project(domain, params[self.center]))
 
 
 _quadratic = functools.partial(LossFamily, QUADRATIC, smoothness=1.0, strong_convexity=1.0)
 
 
-def _deviation(domain: ConvexDomain, p) -> LossFamily:
-    if domain.dimension != 1:
-        raise ValueError("absolute_deviation_uniform is 1-D")
-    return LossFamily(ABSOLUTE_DEVIATION, 1.0, smoothness=math.inf, strong_convexity=0.0)
+def _half_square(w: np.ndarray, center: np.ndarray) -> float:
+    return 0.5 * float(np.sum((w - center) ** 2))
 
 
-def _regression(domain: ConvexDomain, p) -> LossFamily:
-    r, s = p["feature_radius"], p["noise_half_width"]
-    return LossFamily(LINEAR_REGRESSION, r * (r * _sup_distance(domain, p["w_true"]) + s),
-                      smoothness=r * r, strong_convexity=0.0)
+def _deviation_loss(w: np.ndarray, d: int, m: float, h: float) -> tuple[float, float]:
+    # E|w - b| for b ~ U[m - h, m + h] (1-D, unit feature) is t^2 / (2h) + h / 2
+    # where t = |w - m| <= h, and (t - h / 2) + h / 2 beyond
+    t = abs(float(w[0]) - m)
+    return (t * (t / (2.0 * h)) if t <= h else t - h / 2.0), h / 2.0
 
 
-def _logistic(domain: ConvexDomain, p) -> LossFamily:
-    r = p["feature_radius"]
-    return LossFamily(LOGISTIC, r, smoothness=r * r / 4.0, strong_convexity=0.0)
+def _draw_regression(rng, n: int, d: int, r: float, w_true, s: float) -> Dataset:
+    a = _on_sphere(rng, n, d, r)
+    return Dataset(a, a @ w_true + rng.uniform(-s, s, size=n))
 
 
-def _draw_sphere(p, n: int, d: int, rng: np.random.Generator) -> Dataset:
-    raw = _on_sphere(rng, n, d, p["data_radius"])
-    raw += p["center"]
-    return Dataset(raw)
-
-
-def _draw_regression(p, n: int, d: int, rng: np.random.Generator) -> Dataset:
-    a = _on_sphere(rng, n, d, p["feature_radius"])
-    s = p["noise_half_width"]
-    return Dataset(a, a @ p["w_true"] + rng.uniform(-s, s, size=n))
-
-
-def _draw_logistic(p, n: int, d: int, rng: np.random.Generator) -> Dataset:
-    a = _on_sphere(rng, n, d, p["feature_radius"])
-    prob = 1.0 / (1.0 + np.exp(-(a @ p["w_ref"])))
+def _draw_logistic(rng, n: int, d: int, r: float, w_ref) -> Dataset:
+    a = _on_sphere(rng, n, d, r)
+    prob = 1.0 / (1.0 + np.exp(-(a @ w_ref)))
     return Dataset(a, np.where(rng.uniform(size=n) < prob, 1.0, -1.0))
 
 
-def _deviation_loss(p, w: np.ndarray, d: int) -> float:
-    # E|w - b| for b ~ U[m - h, m + h] (1-D, unit feature)
-    h, t = p["half_width"], float(w[0]) - p["median"]
-    return (t * t + h * h) / (2.0 * h) if abs(t) <= h else abs(t)
-
-
-def _regression_loss(p, w: np.ndarray, d: int) -> float:
-    # E[a a^T] = (r^2 / d) I on the sphere
-    r, s, diff = p["feature_radius"], p["noise_half_width"], w - p["w_true"]
-    return (r * r / (2.0 * d)) * float(np.dot(diff, diff)) + s * s / 6.0
-
-
-def _half_square(p, w: np.ndarray, d: int) -> float:
-    return 0.5 * float(np.sum((w - p["center"]) ** 2))
-
-
-_CENTER = _Field("center", True, 0.0, "finite")
-_FEATURE_RADIUS = _Field("feature_radius", False, 1.0)
-
-# Each data family's record, by name.
+# Each data family's record, by name. Linear regression's closed form uses
+# E[a a^T] = (r^2 / d) I on the sphere and the noise's variance s^2 / 3.
 FAMILIES = {family.name: family for family in (
-    _Family("quadratic_point_mass", "point_mass", (_CENTER,), "center",
-            lambda domain, p: _quadratic(max(_sup_distance(domain, p["center"]), 1e-12)),
-            lambda p, n, d, rng: Dataset(np.tile(p["center"], (n, 1))), _half_square),
-    _Family("quadratic_sphere", "sphere", (_CENTER, _Field("data_radius", False, 1.0)), "center",
-            lambda domain, p: _quadratic(_sup_distance(domain, p["center"]) + p["data_radius"]),
-            _draw_sphere,
-            lambda p, w, d: _half_square(p, w, d) + 0.5 * p["data_radius"] ** 2),
+    _Family("quadratic_point_mass", "point_mass",
+            (_Field("center", True, 0.0, "finite"),), "center",
+            lambda domain, c: _quadratic(max(_sup_distance(domain, c), 1e-12)),
+            lambda rng, n, d, c: Dataset(np.tile(c, (n, 1))),
+            lambda w, d, c: (_half_square(w, c), 0.0)),
+    _Family("quadratic_sphere", "sphere",
+            (_Field("center", True, 0.0, "finite"), _Field("data_radius", False, 1.0)), "center",
+            lambda domain, c, r: _quadratic(_sup_distance(domain, c) + r),
+            lambda rng, n, d, c, r: Dataset(_on_sphere(rng, n, d, r, c)),
+            lambda w, d, c, r: (_half_square(w, c), 0.5 * r * r)),
     _Family("absolute_deviation_uniform", "uniform_targets",
             (_Field("median", False, 0.0, "finite"), _Field("half_width", False, 1.0)), "median",
-            _deviation,
-            lambda p, n, d, rng: Dataset(np.ones((n, 1)), rng.uniform(
-                p["median"] - p["half_width"], p["median"] + p["half_width"], size=n)),
-            _deviation_loss),
+            lambda domain, m, h: LossFamily(ABSOLUTE_DEVIATION, 1.0, math.inf, 0.0),
+            lambda rng, n, d, m, h: Dataset(np.ones((n, 1)), rng.uniform(m - h, m + h, size=n)),
+            _deviation_loss, dimension=1),
     _Family("linear_regression_sphere", "sphere_regression",
-            (_FEATURE_RADIUS, _Field("w_true", True, 0.0, "finite"),
+            (_Field("feature_radius", False, 1.0), _Field("w_true", True, 0.0, "finite"),
              _Field("noise_half_width", False, 0.0, "nonnegative and finite")), "w_true",
-            _regression, _draw_regression, _regression_loss),
+            lambda domain, r, w_true, s: LossFamily(
+                LINEAR_REGRESSION, r * (r * _sup_distance(domain, w_true) + s), r * r, 0.0),
+            _draw_regression,
+            lambda w, d, r, w_true, s: (r * r / d * _half_square(w, w_true), s * s / 6.0)),
     _Family("logistic_sphere", "sphere_logistic",
-            (_FEATURE_RADIUS, _Field("w_ref", True, 0.0, "finite")), "w_ref",
-            _logistic, _draw_logistic, None),
+            (_Field("feature_radius", False, 1.0), _Field("w_ref", True, 0.0, "finite")), "w_ref",
+            lambda domain, r, w_ref: LossFamily(LOGISTIC, r, r * r / 4.0, 0.0),
+            _draw_logistic, None),
 )}
 _SAMPLERS = {family.sampler: family for family in FAMILIES.values()}
 

@@ -261,6 +261,33 @@ class TestRun:
         assert rows["phased_sgd", scale]["declared_rho"] == ""
         assert rows["phased_sgd", 1.0]["declared_rho"] == "1.0"
 
+    @pytest.mark.parametrize("loss", [
+        {"family": "linear_regression_sphere", "noise_half_width": 1e8},
+        {"family": "linear_regression_sphere", "noise_half_width": 1e160},
+        {"family": "quadratic_sphere", "data_radius": 1e200},
+    ], ids=["noise 1e8", "noise 1e160", "data radius 1e200"])
+    def test_large_data_scale_keeps_the_excess(self, sweep_config, loss):
+        # these read mean 0.25 (each trial's excess rounded to a multiple of
+        # 0.25), a nan row, and exit 3 after every trial with "(34, 'Numerical
+        # result out of range')": the excess was F(w) - F*, whose constant
+        # part swamped it or overflowed. The mean is the trials' exact excess.
+        from dpsco.empirics import ALGORITHMS, _derive_seeds
+        from dpsco.geometry import ConvexDomain
+        from test_losses import exact_population_loss
+
+        cfg, path = sweep_config
+        path.write_text(json.dumps({**cfg, "algorithm": "psgd", "loss": loss, "trials": 2}))
+        assert run_cli(["run", "--config", path]) == 0
+        header, row = Path(cfg["output"]).read_text().strip().splitlines()
+        mean = float(dict(zip(header.split(","), row.split(",")))["mean"])
+        dist = cli._build_distribution(loss, ConvexDomain.ball([0.0, 0.0], 1.0))
+        optimum = exact_population_loss(dist, dist.minimizer)
+        exact = [exact_population_loss(dist, ALGORITHMS["psgd"].run(
+            dist, 64, 2, 1.0, _derive_seeds(7, 0, trial, 0), _derive_seeds(7, 0, trial, 1),
+            1.0).final_iterate) - optimum for trial in range(2)]
+        assert mean == pytest.approx(float(sum(exact) / 2), rel=1e-12)
+        assert 0.0 < mean < math.inf
+
     def test_zero_sigma_scale_still_runs(self, sweep_config):
         cfg, path = sweep_config
         path.write_text(json.dumps({**cfg, "overrides": {"sigma_scale": 0.0}}))

@@ -1,6 +1,7 @@
 """Loss family oracles, declared-constant audits, and synthetic distributions."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dpsco.losses import (
 )
 
 BALL2 = ConvexDomain.ball([0.0, 0.0], 1.0)
+BALL1 = ConvexDomain.ball([0.0], 1.0)
 
 
 def one_row(x):
@@ -49,6 +51,22 @@ def monte_carlo(dist, w, n, seed, groups=100):
     means = np.array([batch_value(dist.loss, w, data.subset(g * size, (g + 1) * size))
                       for g in range(groups)])
     return float(means.mean()), float(means.std(ddof=1) / math.sqrt(groups))
+
+
+def exact_population_loss(dist, w):
+    """F(w) of a closed-form distribution in rational arithmetic on the same
+    float inputs: the constant part included, and nothing rounded."""
+    w, p = [Fraction(x) for x in w], dist.params
+    if dist.name == "absolute_deviation_uniform":
+        m, h = Fraction(p["median"]), Fraction(p["half_width"])
+        t = abs(w[0] - m)
+        return (t * t + h * h) / (2 * h) if t <= h else t
+    if dist.name == "linear_regression_sphere":
+        r, s = Fraction(p["feature_radius"]), Fraction(p["noise_half_width"])
+        gap = sum((x - Fraction(y)) ** 2 for x, y in zip(w, p["w_true"]))
+        return r * r / (2 * len(w)) * gap + s * s / 6
+    r = Fraction(p["data_radius"]) if dist.name == "quadratic_sphere" else 0
+    return sum((x - Fraction(y)) ** 2 for x, y in zip(w, p["center"])) / 2 + r * r / 2
 
 
 class TestGrad:
@@ -220,6 +238,22 @@ class TestPopulationLoss:
         mean, std_err = monte_carlo(dist, np.array([0.3]), 200_000, seed=3)
         assert abs(mean - 0.5) <= 4 * std_err
 
+    @pytest.mark.parametrize("build, w, approx", [
+        (lambda: linear_regression_sphere(BALL2, 1.0, [0.1, 0.1], 1e8), [1.0, 0.0], 0.205),
+        (lambda: quadratic_sphere(BALL2, [0.0, 0.0], 1e8), [1.0, 0.0], 0.5),
+        (lambda: quadratic_sphere(BALL2, [0.0, 0.0], 1e200), [1.0, 0.0], 0.5),
+        (lambda: absolute_deviation_uniform(BALL1, 0.0, 1e200), [0.5], 1.25e-201),
+    ], ids=["regression noise 1e8", "sphere radius 1e8", "sphere radius 1e200",
+            "deviation half width 1e200"])
+    def test_excess_loss_is_exact_beside_a_large_constant(self, build, w, approx):
+        # F(w) - F* read 0.25, 0.0, OverflowError and nan: the constant part
+        # of F (s^2 / 6, r^2 / 2, h / 2) swamped the excess or overflowed
+        dist = build()
+        exact = float(exact_population_loss(dist, w)
+                      - exact_population_loss(dist, dist.minimizer))
+        assert dist.excess_loss(w) == pytest.approx(exact, rel=1e-12)
+        assert exact == pytest.approx(approx, rel=1e-12)
+
     def test_minimizer_gradient_norm_small(self):
         # Monte-Carlo gradient at the closed-form minimizer is statistically zero
         for dist in (
@@ -237,7 +271,6 @@ class TestPopulationLoss:
 # The five closed-form constructors, each from a domain, a centre (mean,
 # median, w_true) and a positive scale (radius, sigma, half width).
 NAN, INF = math.nan, math.inf
-BALL1 = ConvexDomain.ball([0.0], 1.0)
 
 
 @pytest.mark.parametrize("build", [
