@@ -288,6 +288,30 @@ class TestRun:
         assert mean == pytest.approx(float(sum(exact) / 2), rel=1e-12)
         assert 0.0 < mean < math.inf
 
+    @pytest.mark.parametrize("family, d, build", [
+        ("quadratic_point_mass", 2, lambda ball: dpsco.quadratic_point_mass(ball, [0.0, 0.0])),
+        ("quadratic_sphere", 2, lambda ball: dpsco.quadratic_sphere(ball, [0.0, 0.0], 1.0)),
+        ("absolute_deviation_uniform", 1,
+         lambda ball: dpsco.absolute_deviation_uniform(ball, 0.0, 1.0)),
+        ("linear_regression_sphere", 2,
+         lambda ball: dpsco.linear_regression_sphere(ball, 1.0, [0.0, 0.0], 0.0)),
+        ("logistic_sphere", 2, lambda ball: dpsco.logistic_sphere(ball, 1.0, [0.0, 0.0])),
+    ], ids=["point mass", "sphere", "absolute deviation", "regression", "logistic"])
+    def test_a_family_alone_takes_its_defaults(self, family, d, build):
+        # the defaults a config may leave out, which cli.py held per family
+        import numpy as np
+
+        from dpsco.losses import FAMILIES
+
+        assert family in FAMILIES and len(FAMILIES) == 5
+        ball = dpsco.ConvexDomain.ball([0.0] * d, 1.0)
+        got, want = cli._build_distribution({"family": family}, ball), build(ball)
+        assert list(got.params) == list(want.params)
+        for key, value in want.params.items():
+            assert np.asarray(got.params[key]).tobytes() == np.asarray(value).tobytes(), key
+        assert (got.name, got.loss, got.sampler) == (want.name, want.loss, want.sampler)
+        assert got.minimizer.tobytes() == want.minimizer.tobytes()
+
     def test_zero_sigma_scale_still_runs(self, sweep_config):
         cfg, path = sweep_config
         path.write_text(json.dumps({**cfg, "overrides": {"sigma_scale": 0.0}}))
@@ -355,6 +379,9 @@ def _hostile_config_values():
         return lambda v: lambda cfg: {**cfg, "loss": {"family": family, key: v},
                                       "grid": [{"n": 64, "d": d, "rho": 1.0}]}
 
+    def entry(change):
+        return lambda v: change([0.0, v])
+
     table = [
         ("grid n", grid("n"), NOT_A_COUNT + [0], "grid entry"),
         ("grid d", grid("d"), NOT_A_COUNT + [0], "grid entry"),
@@ -374,10 +401,14 @@ def _hostile_config_values():
          NOT_A_REAL + [-2.0], "upper"),
         ("quadratic_sphere center", loss("quadratic_sphere", "center"), NOT_A_REAL,
          "center"),
+        ("quadratic_sphere center entry", entry(loss("quadratic_sphere", "center")),
+         NOT_A_REAL, "center"),
         ("quadratic_sphere data_radius", loss("quadratic_sphere", "data_radius"),
          NOT_POSITIVE, "data_radius"),
         ("quadratic_point_mass center", loss("quadratic_point_mass", "center"), NOT_A_REAL,
          "center"),
+        ("quadratic_point_mass center entry", entry(loss("quadratic_point_mass", "center")),
+         NOT_A_REAL, "center"),
         ("absolute_deviation_uniform median", loss("absolute_deviation_uniform", "median", 1),
          NOT_A_REAL, "median"),
         ("absolute_deviation_uniform half_width",
@@ -386,12 +417,16 @@ def _hostile_config_values():
          loss("linear_regression_sphere", "feature_radius"), NOT_POSITIVE, "feature_radius"),
         ("linear_regression_sphere w_true", loss("linear_regression_sphere", "w_true"),
          NOT_A_REAL, "w_true"),
+        ("linear_regression_sphere w_true entry",
+         entry(loss("linear_regression_sphere", "w_true")), NOT_A_REAL, "w_true"),
         ("linear_regression_sphere noise_half_width",
          loss("linear_regression_sphere", "noise_half_width"), NOT_NONNEGATIVE,
          "noise_half_width"),
         ("logistic_sphere feature_radius", loss("logistic_sphere", "feature_radius"),
          NOT_POSITIVE, "feature_radius"),
         ("logistic_sphere w_ref", loss("logistic_sphere", "w_ref"), NOT_A_REAL, "w_ref"),
+        ("logistic_sphere w_ref entry", entry(loss("logistic_sphere", "w_ref")), NOT_A_REAL,
+         "w_ref"),
     ]
     for name, change, values, field in table:
         for value in values:

@@ -13,6 +13,7 @@ from dpsco.geometry import ConvexDomain, DimensionMismatchError
 from dpsco.losses import (
     Dataset,
     LossFamily,
+    SyntheticDistribution,
     absolute_deviation_uniform,
     linear_regression_sphere,
     logistic_sphere,
@@ -211,6 +212,25 @@ class TestSampling:
                 prob = 1.0 / (1.0 + np.exp(-(raw @ p["w_ref"])))
                 labels = np.where(rng.uniform(size=500) < prob, 1.0, -1.0)
                 np.testing.assert_array_equal(data.targets, labels)
+
+
+class TestDirectlyBuilt:
+    def test_an_unknown_sampler_is_refused(self):
+        # "gaussian" was quadratic_gaussian's sampler; an unknown one was
+        # refused only when a dataset was drawn
+        base = quadratic_sphere(BALL2, [0.0, 0.0], 1.0)
+        with pytest.raises(ValueError, match="^unknown sampler 'gaussian'$"):
+            SyntheticDistribution("mine", base.loss, BALL2, "gaussian", {"center": [0.0, 0.0]})
+
+    def test_params_are_read_by_name(self):
+        # the family's rules take its fields in order, whatever order params has
+        base = quadratic_sphere(BALL2, [0.25, 0.0], 0.5)
+        dist = SyntheticDistribution("mine", base.loss, BALL2, "sphere",
+                                     {"data_radius": 0.5, "center": np.array([0.25, 0.0])},
+                                     base.minimizer)
+        np.testing.assert_array_equal(dist.sample_dataset(16, 3).features,
+                                      base.sample_dataset(16, 3).features)
+        assert dist.population_loss([1.0, 0.0]) == base.population_loss([1.0, 0.0])
 
 
 class TestPopulationLoss:

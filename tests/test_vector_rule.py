@@ -236,6 +236,15 @@ class TestKeptCopies:
         assert dist.params["data_radius"] == 1.0
 
 
+    def test_params_refuse_a_swapped_vector(self):
+        # dist.params["center"] = [5, 0] took: population_loss([0, 0]) read
+        # 13.0, and excess_loss([0, 0]) 0.0 at the unchanged minimizer
+        dist = quadratic_sphere(_ball(2), [0.0, 0.0], 1.0)
+        with pytest.raises(TypeError):
+            dist.params["center"] = np.array([5.0, 0.0])
+        assert dist.params["center"].tolist() == [0.0, 0.0]
+        assert dist.population_loss([0.0, 0.0]) == 0.5 and dist.excess_loss([0.0, 0.0]) == 0.0
+
     @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
                                            lambda x: pickle.loads(pickle.dumps(x))],
                              ids=["copy", "deepcopy", "pickle"])
@@ -247,6 +256,8 @@ class TestKeptCopies:
         for kept, values in ((twin.params["center"], [0.25, 0.0]), (twin.minimizer, [0.25, 0.0]),
                              (twin.domain.lower, [-1.0, -1.0]), (twin.domain.upper, [1.0, 1.0])):
             self._assert_kept(kept, values)
+        with pytest.raises(TypeError):
+            twin.params["center"] = np.array([5.0, 0.0])
         self._assert_kept(duplicate(ConvexDomain.ball([0.5], 1.0)).center, [0.5])
 
 
