@@ -1,6 +1,8 @@
 """Loss family oracles, declared-constant audits, and synthetic distributions."""
 
+import inspect
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 
 from contraction import batch_value
 from dpsco.geometry import ConvexDomain, DimensionMismatchError
+from dpsco import losses
 from dpsco.losses import (
+    FAMILIES,
     Dataset,
     LossFamily,
     SyntheticDistribution,
@@ -214,6 +218,69 @@ class TestSampling:
                 np.testing.assert_array_equal(data.targets, labels)
 
 
+def _built(name):
+    """The family ``name`` from its public constructor, on a unit ball
+    whose centre is off the family's centre, with every field set."""
+    family = FAMILIES[name]
+    d = family.dimension or 3
+    values = [np.linspace(0.4, -0.6, d) if f.vector else 0.7 for f in family.fields]
+    return getattr(losses, name)(ConvexDomain.ball(np.full(d, 0.1), 1.0), *values)
+
+
+def _bytes(data):
+    return data.features.tobytes() + (b"" if data.targets is None else data.targets.tobytes())
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_constructor_takes_the_record_fields_in_order(self, name):
+        signature = inspect.signature(getattr(losses, name))
+        assert list(signature.parameters) == ["domain"] + [f.name for f in FAMILIES[name].fields]
+        dist = _built(name)
+        assert (dist.name, dist.sampler) == (name, FAMILIES[name].sampler)
+        assert list(dist.params) == [f.name for f in FAMILIES[name].fields]
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_params_refuse_every_swap(self, name):
+        dist = _built(name)
+        before = {key: np.array(value) for key, value in dist.params.items()}
+        for key in before:
+            with pytest.raises(TypeError):
+                dist.params[key] = 5.0
+            with pytest.raises(TypeError):
+                del dist.params[key]
+        with pytest.raises(TypeError):
+            dist.params["extra"] = 1.0
+        assert dist.params.keys() == before.keys()
+        for key, value in before.items():
+            np.testing.assert_array_equal(dist.params[key], value)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_a_seed_fixes_the_draw(self, name):
+        dist = _built(name)
+        data = dist.sample_dataset(7, rng_seed=3)
+        assert data.features.shape == (7, dist.dimension)
+        assert (data.targets is None) == (dist.loss.kind == "quadratic")
+        assert data.targets is None or data.targets.shape == (7,)
+        assert _bytes(dist.sample_dataset(7, rng_seed=3)) == _bytes(data)
+        moved = _bytes(dist.sample_dataset(7, rng_seed=4)) != _bytes(data)
+        assert moved == (dist.sampler != "point_mass")
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_a_pickled_copy_draws_and_scores_as_the_original(self, name):
+        dist = _built(name)
+        twin = pickle.loads(pickle.dumps(dist))
+        assert _bytes(twin.sample_dataset(33, 9)) == _bytes(dist.sample_dataset(33, 9))
+        assert twin.loss == dist.loss and twin.has_closed_form == dist.has_closed_form
+        w = np.full(dist.dimension, -0.3)
+        if dist.has_closed_form:
+            assert twin.excess_loss(w) == dist.excess_loss(w)
+            assert twin.optimum == dist.optimum
+        else:
+            with pytest.raises(ValueError, match="no closed-form"):
+                twin.population_loss(w)
+
+
 class TestDirectlyBuilt:
     def test_an_unknown_sampler_is_refused(self):
         # "gaussian" was quadratic_gaussian's sampler; an unknown one was
@@ -273,6 +340,24 @@ class TestPopulationLoss:
                       - exact_population_loss(dist, dist.minimizer))
         assert dist.excess_loss(w) == pytest.approx(exact, rel=1e-12)
         assert exact == pytest.approx(approx, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(n for n in FAMILIES if FAMILIES[n].closed_form))
+    def test_closed_form_is_the_exact_expectation(self, name):
+        # F = g + c from the record, against rational arithmetic, inside and
+        # outside the data range
+        dist = _built(name)
+        points = np.random.default_rng(21).uniform(-1.5, 1.5, (6, dist.dimension))
+        for w in (dist.minimizer, *points):
+            exact = exact_population_loss(dist, w)
+            assert dist.population_loss(w) == pytest.approx(float(exact), rel=1e-12)
+            assert dist.excess_loss(w) == pytest.approx(
+                float(exact - exact_population_loss(dist, dist.minimizer)), rel=1e-12, abs=1e-15)
+
+    def test_regression_closed_form_matches_monte_carlo(self):
+        dist = linear_regression_sphere(BALL2, 1.3, [0.2, -0.4], 0.5)
+        w = np.array([-0.3, 0.6])
+        mean, std_err = monte_carlo(dist, w, 200_000, seed=5)
+        assert abs(mean - dist.population_loss(w)) <= 4 * std_err + 1e-12
 
     def test_minimizer_gradient_norm_small(self):
         # Monte-Carlo gradient at the closed-form minimizer is statistically zero
