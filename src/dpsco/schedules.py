@@ -125,10 +125,21 @@ def _packed(values, code: str) -> np.ndarray | None:
     return np.frombuffer(packed, np.float64 if code == "d" else np.int64)
 
 
-def _float_vector(values, name: str) -> tuple[np.ndarray, float]:
-    """A fresh, finite float64 vector holding ``values`` (any sequence or array),
-    and its smallest entry (inf when empty); a list or tuple via :func:`_packed`."""
-    arr = _packed(values, "d")
+def _field(values, name: str, code: str) -> np.ndarray:
+    """A fresh one-dimensional schedule field from ``values`` (any sequence
+    or array): int64 batch sizes for ``code`` "q", float64 step sizes or noise
+    scales for "d". A list or tuple goes through :func:`_packed` (a bool as 0
+    or 1), an integer array into int64 exactly, anything else through float64.
+    Entries must be finite and nonnegative, and batch sizes integers >= 1 that
+    int64 holds, exactly also past 2^53."""
+    if code == "q" and isinstance(values, np.ndarray) and values.dtype.kind in "biu":
+        if values.dtype.kind == "u" and values.size and values.max() > _INT64_MAX:
+            raise InvalidScheduleError("batch sizes must fit in int64")
+        arr = values.astype(np.int64)
+    else:
+        arr = _packed(values, code)
+        if arr is None and code == "q":
+            arr = _packed(values, "d")
     if arr is None:
         try:
             if isinstance(values, np.ndarray):
@@ -137,41 +148,23 @@ def _float_vector(values, name: str) -> tuple[np.ndarray, float]:
                 arr = np.fromiter(values, dtype=np.float64, count=len(values))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidScheduleError(f"{name} must be a sequence of numbers: {exc}") from exc
-        if arr.ndim != 1:
-            raise InvalidScheduleError(f"{name} must be one-dimensional")
+    if arr.ndim != 1:
+        raise InvalidScheduleError(f"{name} must be one-dimensional")
     if arr.size == 0:
-        return arr, math.inf
+        return arr
     lo, hi = arr.min(), arr.max()  # NaN propagates through both
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidScheduleError(f"{name} must be finite")
-    return arr, float(lo)
-
-
-def _batch_vector(values) -> np.ndarray:
-    """A fresh one-dimensional int64 vector of integral batch sizes.
-
-    Integers (Python or numpy, in a list, tuple, range or integer array)
-    convert exactly; a sequence with a float entry, or a float array, goes
-    through float64 and must hold integral values. Entries int64 cannot hold
-    are refused.
-    """
-    if isinstance(values, np.ndarray) and values.dtype.kind in "biu":
-        if values.dtype.kind == "u" and values.size and values.max() > _INT64_MAX:
-            raise InvalidScheduleError("batch sizes must fit in int64")
-        arr = values.astype(np.int64)
-        if arr.ndim != 1:
-            raise InvalidScheduleError("batch sizes must be one-dimensional")
+    if code == "d":
+        if lo < 0:
+            raise InvalidScheduleError(f"{name} must be nonnegative")
         return arr
-    arr = _packed(values, "q")
-    if arr is not None:
-        return arr
-    arr, lo = _float_vector(values, "batch sizes")
-    if np.any(arr != np.floor(arr)):
+    if arr.dtype == np.float64 and np.any(arr != np.floor(arr)):
         raise InvalidScheduleError("batch sizes must be integers")
     if lo < 1:
         raise InvalidScheduleError("batch sizes must be >= 1")
-    if arr.max(initial=0.0) < 2.0**53:
-        return arr.astype(np.int64)
+    if arr.dtype == np.int64 or hi < 2.0**53:
+        return arr.astype(np.int64, copy=False)
     try:  # float64 rounds integers above 2^53: take the entries exactly
         return np.array(array.array("q", map(int, values)))
     except OverflowError:
@@ -182,13 +175,12 @@ def _batch_vector(values) -> np.ndarray:
 class Schedule:
     """Per-step batch sizes, step sizes, and noise scales for T steps.
 
-    Any sequences (or arrays) are accepted; they are copied once into
-    read-only arrays that share no memory with them: ``batch_sizes`` as int64
-    (exact for integer input), ``step_sizes`` and ``noise_scales`` as float64,
-    a list or tuple by :func:`_packed` and whatever it leaves through numpy.
-    Invariants: equal lengths, finite entries, integral batch sizes >= 1 whose
-    total fits in int64, step sizes >= 0, noise scales >= 0. (Zero step sizes
-    are permitted so that ablation runs that freeze the iterate remain
+    Any sequences (or arrays) are accepted; :func:`_field` copies each once
+    into a read-only array that shares no memory with them, ``batch_sizes``
+    as int64 (exact for integer input), ``step_sizes`` and ``noise_scales``
+    as float64, and refuses what one field alone breaks. The fields must then
+    have one length T >= 1, and the batch total must fit in int64. (Zero step
+    sizes are permitted so that ablation runs that freeze the iterate remain
     expressible.) Equality compares the arrays; schedules are unhashable.
     """
 
@@ -197,20 +189,14 @@ class Schedule:
     noise_scales: np.ndarray
 
     def __post_init__(self):
-        batches = _batch_vector(self.batch_sizes)
-        eta, eta_lo = _float_vector(self.step_sizes, "step sizes")
-        sigma, sigma_lo = _float_vector(self.noise_scales, "noise scales")
+        batches = _field(self.batch_sizes, "batch sizes", "q")
+        eta = _field(self.step_sizes, "step sizes", "d")
+        sigma = _field(self.noise_scales, "noise scales", "d")
         T = batches.shape[0]
         if T == 0:
             raise InvalidScheduleError("schedule must have at least one step")
         if eta.shape[0] != T or sigma.shape[0] != T:
             raise InvalidScheduleError("schedule lists must have equal length")
-        if batches.min() < 1:
-            raise InvalidScheduleError("batch sizes must be >= 1")
-        if eta_lo < 0:
-            raise InvalidScheduleError("step sizes must be nonnegative")
-        if sigma_lo < 0:
-            raise InvalidScheduleError("noise scales must be nonnegative")
         # T * max bounds the total; only a bound past int64 needs the exact sum
         if int(batches.max()) * T > _INT64_MAX and sum(batches.tolist()) > _INT64_MAX:
             raise InvalidScheduleError("total batch size must fit in int64")
