@@ -81,6 +81,29 @@ class TestSchedule:
         # integral floats are batch sizes
         assert Schedule((2.0,), (0.1,), (1.0,)).batch_sizes.tolist() == [2]
 
+    def test_bools_are_zero_and_one(self):
+        # the list path packs with struct, which takes a bool as an int; a
+        # per-entry type screen would cost five times the packing at T = 10^6
+        sched = Schedule([True, 2], [0.5, False], (1.0, True))
+        assert sched.batch_sizes.tolist() == [1, 2] and sched.batch_sizes.dtype == np.int64
+        assert sched.step_sizes.tolist() == [0.5, 0.0]
+        assert sched.noise_scales.tolist() == [1.0, 1.0]
+        assert Schedule(np.ones(2, bool), np.zeros(2, bool), [1.0, 1.0]) == Schedule(
+            [1, 1], [0.0, 0.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("fields, message", [
+        (([0, 2], [0.5], [1.0, 1.0]), "batch sizes must be >= 1"),
+        ((np.array([1, 0]), [0.5, 0.5, 0.5], [1.0]), "batch sizes must be >= 1"),
+        (([1, 2], [-0.5], [1.0, 1.0]), "step sizes must be nonnegative"),
+        (([1, 2], [0.5, 0.5], (-1.0,)), "noise scales must be nonnegative"),
+        (([0], [0.5, float("nan")], [1.0]), "batch sizes must be >= 1"),
+    ])
+    def test_a_field_is_checked_before_the_fields_are_related(self, fields, message):
+        # each field alone goes through one rule first; the lengths, the step
+        # count and the batch total are related after it
+        with pytest.raises(InvalidScheduleError, match=f"^{message}$"):
+            Schedule(*fields)
+
     def test_non_numeric_input_rejected(self):
         with pytest.raises(InvalidScheduleError):
             Schedule((1, "x"), (0.1, 0.1), (1.0, 1.0))
