@@ -11,7 +11,6 @@ makes excess-loss measurements exact.
 from __future__ import annotations
 
 import collections
-import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -241,18 +240,19 @@ class SyntheticDistribution:
 
     def population_loss(self, w) -> float:
         """Exact population loss F(w); only for closed-form distributions."""
-        return sum(self._closed_form(w))
+        return sum(self._closed_form(w, self.params[_SAMPLERS[self.sampler].center]))
 
     def excess_loss(self, w) -> float:
-        """F(w) - F*, as g(w) - g(minimizer) of F's w-dependent part g: F's
-        constant part would swamp a small excess, or overflow."""
-        return self._closed_form(w)[0] - self._closed_form(self.minimizer)[0]
+        """F(w) - F*, as g(w) - g(minimizer) of F's w-dependent part g, in difference
+        form: F's constant part, or a far centre's square, would swamp it, or overflow."""
+        return self._closed_form(w, self.minimizer)[0]
 
-    def _closed_form(self, w) -> tuple[float, float]:
+    def _closed_form(self, w, v) -> tuple[float, float]:
         closed_form = _SAMPLERS[self.sampler].closed_form
         if closed_form is None:
             raise ValueError(f"no closed-form population loss for sampler {self.sampler!r}")
-        return closed_form(np.asarray(w, np.float64).ravel(), self.dimension, *self._values)
+        return closed_form(np.asarray(w, np.float64).ravel(), np.ravel(v), self.dimension,
+                           *self._values)
 
     @property
     def _values(self) -> list:
@@ -260,11 +260,12 @@ class SyntheticDistribution:
 
 
 def _sup_distance(domain: ConvexDomain, point: np.ndarray) -> float:
-    """max over w in the domain of |w - point|."""
-    if domain.kind == "ball":
-        return float(np.linalg.norm(domain.center - point)) + domain.radius
-    corner = np.maximum(np.abs(domain.lower - point), np.abs(domain.upper - point))
-    return float(np.linalg.norm(corner))
+    """max over w in the domain of |w - point|, inf where it overflows (unwarned)."""
+    with np.errstate(over="ignore"):
+        if domain.kind == "ball":
+            return float(np.linalg.norm(domain.center - point)) + domain.radius
+        corner = np.maximum(np.abs(domain.lower - point), np.abs(domain.upper - point))
+        return float(np.linalg.norm(corner))
 
 
 # A family's field: its name (in the constructor, ``params`` and a run config),
@@ -280,9 +281,10 @@ class _Family:
     config's ``family``), its ``sampler`` key, its fields, the field whose
     projection onto the domain is the population minimizer, and three rules
     that take the family's field values, in order, after their own arguments:
-    ``declare(domain, ...)`` is the declared :class:`LossFamily`, ``draw(rng,
-    n, d, ...)`` gives n i.i.d. examples, and ``closed_form(w, d, ...)`` is
-    (g(w), c) for the exact population loss F(w) = g(w) + c, or None where F
+    ``declare(domain, ...)`` is the declared :class:`LossFamily`'s (kind, L,
+    beta, lambda), ``draw(rng, n, d, ...)`` gives n i.i.d. examples, and
+    ``closed_form(w, v, d, ...)`` is (g(w) - g(v), c) for the exact population
+    loss F(w) = g(w) + c, with g = 0 at ``center``'s value, or None where F
     has no closed form. A family with a ``dimension`` has no other."""
 
     name: str
@@ -296,27 +298,37 @@ class _Family:
 
     def build(self, domain: ConvexDomain, *values) -> SyntheticDistribution:
         """This family over ``domain``, from a value for each field in order,
-        taken by ``_vector`` at the domain's dimension or by ``_real``."""
+        taken by ``_vector`` at the domain's dimension or by ``_real``; the
+        declared L must have a finite square, as the accountant squares L."""
         if self.dimension not in (None, domain.dimension):
             raise ValueError(f"{self.name} is {self.dimension}-D")
         params = {f.name: _vector(v, f.name, f.interval, domain.dimension) if f.vector
                   else _real(v, f.name, f.interval) for f, v in zip(self.fields, values)}
-        return SyntheticDistribution(self.name, self.declare(domain, *params.values()), domain,
+        kind, L, beta, lam = self.declare(domain, *params.values())
+        if not L * L < math.inf:
+            raise ValueError(f"{self.name}'s declared L must have a finite square, got {L} "
+                             f"from {', '.join(params)}")
+        return SyntheticDistribution(self.name, LossFamily(kind, L, beta, lam), domain,
                                      self.sampler, params, project(domain, params[self.center]))
 
 
-_quadratic = functools.partial(LossFamily, QUADRATIC, smoothness=1.0, strong_convexity=1.0)
+def _half_square_gap(w: np.ndarray, v: np.ndarray, c: np.ndarray) -> float:
+    """0.5 |w - c|^2 - 0.5 |v - c|^2, with no square of a far c to cancel."""
+    return 0.5 * float(np.sum((w - v) * ((w - c) + (v - c))))
 
 
-def _half_square(w: np.ndarray, center: np.ndarray) -> float:
-    return 0.5 * float(np.sum((w - center) ** 2))
-
-
-def _deviation_loss(w: np.ndarray, d: int, m: float, h: float) -> tuple[float, float]:
-    # E|w - b| for b ~ U[m - h, m + h] (1-D, unit feature) is t^2 / (2h) + h / 2
-    # where t = |w - m| <= h, and (t - h / 2) + h / 2 beyond
-    t = abs(float(w[0]) - m)
-    return (t * (t / (2.0 * h)) if t <= h else t - h / 2.0), h / 2.0
+def _deviation_loss(w: np.ndarray, v: np.ndarray, d: int, m: float,
+                    h: float) -> tuple[float, float]:
+    # E|w - b| for b ~ U[m - h, m + h] (1-D, unit feature) is phi(|w - m|) + h / 2, where
+    # phi(t) = t^2 / (2h) for t <= h and t - h / 2 beyond. phi(t) - phi(s) is (t^2 - s^2)
+    # over 2h or t + s where t and s = |v - m| lie on one side of h, else phi(t) - phi(h)
+    # less phi(s) - phi(h): terms of opposite signs, which do not cancel
+    w, v = float(w[0]), float(v[0])
+    t, s = abs(w - m), abs(v - m)
+    if (t <= h) != (s <= h):
+        past = [(x - h) * ((x + h) / (2.0 * h)) if x <= h else x - h for x in (t, s)]
+        return past[0] - past[1], h / 2.0
+    return (w - v) * (((w - m) + (v - m)) / (2.0 * h if t <= h else t + s)), h / 2.0
 
 
 def _draw_regression(rng, n: int, d: int, r: float, w_true, s: float) -> Dataset:
@@ -335,29 +347,30 @@ def _draw_logistic(rng, n: int, d: int, r: float, w_ref) -> Dataset:
 FAMILIES = {family.name: family for family in (
     _Family("quadratic_point_mass", "point_mass",
             (_Field("center", True, 0.0, "finite"),), "center",
-            lambda domain, c: _quadratic(max(_sup_distance(domain, c), 1e-12)),
+            lambda domain, c: (QUADRATIC, max(_sup_distance(domain, c), 1e-12), 1.0, 1.0),
             lambda rng, n, d, c: Dataset(np.tile(c, (n, 1))),
-            lambda w, d, c: (_half_square(w, c), 0.0)),
+            lambda w, v, d, c: (_half_square_gap(w, v, c), 0.0)),
     _Family("quadratic_sphere", "sphere",
             (_Field("center", True, 0.0, "finite"), _Field("data_radius", False, 1.0)), "center",
-            lambda domain, c, r: _quadratic(_sup_distance(domain, c) + r),
+            lambda domain, c, r: (QUADRATIC, _sup_distance(domain, c) + r, 1.0, 1.0),
             lambda rng, n, d, c, r: Dataset(_on_sphere(rng, n, d, r, c)),
-            lambda w, d, c, r: (_half_square(w, c), 0.5 * r * r)),
+            lambda w, v, d, c, r: (_half_square_gap(w, v, c), 0.5 * r * r)),
     _Family("absolute_deviation_uniform", "uniform_targets",
             (_Field("median", False, 0.0, "finite"), _Field("half_width", False, 1.0)), "median",
-            lambda domain, m, h: LossFamily(ABSOLUTE_DEVIATION, 1.0, math.inf, 0.0),
+            lambda domain, m, h: (ABSOLUTE_DEVIATION, 1.0, math.inf, 0.0),
             lambda rng, n, d, m, h: Dataset(np.ones((n, 1)), rng.uniform(m - h, m + h, size=n)),
             _deviation_loss, dimension=1),
     _Family("linear_regression_sphere", "sphere_regression",
             (_Field("feature_radius", False, 1.0), _Field("w_true", True, 0.0, "finite"),
              _Field("noise_half_width", False, 0.0, "nonnegative and finite")), "w_true",
-            lambda domain, r, w_true, s: LossFamily(
+            lambda domain, r, w_true, s: (
                 LINEAR_REGRESSION, r * (r * _sup_distance(domain, w_true) + s), r * r, 0.0),
             _draw_regression,
-            lambda w, d, r, w_true, s: (r * r / d * _half_square(w, w_true), s * s / 6.0)),
+            lambda w, v, d, r, w_true, s: (r * r / d * _half_square_gap(w, v, w_true),
+                                           s * s / 6.0)),
     _Family("logistic_sphere", "sphere_logistic",
             (_Field("feature_radius", False, 1.0), _Field("w_ref", True, 0.0, "finite")), "w_ref",
-            lambda domain, r, w_ref: LossFamily(LOGISTIC, r, r * r / 4.0, 0.0),
+            lambda domain, r, w_ref: (LOGISTIC, r, r * r / 4.0, 0.0),
             _draw_logistic, None),
 )}
 _SAMPLERS = {family.sampler: family for family in FAMILIES.values()}

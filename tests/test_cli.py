@@ -263,14 +263,14 @@ class TestRun:
 
     @pytest.mark.parametrize("loss", [
         {"family": "linear_regression_sphere", "noise_half_width": 1e8},
-        {"family": "linear_regression_sphere", "noise_half_width": 1e160},
-        {"family": "quadratic_sphere", "data_radius": 1e200},
-    ], ids=["noise 1e8", "noise 1e160", "data radius 1e200"])
+        {"family": "linear_regression_sphere", "noise_half_width": 1e150},
+        {"family": "quadratic_sphere", "data_radius": 1e150},
+    ], ids=["noise 1e8", "noise 1e150", "data radius 1e150"])
     def test_large_data_scale_keeps_the_excess(self, sweep_config, loss):
-        # these read mean 0.25 (each trial's excess rounded to a multiple of
-        # 0.25), a nan row, and exit 3 after every trial with "(34, 'Numerical
-        # result out of range')": the excess was F(w) - F*, whose constant
-        # part swamped it or overflowed. The mean is the trials' exact excess.
+        # the excess was F(w) - F*, whose constant part swamped it: the first
+        # read mean 0.25 (each trial's excess rounded to a multiple of 0.25).
+        # At 1e160 and 1e200 these read a nan row and exit 3; L^2 overflows
+        # there, which is now refused. The mean is the trials' exact excess.
         from dpsco.empirics import ALGORITHMS, _derive_seeds
         from dpsco.geometry import ConvexDomain
         from test_losses import exact_population_loss
@@ -495,6 +495,37 @@ class TestHostileRunConfig:
         cfg, path = sweep_config
         path.write_text(json.dumps({**cfg, "loss": loss, "algorithm": algorithm}))
         self._assert_refused(tmp_path, capsys, path, reason)
+
+    @pytest.mark.parametrize("loss, field", [
+        ({"family": "quadratic_sphere", "center": 1e200}, "center"),
+        ({"family": "quadratic_sphere", "data_radius": 1e200}, "data_radius"),
+        ({"family": "quadratic_point_mass", "center": [0.0, -1e160]}, "center"),
+        ({"family": "linear_regression_sphere", "noise_half_width": 1e160}, "noise_half_width"),
+    ], ids=["sphere centre", "sphere radius", "point mass centre", "regression noise"])
+    def test_declared_L_with_no_finite_square(self, tmp_path, sweep_config, capsys, loss,
+                                              field):
+        # the centre printed numpy's overflow warning and then refused L = inf
+        # naming no field; the others ran with an L whose square overflows
+        cfg, path = sweep_config
+        path.write_text(json.dumps({**cfg, "loss": loss}))
+        self._assert_refused(tmp_path, capsys, path, field)
+
+    def test_declared_L_refusal_under_warnings_as_errors(self, tmp_path, sweep_config):
+        # under -W error the centre's overflow warning escaped main: exit 1
+        # and a traceback
+        cfg, path = sweep_config
+        path.write_text(json.dumps({**cfg, "loss": {"family": "quadratic_sphere",
+                                                    "center": 1e200}}))
+        src = str(Path(dpsco.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run([sys.executable, "-W", "error", "-m", "dpsco.cli", "run",
+                              "--config", str(path)], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=120)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == ("run refused: quadratic_sphere's declared L must have a finite "
+                              "square, got inf from center, data_radius\n")
+        assert {p.name for p in tmp_path.iterdir()} == {"config.json"}
 
     @pytest.mark.parametrize("algorithm", ["phased_sgd", "snowball_sz"])
     def test_grid_n_no_dataset_can_hold(self, tmp_path, sweep_config, capsys, algorithm):

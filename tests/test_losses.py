@@ -328,18 +328,48 @@ class TestPopulationLoss:
     @pytest.mark.parametrize("build, w, approx", [
         (lambda: linear_regression_sphere(BALL2, 1.0, [0.1, 0.1], 1e8), [1.0, 0.0], 0.205),
         (lambda: quadratic_sphere(BALL2, [0.0, 0.0], 1e8), [1.0, 0.0], 0.5),
-        (lambda: quadratic_sphere(BALL2, [0.0, 0.0], 1e200), [1.0, 0.0], 0.5),
+        (lambda: quadratic_sphere(BALL2, [0.0, 0.0], 1e150), [1.0, 0.0], 0.5),
         (lambda: absolute_deviation_uniform(BALL1, 0.0, 1e200), [0.5], 1.25e-201),
-    ], ids=["regression noise 1e8", "sphere radius 1e8", "sphere radius 1e200",
+    ], ids=["regression noise 1e8", "sphere radius 1e8", "sphere radius 1e150",
             "deviation half width 1e200"])
     def test_excess_loss_is_exact_beside_a_large_constant(self, build, w, approx):
-        # F(w) - F* read 0.25, 0.0, OverflowError and nan: the constant part
-        # of F (s^2 / 6, r^2 / 2, h / 2) swamped the excess or overflowed
+        # F(w) - F* read 0.25, 0.0, 0.0 and nan: the constant part of F
+        # (s^2 / 6, r^2 / 2, h / 2) swamped the excess or overflowed. (A sphere
+        # radius of 1e200 overflowed r^2; its L^2 overflows too, now refused.)
         dist = build()
         exact = float(exact_population_loss(dist, w)
                       - exact_population_loss(dist, dist.minimizer))
         assert dist.excess_loss(w) == pytest.approx(exact, rel=1e-12)
         assert exact == pytest.approx(approx, rel=1e-12)
+
+    @pytest.mark.parametrize("build, w, want", [
+        (lambda: quadratic_sphere(BALL2, [1e20, 0.0], 1.0), [0.0, 0.0],
+         Fraction(10**20) - Fraction(1, 2)),
+        (lambda: quadratic_sphere(BALL2, [1e8, 0.0], 1.0), [0.0, 0.0], Fraction(199999999, 2)),
+        (lambda: linear_regression_sphere(BALL2, 1.0, [1e8, 0.0], 0.0), [0.0, 0.0],
+         Fraction(199999999, 4)),
+        (lambda: absolute_deviation_uniform(BALL1, 1e20, 1.0), [0.0], Fraction(1)),
+    ], ids=["sphere centre 1e20", "sphere centre 1e8", "regression w_true 1e8",
+            "deviation median 1e20"])
+    def test_excess_loss_is_exact_far_from_the_domain(self, build, w, want):
+        # g(w) - g(w*) read 0.0, 1e8, 5e7 and 0.0: g held the centre's square
+        # (or its distance), which swamped the difference
+        dist = build()
+        exact = exact_population_loss(dist, w) - exact_population_loss(dist, dist.minimizer)
+        assert float(exact) == pytest.approx(float(want), rel=1e-12)
+        assert dist.excess_loss(w) == pytest.approx(float(exact), rel=1e-12)
+
+    @pytest.mark.parametrize("median, half_width", [
+        (3.0, 1.5), (3.0, 2.5), (-0.4, 0.25), (0.5, 4.0), (1.0 + 1e-9, 1e-9)])
+    def test_deviation_excess_on_each_side_of_the_data_range(self, median, half_width):
+        # w and the minimizer inside the data range, outside it, and on
+        # either side of its edge, against rational arithmetic
+        dist = absolute_deviation_uniform(BALL1, median, half_width)
+        v = float(dist.minimizer[0])
+        for w in (v, v - 1e-9, -1.0, 0.0, 0.9, 1.0 - 1e-12, median - half_width, median + 1.0,
+                  median + 2.0 * half_width, 4.0 * median):
+            exact = exact_population_loss(dist, [w]) - exact_population_loss(dist, [v])
+            assert dist.excess_loss([w]) == pytest.approx(float(exact), rel=1e-12, abs=0.0), w
 
     @pytest.mark.parametrize("name", sorted(n for n in FAMILIES if FAMILIES[n].closed_form))
     def test_closed_form_is_the_exact_expectation(self, name):
@@ -479,6 +509,31 @@ def families():
 
 class TestDeclaredConstants:
     """Sampled audits of the declared (L, beta, lambda) constants."""
+
+    @pytest.mark.parametrize("build, name, fields", [
+        (lambda: quadratic_point_mass(BALL2, [1e200, 0.0]), "quadratic_point_mass", "center"),
+        (lambda: quadratic_sphere(BALL2, [1e200, 0.0], 1.0), "quadratic_sphere",
+         "center, data_radius"),
+        (lambda: quadratic_sphere(BALL2, [0.0, 0.0], 1e155), "quadratic_sphere",
+         "center, data_radius"),
+        (lambda: quadratic_sphere(ConvexDomain.box([-1e200] * 2, [1e200] * 2),
+                                  [0.0, 0.0], 1.0),
+         "quadratic_sphere", "center, data_radius"),
+        (lambda: linear_regression_sphere(BALL2, 1.0, [0.0, 0.0], 1e160),
+         "linear_regression_sphere", "feature_radius, w_true, noise_half_width"),
+        (lambda: linear_regression_sphere(BALL2, 1e100, [1e100, 0.0], 0.0),
+         "linear_regression_sphere", "feature_radius, w_true, noise_half_width"),
+        (lambda: logistic_sphere(BALL2, 1e160, [0.0, 0.0]), "logistic_sphere",
+         "feature_radius, w_ref"),
+    ], ids=["point mass centre", "sphere centre", "sphere radius", "sphere on a huge box",
+            "regression noise", "regression radius and w_true", "logistic radius"])
+    def test_declared_L_must_have_a_finite_square(self, build, name, fields):
+        # a centre of 1e200 overflowed the sup distance with a RuntimeWarning,
+        # and LossFamily then refused L = inf naming no field; a finite L past
+        # 1e154 was taken, and the accountant's L^2 overflowed
+        with pytest.raises(ValueError, match=rf"^{name}'s declared L must have a finite "
+                                             rf"square, got \S+ from {fields}$"):
+            build()
 
     def test_sampled_data_meet_the_declared_smoothness(self):
         # every synthetic distribution's own samples meet its declared L and
