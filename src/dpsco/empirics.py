@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import ConvexDomain
 from .losses import Dataset, SyntheticDistribution
-from .optimizers import NoiseStream, RunRecord, pnsgd, psgd, sc_snowball, phased_sgd
+from .optimizers import NoiseStream, RunRecord, _derive_seeds, pnsgd, psgd, sc_snowball, phased_sgd
 from .schedules import (
     MULTIPLIER_JNN,
     MULTIPLIER_SZ,
@@ -57,11 +57,6 @@ def default_start(domain: ConvexDomain) -> np.ndarray:
         w[0] += domain.radius
         return w
     return domain.upper.copy()
-
-
-def _derive_seeds(master: int, *key: int) -> int:
-    ss = np.random.SeedSequence(entropy=int(master), spawn_key=tuple(int(k) for k in key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def _snowball_plan(n: int, d: int, rho: float, multiplier: float) -> np.ndarray:

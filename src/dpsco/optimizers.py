@@ -50,6 +50,12 @@ def _draw_blocks(seed: int, dim: int, block: int, out: np.ndarray) -> None:
             out=out[start:start + _NOISE_BLOCK])
 
 
+def _derive_seeds(master: int, *key: int) -> int:
+    """The 64-bit seed that ``SeedSequence(master, spawn_key=key)`` derives."""
+    ss = np.random.SeedSequence(entropy=int(master), spawn_key=tuple(int(k) for k in key))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
 class DataSizeError(ValueError):
     """Dataset size does not match what the schedule will consume."""
 
@@ -149,8 +155,7 @@ class NoiseStream:
 
     def fork(self, tag: int) -> "NoiseStream":
         """Independent stream derived deterministically from this one's seed."""
-        child = np.random.SeedSequence(entropy=self.seed, spawn_key=(0x5EED, tag))
-        return NoiseStream(int(child.generate_state(1, dtype=np.uint64)[0]))
+        return NoiseStream(_derive_seeds(self.seed, 0x5EED, tag))
 
 
 @dataclass(frozen=True)

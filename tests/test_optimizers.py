@@ -33,6 +33,7 @@ from dpsco.optimizers import (
     NoiseStream,
     RunRecord,
     StepSizeError,
+    _derive_seeds,
     _exact_regularized_erm,
     _gap_bound,
     phased_erm,
@@ -120,6 +121,15 @@ class TestNoiseStream:
         f2 = NoiseStream(7).fork(1).gaussian(2)
         np.testing.assert_array_equal(f1, f2)
         assert not np.allclose(f1, NoiseStream(7).fork(2).gaussian(2))
+
+    def test_fork_derives_its_seed_as_the_sweep_does(self):
+        # fork keyed its own SeedSequence; it now goes through _derive_seeds,
+        # which gives the same seed, up to the largest 64-bit seeds
+        for seed in (0, 1, 7, 2**32 + 1, 2**53 + 1, 6 * 10**18, 12 * 10**18, 2**64 - 1):
+            for tag in (0, 3):
+                want = np.random.SeedSequence(entropy=seed, spawn_key=(0x5EED, tag))
+                assert NoiseStream(seed).fork(tag).seed == _derive_seeds(
+                    seed, 0x5EED, tag) == int(want.generate_state(1, dtype=np.uint64)[0])
 
     def test_negative_or_fractional_counts_and_small_dims_are_refused(self):
         s = NoiseStream(5)
