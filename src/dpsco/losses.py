@@ -317,8 +317,7 @@ def _half_square_gap(w: np.ndarray, v: np.ndarray, c: np.ndarray) -> float:
     return 0.5 * float(np.sum((w - v) * ((w - c) + (v - c))))
 
 
-def _deviation_loss(w: np.ndarray, v: np.ndarray, d: int, m: float,
-                    h: float) -> tuple[float, float]:
+def _deviation_loss(w, v, d: int, m: float, h: float) -> tuple[float, float]:
     # E|w - b| for b ~ U[m - h, m + h] (1-D, unit feature) is phi(|w - m|) + h / 2, where
     # phi(t) = t^2 / (2h) for t <= h and t - h / 2 beyond. phi(t) - phi(s) is (t^2 - s^2)
     # over 2h or t + s where t and s = |v - m| lie on one side of h, else phi(t) - phi(h)
@@ -366,8 +365,7 @@ FAMILIES = {family.name: family for family in (
             lambda domain, r, w_true, s: (
                 LINEAR_REGRESSION, r * (r * _sup_distance(domain, w_true) + s), r * r, 0.0),
             _draw_regression,
-            lambda w, v, d, r, w_true, s: (r * r / d * _half_square_gap(w, v, w_true),
-                                           s * s / 6.0)),
+            lambda w, v, d, r, c, s: (r * r / d * _half_square_gap(w, v, c), s * s / 6.0)),
     _Family("logistic_sphere", "sphere_logistic",
             (_Field("feature_radius", False, 1.0), _Field("w_ref", True, 0.0, "finite")), "w_ref",
             lambda domain, r, w_ref: (LOGISTIC, r, r * r / 4.0, 0.0),

@@ -126,12 +126,11 @@ def _packed(values, code: str) -> np.ndarray | None:
 
 
 def _field(values, name: str, code: str) -> np.ndarray:
-    """A fresh one-dimensional schedule field from ``values`` (any sequence
-    or array): int64 batch sizes for ``code`` "q", float64 step sizes or noise
-    scales for "d". A list or tuple goes through :func:`_packed` (a bool as 0
-    or 1), an integer array into int64 exactly, anything else through float64.
-    Entries must be finite and nonnegative, and batch sizes integers >= 1 that
-    int64 holds, exactly also past 2^53."""
+    """A fresh one-dimensional schedule field from ``values`` (any sequence or
+    array): int64 batch sizes for ``code`` "q", float64 step sizes or noise
+    scales for "d"; a list or tuple via :func:`_packed` (a bool as 0 or 1), an
+    integer array into int64 exactly, anything else through float64. Entries
+    must be finite and nonnegative, batch sizes whole, >= 1 and within int64."""
     if code == "q" and isinstance(values, np.ndarray) and values.dtype.kind in "biu":
         if values.dtype.kind == "u" and values.size and values.max() > _INT64_MAX:
             raise InvalidScheduleError("batch sizes must fit in int64")
@@ -152,15 +151,17 @@ def _field(values, name: str, code: str) -> np.ndarray:
         raise InvalidScheduleError(f"{name} must be one-dimensional")
     if arr.size == 0:
         return arr
-    lo, hi = arr.min(), arr.max()  # NaN propagates through both
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvalidScheduleError(f"{name} must be finite")
+    lo = arr.min()
+    if arr.dtype == np.float64:  # int64 entries are whole and finite
+        hi = arr.max()  # NaN propagates through both
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InvalidScheduleError(f"{name} must be finite")
+        if code == "q" and np.any(arr != np.floor(arr)):
+            raise InvalidScheduleError("batch sizes must be integers")
     if code == "d":
         if lo < 0:
             raise InvalidScheduleError(f"{name} must be nonnegative")
         return arr
-    if arr.dtype == np.float64 and np.any(arr != np.floor(arr)):
-        raise InvalidScheduleError("batch sizes must be integers")
     if lo < 1:
         raise InvalidScheduleError("batch sizes must be >= 1")
     if arr.dtype == np.int64 or hi < 2.0**53:
