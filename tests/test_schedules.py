@@ -83,7 +83,7 @@ class TestSchedule:
 
     def test_bools_are_zero_and_one(self):
         # the list path packs with struct, which takes a bool as an int; a
-        # per-entry type screen would cost five times the packing at T = 10^6
+        # per-entry type screen would cost three to four times the packing
         sched = Schedule([True, 2], [0.5, False], (1.0, True))
         assert sched.batch_sizes.tolist() == [1, 2] and sched.batch_sizes.dtype == np.int64
         assert sched.step_sizes.tolist() == [0.5, 0.0]
@@ -97,7 +97,8 @@ class TestSchedule:
         (([1, 2], [-0.5], [1.0, 1.0]), "step sizes must be nonnegative"),
         (([1, 2], [0.5, 0.5], (-1.0,)), "noise scales must be nonnegative"),
         (([0], [0.5, float("nan")], [1.0]), "batch sizes must be >= 1"),
-    ])
+    ], ids=["zero batch, short steps", "zero batch array, long steps", "negative step",
+            "negative noise", "zero batch, nan step"])
     def test_a_field_is_checked_before_the_fields_are_related(self, fields, message):
         # each field alone goes through one rule first; the lengths, the step
         # count and the batch total are related after it
